@@ -35,9 +35,6 @@ import numpy as np
 
 from . import jones
 
-PATHS = ("control", "target")
-MODE_NAMES = ("control_H", "control_V", "target_H", "target_V")
-
 #: computational two-qubit basis order used for all tables and matrices
 BASIS_ZZ = ("HH", "HV", "VH", "VV")
 BASIS_XX = ("DD", "DA", "AD", "AA")
@@ -220,18 +217,20 @@ def two_photon_amplitudes(elements: list[LinearElement], inp: TwoPhotonInput) ->
     path).  Because each photon enters a disjoint pair of modes the permanent
     sum factorizes as u_a w_b + w_a u_b.
     """
-    u_vec, w_vec = _single_photon_outputs(compose_transfer(elements), inp)
+    return _interfering_amplitudes(*_single_photon_outputs(compose_transfer(elements), inp))
+
+
+def _interfering_amplitudes(u_vec, w_vec) -> np.ndarray:
     return np.array(
         [u_vec[a] * w_vec[b] + w_vec[a] * u_vec[b] for a in (0, 1) for b in (2, 3)],
         dtype=complex,
     )
 
 
-def _distinguishable_conditional(u, inp: TwoPhotonInput):
+def _distinguishable_conditional(a, b):
     # Classical assignment sum: each photon scatters independently; the two
     # photon-to-output-path assignments are orthogonal outcomes, so their
     # (unnormalized) product states add as a mixture.
-    a, b = _single_photon_outputs(u, inp)
     first = np.kron(a[:2], b[2:])  # control photon stays control, target stays target
     second = np.kron(b[:2], a[2:])  # paths swapped
     rho = np.outer(first, first.conj()) + np.outer(second, second.conj())
@@ -246,11 +245,11 @@ def coincidence_evolve(elements: list[LinearElement], inp: TwoPhotonInput) -> Po
     coincidence subspace; success_prob is the matching mixture of the two
     coincidence probabilities.
     """
-    u = compose_transfer(elements)
-    psi = two_photon_amplitudes(elements, inp)
+    a, b = _single_photon_outputs(compose_transfer(elements), inp)
+    psi = _interfering_amplitudes(a, b)
     rho_ind = np.outer(psi, psi.conj())
     p_ind = float(np.vdot(psi, psi).real)
-    rho_dist, p_dist = _distinguishable_conditional(u, inp)
+    rho_dist, p_dist = _distinguishable_conditional(a, b)
 
     m = inp.overlap
     p = m * p_ind + (1.0 - m) * p_dist
@@ -273,20 +272,25 @@ def _basis_pairs(basis: str):
     ]
 
 
-def truth_table(elements: list[LinearElement], overlap: float, basis: str = "ZZ") -> np.ndarray:
-    """4x4 conditional output probabilities, rows = inputs, cols = outcomes.
+def truth_table(
+    elements: list[LinearElement], overlap: float, basis: str = "ZZ"
+) -> tuple[np.ndarray, np.ndarray]:
+    """(4x4 conditional output probabilities, success probability of each input).
 
-    ZZ uses the H/V product states, XX the D/A ones, in the fixed orders
-    BASIS_ZZ and BASIS_XX.  Rows are conditional on coincidence and sum to 1.
+    Table rows = inputs, cols = outcomes.  ZZ uses the H/V product states,
+    XX the D/A ones, in the fixed orders BASIS_ZZ and BASIS_XX.  Rows are
+    conditional on coincidence and sum to 1.
     """
     _, pairs = _basis_pairs(basis)
     probes = [np.kron(c, t) for c, t in pairs]
     table = np.empty((4, 4))
+    success_prob = np.empty(4)
     for i, (c, t) in enumerate(pairs):
         state = coincidence_evolve(elements, TwoPhotonInput(c, t, overlap))
+        success_prob[i] = state.success_prob
         for j, probe in enumerate(probes):
             table[i, j] = float(np.real(probe.conj() @ state.rho @ probe))
-    return table
+    return table, success_prob
 
 
 #: correct-outcome column for each input row of an ideal CNOT

@@ -123,18 +123,10 @@ def _overlap(value):
 def cmd_truth_table(args):
     m = _overlap(args.overlap)
     elements = circuit.build_cnot()
-    table = circuit.truth_table(elements, m, args.basis)
+    table, success_prob = circuit.truth_table(elements, m, args.basis)
     fid = circuit.basis_fidelity(table, args.basis)
     inputs = circuit.BASIS_ZZ if args.basis == "ZZ" else circuit.BASIS_XX
-    succ = {}
-    for label in inputs:
-        state = circuit.coincidence_evolve(
-            elements,
-            circuit.TwoPhotonInput(
-                jones.basis_state(label[0]), jones.basis_state(label[1]), m
-            ),
-        )
-        succ[label] = state.success_prob
+    succ = dict(zip(inputs, success_prob))
     payload = {
         "basis": args.basis,
         "overlap": m,
@@ -197,9 +189,9 @@ def cmd_bell(args):
     point = tomo.state_metrics(result.rho, target)
     mc = None
     if args.resamples > 0:
-        mc = tomo.monte_carlo_metrics(records, target, args.resamples, args.seed, args.threads)
-    f_zz = circuit.basis_fidelity(circuit.truth_table(elements, m, "ZZ"), "ZZ")
-    f_xx = circuit.basis_fidelity(circuit.truth_table(elements, m, "XX"), "XX")
+        mc = tomo.monte_carlo_metrics(records, target, args.resamples, args.seed)
+    f_zz = circuit.basis_fidelity(circuit.truth_table(elements, m, "ZZ")[0], "ZZ")
+    f_xx = circuit.basis_fidelity(circuit.truth_table(elements, m, "XX")[0], "XX")
     lo, hi = tomo.hofmann_bounds(f_zz, f_xx)
     payload = {
         "overlap": m,
@@ -327,7 +319,7 @@ def cmd_reconstruct(args):
     mc = None
     if args.resamples > 0:
         try:
-            mc = tomo.monte_carlo_metrics(records, target, args.resamples, args.seed, args.threads)
+            mc = tomo.monte_carlo_metrics(records, target, args.resamples, args.seed)
         except ValueError as e:
             raise CliError(str(e)) from e
     payload = {
@@ -365,7 +357,7 @@ def build_parser():
     def add_common(p):
         p.add_argument("--seed", type=int, default=None, help="RNG seed (default: LOPHOTON_SEED or builtin)")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--threads", type=int, default=1, help="parallel Monte Carlo resamples")
+        p.add_argument("--threads", type=int, default=1, help="accepted, no effect: Monte Carlo is serial")
 
     p = sub.add_parser("truth-table", help="conditional gate table and basis fidelity")
     add_common(p)

@@ -61,6 +61,8 @@ class CoincidenceHistogram:
             raise ValueError("bin_width_ps must be positive")
         if taus.shape != counts.shape or taus.ndim != 1:
             raise ValueError("taus and counts must be equal-length 1-D arrays")
+        if not np.all(np.isfinite(taus)):
+            raise ValueError("taus must be finite")
         if np.any(np.diff(taus) <= 0):
             raise ValueError("taus must be strictly increasing")
         if np.any(counts < 0):
@@ -321,7 +323,9 @@ def hom_visibility(h: CoincidenceHistogram, window_ps: float = 600.0, a_ref_esti
             f"pulse separation {sep_ps:.0f} ps below 3 bins ({3 * h.bin_width_ps:.0f} ps)"
         )
     peaks = integrate_peaks(h, window_ps)
-    central = next(p for p in peaks if p.is_central)
+    central = next((p for p in peaks if p.is_central), None)
+    if central is None:
+        raise ValueError("no central peak inside the histogram")
     satellites = [p for p in peaks if abs(abs(p.center_ps) - sep_ps) < 0.5 * h.bin_width_ps]
     if len(satellites) != 2:
         raise ValueError(f"expected the two +-delta_t satellites, found {len(satellites)}")

@@ -337,15 +337,18 @@ def sideband_factor(temperature_K: float, p: DephasingParams, rel_tol: float = 1
     return float((b2 / (b2 + p.F * (1.0 - b2))) ** 2)
 
 
+def _visibility(gamma_half, g_vp, g_sd, side):
+    """Coherence factor (Gamma/2) / (Gamma/2 + g_vp + g_sd) times the sideband factor."""
+    return gamma_half / (gamma_half + g_vp + g_sd) * side
+
+
 def tpi_visibility(
     temperature_K: float, delay_ns: float, p: DephasingParams, rel_tol: float = 1e-8
 ) -> float:
     """Two-photon interference visibility at a temperature and pulse delay."""
-    gamma_half = 0.5 / p.T1_ps
     g_vp = virtual_phonon_rate(temperature_K, p, rel_tol)
     g_sd = spectral_diffusion_rate(delay_ns, p)
-    first = gamma_half / (gamma_half + g_vp + g_sd)
-    return float(first * sideband_factor(temperature_K, p, rel_tol))
+    return float(_visibility(0.5 / p.T1_ps, g_vp, g_sd, sideband_factor(temperature_K, p, rel_tol)))
 
 
 def solve_sd_ceiling(
@@ -367,7 +370,7 @@ def solve_sd_ceiling(
     gamma_half = 0.5 / p.T1_ps
     g_vp = virtual_phonon_rate(temperature_K, p, rel_tol)
     side = sideband_factor(temperature_K, p, rel_tol)
-    ceiling = gamma_half / (gamma_half + g_vp) * side
+    ceiling = _visibility(gamma_half, g_vp, 0.0, side)
     if v_long > ceiling + 1e-15:
         raise Infeasible(f"v_long={v_long} exceeds zero-diffusion visibility {ceiling}")
     g_sd = gamma_half * (side / v_long - 1.0) - g_vp
@@ -451,11 +454,10 @@ def fit_visibility_curve(
         def residuals(vec):
             p = params_for(vec)
             # temperature fixed: evaluate the phonon factors once per step
-            gamma_half = 0.5 / p.T1_ps
             g_vp = virtual_phonon_rate(temperature_K, p, rel_tol)
             side = sideband_factor(temperature_K, p, rel_tol)
             g_sd = np.array([spectral_diffusion_rate(d, p) for d in xs])
-            return gamma_half / (gamma_half + g_vp + g_sd) * side - vs
+            return _visibility(0.5 / p.T1_ps, g_vp, g_sd, side) - vs
 
     res = optimize.least_squares(
         residuals,
@@ -502,7 +504,10 @@ def read_xy_csv(path) -> tuple[np.ndarray, np.ndarray]:
             continue
         xs.append(float(row[0]))
         ys.append(float(row[1]))
-    return np.asarray(xs), np.asarray(ys)
+    x, y = np.asarray(xs), np.asarray(ys)
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError(f"{path}: values must be finite")
+    return x, y
 
 
 def write_xy_csv(path, header: tuple[str, str], x, y) -> None:

@@ -17,15 +17,13 @@ to the identity, so the outcome probabilities normalize automatically.
 Error bars come from Monte Carlo resampling: every outcome count is redrawn
 from a Poisson law at the observed value, the state is refit, and metric
 spreads are reported.  Resample seeds derive from the master seed through
-``numpy.random.SeedSequence(seed).spawn``, so results do not depend on
-execution order or thread count.
+``numpy.random.SeedSequence(seed).spawn``, one child stream per resample.
 """
 
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 from scipy import optimize
@@ -56,6 +54,30 @@ _LOWER = ((1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2))
 _FLIP = np.fliplr(np.eye(4))
 
 
+def outcome_labels(setting) -> tuple:
+    """Outcome label pairs of one setting in the fixed count order.
+
+    [(a1 a2), (a1 b2), (b1 a2), (b1 b2)] where (a, b) are the BASIS_STATES
+    labels of each basis.
+    """
+    a1, b1 = BASIS_STATES[setting[0]]
+    a2, b2 = BASIS_STATES[setting[1]]
+    return ((a1, a2), (a1, b2), (b1, a2), (b1, b2))
+
+
+#: rank-1 product projectors, PROJECTORS[i, k] for outcome k of SETTINGS[i];
+#: the four of each setting sum to the identity
+PROJECTORS = np.array(
+    [
+        [
+            kron(jones.projector(jones.basis_state(s1)), jones.projector(jones.basis_state(s2)))
+            for s1, s2 in outcome_labels(setting)
+        ]
+        for setting in SETTINGS
+    ]
+)
+
+
 class MissingSetting(ValueError):
     """A required measurement setting is absent or has zero total counts."""
 
@@ -64,8 +86,7 @@ class MissingSetting(ValueError):
 class MeasurementRecord:
     """Counts of the four coincidence outcomes of one basis pair.
 
-    counts follows the fixed outcome order [(a1 a2), (a1 b2), (b1 a2),
-    (b1 b2)] where (a, b) are the BASIS_STATES labels of each basis.
+    counts follows the fixed outcome order of outcome_labels.
     """
 
     basis1: str
@@ -77,15 +98,13 @@ class MeasurementRecord:
         if self.basis1 not in BASES or self.basis2 not in BASES:
             raise ValueError(f"bases must be in {BASES}")
         c = np.asarray(self.counts, dtype=float)
-        if c.shape != (4,) or np.any(c < 0):
-            raise ValueError("counts must be 4 nonnegative numbers")
+        if c.shape != (4,) or not np.all(np.isfinite(c)) or np.any(c < 0):
+            raise ValueError("counts must be 4 finite nonnegative numbers")
         object.__setattr__(self, "counts", c)
 
     @property
     def outcome_labels(self):
-        a1, b1 = BASIS_STATES[self.basis1]
-        a2, b2 = BASIS_STATES[self.basis2]
-        return ((a1, a2), (a1, b2), (b1, a2), (b1, b2))
+        return outcome_labels((self.basis1, self.basis2))
 
 
 @dataclass(frozen=True)
@@ -105,21 +124,9 @@ class MleResult:
     n_iter: int
 
 
-def projectors_for_setting(setting) -> list[np.ndarray]:
-    """Four rank-1 product projectors of one setting; they sum to identity."""
-    b1, b2 = setting
-    out = []
-    for s1 in BASIS_STATES[b1]:
-        for s2 in BASIS_STATES[b2]:
-            out.append(
-                kron(jones.projector(jones.basis_state(s1)), jones.projector(jones.basis_state(s2)))
-            )
-    return out
-
-
 def setting_probabilities(rho: np.ndarray, setting) -> np.ndarray:
     probs = np.array(
-        [float(np.real(np.trace(rho @ pi))) for pi in projectors_for_setting(setting)]
+        [float(np.real(np.trace(rho @ pi))) for pi in PROJECTORS[SETTINGS.index(tuple(setting))]]
     )
     probs = np.clip(probs, 0.0, None)
     return probs / probs.sum()
@@ -240,22 +247,15 @@ def mle_reconstruct(
     iterate is then returned with converged=False).
     """
     by_setting = _validated(records)
-    pis = []
-    ns = []
-    for setting in SETTINGS:
-        rec = by_setting[setting]
-        pis.extend(projectors_for_setting(setting))
-        ns.extend(rec.counts)
-    pi_stack = np.stack(pis)  # (36, 4, 4)
-    n = np.asarray(ns, dtype=float)  # (36,)
+    pi_stack = PROJECTORS.reshape(36, 4, 4)
+    pi_flat = PROJECTORS.reshape(36, 16)
+    n = np.concatenate([by_setting[setting].counts for setting in SETTINGS])  # (36,)
     n_tot = n.sum()
 
     if init is None:
         init = linear_inversion(records)
     rho0 = project_to_physical(init, floor=1e-12)
     x0 = _params_from_lower(_lower_factor(rho0))
-
-    pi_flat = pi_stack.reshape(36, 16)
 
     def objective(x):
         t = _t_from_params(x)
@@ -393,13 +393,7 @@ class MonteCarloMetrics:
     n_resamples: int
 
 
-def monte_carlo_metrics(
-    records,
-    target: np.ndarray,
-    n_resamples: int,
-    seed: int,
-    threads: int = 1,
-) -> MonteCarloMetrics:
+def monte_carlo_metrics(records, target: np.ndarray, n_resamples: int, seed: int) -> MonteCarloMetrics:
     """Poisson-resampled reconstruction spread of every state metric.
 
     Each resample redraws all 36 outcome counts ~ Poisson(observed), refits
@@ -409,9 +403,8 @@ def monte_carlo_metrics(
     if n_resamples < 100:
         raise ValueError("n_resamples must be >= 100 for a usable spread")
     base = _validated(records)
-    children = np.random.SeedSequence(seed).spawn(n_resamples)
-
-    def one(child):
+    rows = []
+    for child in np.random.SeedSequence(seed).spawn(n_resamples):
         rng = np.random.default_rng(child)
         resampled = []
         for setting in SETTINGS:
@@ -420,22 +413,7 @@ def monte_carlo_metrics(
             if counts.sum() == 0:  # keep the setting usable at tiny totals
                 counts = counts + 1
             resampled.append(MeasurementRecord(rec.basis1, rec.basis2, counts))
-        m = state_metrics(mle_reconstruct(resampled).rho, target)
-        return np.array(
-            [
-                m.fidelity_to_target,
-                m.concurrence,
-                m.entropy_full_bits,
-                m.entropy_reduced_bits,
-                m.purity,
-            ]
-        )
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, children))
-    else:
-        rows = [one(c) for c in children]
+        rows.append(astuple(state_metrics(mle_reconstruct(resampled).rho, target)))
     arr = np.array(rows)
     means = arr.mean(axis=0)
     stds = arr.std(axis=0, ddof=1)

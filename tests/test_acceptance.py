@@ -40,8 +40,8 @@ def test_criterion_01_cz_amplitudes_and_success():
 
 def test_criterion_02_ideal_gate_fidelity():
     cnot = circuit.build_cnot()
-    f_zz = circuit.basis_fidelity(circuit.truth_table(cnot, 1.0, "ZZ"), "ZZ")
-    f_xx = circuit.basis_fidelity(circuit.truth_table(cnot, 1.0, "XX"), "XX")
+    f_zz = circuit.basis_fidelity(circuit.truth_table(cnot, 1.0, "ZZ")[0], "ZZ")
+    f_xx = circuit.basis_fidelity(circuit.truth_table(cnot, 1.0, "XX")[0], "XX")
     assert abs(f_zz - 1.0) < 1e-10
     assert abs(f_xx - 1.0) < 1e-10
     lo, hi = tomo.hofmann_bounds(f_zz, f_xx)

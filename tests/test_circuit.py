@@ -99,12 +99,13 @@ def test_cnot_generates_singlet():
 
 def test_truth_table_ideal_patterns():
     cnot = circuit.build_cnot()
-    zz = circuit.truth_table(cnot, 1.0, "ZZ")
+    zz, success_prob = circuit.truth_table(cnot, 1.0, "ZZ")
+    assert np.allclose(success_prob, 1.0 / 9.0, atol=1e-12)
     ideal_zz = np.zeros((4, 4))
     for i, j in enumerate((0, 1, 3, 2)):
         ideal_zz[i, j] = 1.0
     assert np.max(np.abs(zz - ideal_zz)) < 1e-10
-    xx = circuit.truth_table(cnot, 1.0, "XX")
+    xx, _ = circuit.truth_table(cnot, 1.0, "XX")
     ideal_xx = np.zeros((4, 4))
     for i, j in enumerate((0, 3, 2, 1)):
         ideal_xx[i, j] = 1.0
@@ -114,9 +115,14 @@ def test_truth_table_ideal_patterns():
 @pytest.mark.parametrize("m", [0.0, 0.31, 0.77, 1.0])
 def test_truth_table_rows_normalized(m):
     for basis in ("ZZ", "XX"):
-        table = circuit.truth_table(circuit.build_cnot(), m, basis)
+        cnot = circuit.build_cnot()
+        table, success_prob = circuit.truth_table(cnot, m, basis)
         assert np.allclose(table.sum(axis=1), 1.0, atol=1e-10)
         assert np.all(table >= -1e-12)
+        inputs = circuit.BASIS_ZZ if basis == "ZZ" else circuit.BASIS_XX
+        for label, p in zip(inputs, success_prob):
+            state = circuit.coincidence_evolve(cnot, _input(label[0], label[1], m))
+            assert p == state.success_prob
 
 
 def test_distinguishable_vv_row_matches_assignment_oracle():
@@ -128,7 +134,7 @@ def test_distinguishable_vv_row_matches_assignment_oracle():
     rho = rho_u / p
     probes = [np.kron(jones.basis_state(l[0]), jones.basis_state(l[1])) for l in circuit.BASIS_ZZ]
     expected_row = [np.real(v.conj() @ rho @ v) for v in probes]
-    table = circuit.truth_table(cnot, 0.0, "ZZ")
+    table, _ = circuit.truth_table(cnot, 0.0, "ZZ")
     assert np.allclose(table[3], expected_row, atol=1e-12)
     assert table[3, 2] < 1.0  # flip probability degraded
 
@@ -193,8 +199,8 @@ def test_linear_element_rejects_amplification():
 
 def test_partial_overlap_fidelity_between_floor_and_one():
     cnot = circuit.build_cnot()
-    floor = circuit.basis_fidelity(circuit.truth_table(cnot, 0.0, "ZZ"), "ZZ")
-    mid = circuit.basis_fidelity(circuit.truth_table(cnot, 0.947, "ZZ"), "ZZ")
+    floor = circuit.basis_fidelity(circuit.truth_table(cnot, 0.0, "ZZ")[0], "ZZ")
+    mid = circuit.basis_fidelity(circuit.truth_table(cnot, 0.947, "ZZ")[0], "ZZ")
     assert floor < mid < 1.0
 
 

@@ -263,6 +263,44 @@ def test_no_partial_output_on_failure(tmp_path):
     assert leftovers == []
 
 
+def _records_with_nan_count(tmp_path):
+    path = tmp_path / "records.csv"
+    tomo.records_to_csv(path, tomo.simulate_counts(tomo.werner(0.9), 1000, seed=3))
+    lines = path.read_text().splitlines()
+    lines[5] = lines[5].rsplit(",", 1)[0] + ",nan"
+    path.write_text("\n".join(lines) + "\n")
+    return ["reconstruct", "--records", str(path), "--resamples", "100"]
+
+
+def _curve_with_nan_visibility(tmp_path):
+    path = tmp_path / "vis.csv"
+    ts = np.linspace(4.0, 40.0, 10)
+    vs = [float("nan") if i == 3 else 0.9 - 0.01 * i for i in range(10)]
+    em.write_xy_csv(path, ("temperature_K", "visibility"), ts, vs)
+    return ["fit", "--kind", "vis_T", "--data", str(path)]
+
+
+def _hom_histogram_without_tau_zero(tmp_path):
+    h = ct.synth_histogram(ct.HomModel(0.9, 2.0), em.DecayParams(100.0, 0.0), 100_000, seed=7, n_side=2)
+    shifted = ct.CoincidenceHistogram(
+        bin_width_ps=h.bin_width_ps, taus_ps=h.taus_ps + 3.0 * h.rep_period_ns * 1000.0,
+        counts=h.counts, pulse_pair_sep_ns=h.pulse_pair_sep_ns,
+    )
+    ct.write_histogram_csv(tmp_path / "hom.csv", tmp_path / "hom.meta.json", shifted)
+    return ["analyze", "--kind", "hom", "--histogram", str(tmp_path / "hom.csv"),
+            "--meta", str(tmp_path / "hom.meta.json")]
+
+
+@pytest.mark.parametrize(
+    "make_argv", [_records_with_nan_count, _curve_with_nan_visibility, _hom_histogram_without_tau_zero],
+    ids=["reconstruct-nan-count", "fit-nan-visibility", "hom-without-tau-zero"],
+)
+def test_malformed_input_exit_2_without_output(tmp_path, make_argv):
+    out = tmp_path / "result.json"
+    assert main([*make_argv(tmp_path), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_env_seed_matches_flag(tmp_path, monkeypatch):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

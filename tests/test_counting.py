@@ -145,6 +145,19 @@ def test_hom_requires_metadata_and_resolution():
                             bin_width_ps=20.0)
     with pytest.raises(ct.UnresolvedCluster):
         ct.hom_visibility(h2, 10.0)
+    h3 = ct.synth_histogram(ct.HomModel(0.9, 2.0), SHORT_DECAY, 10_000, seed=2, n_side=2)
+    no_zero = ct.CoincidenceHistogram(
+        bin_width_ps=h3.bin_width_ps, taus_ps=h3.taus_ps + 3.0 * REP_PS, counts=h3.counts,
+        pulse_pair_sep_ns=h3.pulse_pair_sep_ns,
+    )
+    with pytest.raises(ValueError, match="no central peak"):
+        ct.hom_visibility(no_zero, 600.0)
+
+
+def test_histogram_rejects_non_finite_taus():
+    taus = np.array([0.0, 20.0, np.nan, 60.0])
+    with pytest.raises(ValueError, match="finite"):
+        ct.CoincidenceHistogram(bin_width_ps=20.0, taus_ps=taus, counts=np.ones(4, dtype=int))
 
 
 def test_ratio_estimators_scale_invariant():

@@ -5,6 +5,7 @@ from lophoton import jones, tomo
 from lophoton.linalg import kron
 
 from conftest import random_density_matrix
+from oracles import kron_oracle
 
 
 def exact_records(rho, n=1_000_000):
@@ -16,7 +17,7 @@ def exact_records(rho, n=1_000_000):
 
 
 def test_projectors_zz_setting():
-    pis = tomo.projectors_for_setting(("Z", "Z"))
+    pis = tomo.PROJECTORS[tomo.SETTINGS.index(("Z", "Z"))]
     for k, pi in enumerate(pis):
         expected = np.zeros((4, 4))
         expected[k, k] = 1.0
@@ -24,14 +25,27 @@ def test_projectors_zz_setting():
 
 
 def test_projector_completeness_all_settings():
-    for s in tomo.SETTINGS:
-        total = sum(tomo.projectors_for_setting(s))
+    assert tomo.PROJECTORS.shape == (9, 4, 4, 4)
+    for pis in tomo.PROJECTORS:
+        total = pis.sum(axis=0)
         assert np.max(np.abs(total - np.eye(4))) < 1e-12
 
 
 def test_xy_projector_hh_element():
-    pis = tomo.projectors_for_setting(("X", "Y"))  # first outcome pair is (D, R)
+    pis = tomo.PROJECTORS[tomo.SETTINGS.index(("X", "Y"))]  # first outcome pair is (D, R)
     assert pis[0][0, 0] == pytest.approx(0.25, abs=1e-14)
+
+
+def test_projectors_match_loop_built_oracle():
+    for i, (b1, b2) in enumerate(tomo.SETTINGS):
+        labels = tuple((s1, s2) for s1 in tomo.BASIS_STATES[b1] for s2 in tomo.BASIS_STATES[b2])
+        assert tomo.outcome_labels((b1, b2)) == labels
+        assert tomo.MeasurementRecord(b1, b2, np.ones(4)).outcome_labels == labels
+        for k, (s1, s2) in enumerate(labels):
+            expected = kron_oracle(
+                jones.projector(jones.basis_state(s1)), jones.projector(jones.basis_state(s2))
+            )
+            assert np.array_equal(tomo.PROJECTORS[i, k], expected)
 
 
 def test_simulate_counts_pure_and_mixed():
@@ -226,13 +240,6 @@ def test_monte_carlo_rounded_exact_input_has_tiny_spread():
     mc = tomo.monte_carlo_metrics(records, tomo.psi_minus(), 100, seed=4)
     for name in ("fidelity_to_target", "concurrence", "purity"):
         assert getattr(mc, name).std < 2e-3
-
-
-def test_monte_carlo_threads_do_not_change_results():
-    records = tomo.simulate_counts(tomo.werner(0.85), 20_000, seed=31)
-    seq = tomo.monte_carlo_metrics(records, tomo.psi_minus(), 100, seed=32, threads=1)
-    par = tomo.monte_carlo_metrics(records, tomo.psi_minus(), 100, seed=32, threads=4)
-    assert seq == par
 
 
 def test_monte_carlo_requires_enough_resamples():

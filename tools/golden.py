@@ -1,0 +1,202 @@
+"""Seeded CLI outputs for a byte-for-byte check of a refactor.
+
+    python3 tools/golden.py <src-root> <out-dir>
+    diff -r <out-dir-a> <out-dir-b>
+
+<src-root> is the directory that holds the lophoton package, i.e. the src/
+directory of a checkout.  The script writes fixed input files into
+<out-dir>/inputs with numpy alone, so a change to lophoton's own writers
+cannot move them, then runs a fixed list of seeded lophoton.cli.main calls
+from inside <out-dir>.  Each call leaves <name>.out (its --out file),
+<name>.err (its stderr) and one line "<name> <exit code>" in exit_codes.txt.
+Run it on two source trees; an empty ``diff -r`` of the two out-dirs means
+every subcommand gave the same bytes.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+import numpy as np
+
+SEED = 20241106
+REP_PERIOD_PS = 1e6 / 76.0
+KB_OVER_HBAR = 0.13093
+DEPHASING = {
+    "alpha_ps2": 0.0055, "v_c_inv_ps": 4.9, "mu_ps2": 2.2e-3, "F": 0.3,
+    "T1_ps": 350.0, "Gamma_sd_inv_ps": 5e-4, "tau_c_ns": 350.0,
+}
+
+_S = 1.0 / np.sqrt(2.0)
+JONES = {
+    "H": np.array([1.0, 0.0]), "V": np.array([0.0, 1.0]),
+    "D": np.array([_S, _S]), "A": np.array([_S, -_S]),
+    "R": np.array([_S, -1j * _S]), "L": np.array([_S, 1j * _S]),
+}
+OUTCOMES = {"Z": "HV", "X": "DA", "Y": "RL"}
+
+
+def records_csv(rng, p_singlet=0.9, n_per_setting=20_000):
+    """Multinomial counts of a Werner state for the nine tomography settings."""
+    v = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
+    rho = p_singlet * np.outer(v, v) + (1.0 - p_singlet) * np.eye(4) / 4.0
+    lines = ["basis1,basis2,outcome1,outcome2,counts"]
+    for b1 in "ZXY":
+        for b2 in "ZXY":
+            pairs = [(o1, o2) for o1 in OUTCOMES[b1] for o2 in OUTCOMES[b2]]
+            probs = []
+            for o1, o2 in pairs:
+                psi = np.kron(JONES[o1], JONES[o2])
+                probs.append(np.real(psi.conj() @ rho @ psi))
+            probs = np.clip(probs, 0.0, None)
+            counts = rng.multinomial(n_per_setting, probs / probs.sum())
+            lines += [f"{b1},{b2},{o1},{o2},{c}" for (o1, o2), c in zip(pairs, counts)]
+    return "\n".join(lines) + "\n"
+
+
+def histogram_csv(rng, kind, total_counts=200_000, bin_width_ps=20.0, n_side=3):
+    """Poisson histogram of two-sided exponential peaks and its metadata JSON.
+
+    g2: repetition peaks with the central one at weight 0.02.  hom: pulse
+    pairs 2 ns apart, weights (1, 2, 1) per side cluster and (1, 0.05, 1)
+    around tau = 0, i.e. visibility 0.9.
+    """
+    t1 = 350.0 if kind == "g2" else 100.0
+    nbins = int(np.ceil(2.0 * (n_side + 0.5) * REP_PERIOD_PS / bin_width_ps))
+    taus = (np.arange(nbins) - (nbins - 1) / 2.0) * bin_width_ps
+    peaks = []
+    sep_ns = None
+    for k in range(-n_side, n_side + 1):
+        if kind == "g2":
+            peaks.append((k * REP_PERIOD_PS, 0.02 if k == 0 else 1.0))
+        else:
+            sep_ns = 2.0
+            peaks += [(k * REP_PERIOD_PS - 2000.0, 1.0), (k * REP_PERIOD_PS, 0.05 if k == 0 else 2.0),
+                      (k * REP_PERIOD_PS + 2000.0, 1.0)]
+    wsum = sum(w for _, w in peaks)
+    lam = np.full(nbins, 2.0)
+    for center, w in peaks:
+        lam += total_counts * w / wsum * np.exp(-np.abs(taus - center) / t1) / (2.0 * t1) * bin_width_ps
+    counts = rng.poisson(lam)
+    text = "tau_ps,counts\n" + "".join(f"{t!r},{int(c)}\n" for t, c in zip(taus.tolist(), counts.tolist()))
+    meta = {"bin_width_ps": bin_width_ps, "rep_period_ns": REP_PERIOD_PS / 1000.0, "pulse_pair_sep_ns": sep_ns}
+    return text, json.dumps(meta) + "\n"
+
+
+def decay_csv(rng, t1=350.0, delta_inv_ps=0.00972, irf_fwhm_ps=75.0):
+    """Beating decay 2 exp(-t/T1)(1 - cos(delta t)) blurred by a Gaussian IRF, Poisson counts."""
+    t = np.arange(-500.0, 3500.0, 10.0)
+    tp = np.clip(t, 0.0, None)
+    shape = np.where(t >= 0, 2.0 * np.exp(-tp / t1) * (1.0 - np.cos(delta_inv_ps * tp)), 0.0)
+    sigma = irf_fwhm_ps / (2.0 * np.sqrt(2.0 * np.log(2.0)))
+    kx = np.arange(-20, 21) * 10.0
+    kernel = np.exp(-0.5 * (kx / sigma) ** 2)
+    blurred = np.convolve(shape, kernel / kernel.sum(), mode="same")
+    counts = rng.poisson(blurred * (20_000.0 / blurred.max()))
+    return "time_ps,counts\n" + "".join(f"{a!r},{int(c)}\n" for a, c in zip(t.tolist(), counts.tolist()))
+
+
+def visibility(temperature_K, delay_ns, p, n=20_001):
+    """Trapezoid-rule evaluation of the visibility model described in README.md."""
+    vc, kt = p["v_c_inv_ps"], KB_OVER_HBAR * temperature_K
+    v = np.linspace(0.0, 8.0 * vc * max(1.0, np.sqrt(kt / vc)), n)[1:]
+    fc = np.exp(-0.5 * p["alpha_ps2"] * np.trapezoid(v * np.exp(-((v / vc) ** 2)) / np.tanh(v / (2.0 * kt)), v))
+    occ = 1.0 / np.expm1(np.minimum(v / kt, 700.0))
+    g_vp = p["alpha_ps2"] ** 2 * p["mu_ps2"] / vc ** 4 * np.trapezoid(
+        v ** 10 * np.exp(-2.0 * (v / vc) ** 2) * occ * (occ + 1.0), v)
+    g_sd = p["Gamma_sd_inv_ps"] * (1.0 - np.exp(-((delay_ns / p["tau_c_ns"]) ** 2)))
+    b2 = fc ** 2
+    half = 0.5 / p["T1_ps"]
+    return float(half / (half + g_vp + g_sd) * (b2 / (b2 + p["F"] * (1.0 - b2))) ** 2)
+
+
+def xy_csv(header, xs, ys):
+    return header + "\n" + "".join(f"{x!r},{y!r}\n" for x, y in zip(xs, ys))
+
+
+def write_inputs(inputs: Path):
+    rng = np.random.default_rng(SEED)
+    inputs.mkdir(parents=True)
+    (inputs / "records.csv").write_text(records_csv(rng))
+    for kind in ("g2", "hom"):
+        text, meta = histogram_csv(rng, kind)
+        (inputs / f"{kind}.csv").write_text(text)
+        (inputs / f"{kind}.meta.json").write_text(meta)
+    (inputs / "decay.csv").write_text(decay_csv(rng))
+    (inputs / "params.json").write_text(json.dumps(DEPHASING) + "\n")
+
+    no_sd = {**DEPHASING, "Gamma_sd_inv_ps": 0.0}
+    temps = np.linspace(4.0, 40.0, 12).tolist()
+    (inputs / "vis_T.csv").write_text(xy_csv("temperature_K,visibility", temps,
+                                             [visibility(t, 0.0, no_sd) for t in temps]))
+    (inputs / "vis_T.init.json").write_text(json.dumps(
+        {"alpha_ps2": 0.0055 * 1.03, "v_c_inv_ps": 4.9 * 0.97, "mu_ps2": 2.2e-3 * 1.03, "F": 0.3 * 0.97}) + "\n")
+    delays = np.geomspace(1.0, 2000.0, 12).tolist()
+    (inputs / "vis_dt.csv").write_text(xy_csv("delay_ns,visibility", delays,
+                                              [visibility(6.0, d, DEPHASING) for d in delays]))
+    (inputs / "vis_dt.init.json").write_text(json.dumps({"Gamma_sd_inv_ps": 6e-4, "tau_c_ns": 280.0}) + "\n")
+
+
+def calls():
+    """(name, argv without --out) of every seeded cli.main call, paths relative to <out-dir>."""
+    out = []
+    for overlap in ("1.0", "0.9"):
+        for threads in ("1", "2"):
+            out.append((f"bell-{overlap}-threads{threads}",
+                        ["bell", "--overlap", overlap, "--counts-per-setting", "1000000",
+                         "--resamples", "100", "--seed", "42", "--threads", threads]))
+    out += [
+        ("reconstruct", ["reconstruct", "--records", "inputs/records.csv", "--resamples", "100", "--seed", "7"]),
+        ("truth-table-ZZ", ["truth-table", "--basis", "ZZ", "--overlap", "0.947"]),
+        ("truth-table-XX", ["truth-table", "--basis", "XX", "--overlap", "0.947",
+                            "--measured-fzz", "0.902", "--measured-fxx", "0.874"]),
+        ("visibility-vs_T", ["visibility", "--mode", "vs_T", "--grid", "4:40:25", "--delay-ns", "2.0",
+                             "--params", "inputs/params.json"]),
+        ("visibility-vs_dt", ["visibility", "--mode", "vs_dt", "--grid", "1:2000:25", "--log-grid",
+                              "--temperature", "6.0", "--params", "inputs/params.json"]),
+        ("fit-trpl", ["fit", "--kind", "trpl", "--data", "inputs/decay.csv", "--irf-width", "75"]),
+        ("fit-vis_T", ["fit", "--kind", "vis_T", "--data", "inputs/vis_T.csv", "--init", "inputs/vis_T.init.json"]),
+        ("fit-vis_dt", ["fit", "--kind", "vis_dt", "--data", "inputs/vis_dt.csv", "--init", "inputs/vis_dt.init.json",
+                        "--params", "inputs/params.json", "--temperature", "6.0"]),
+        ("analyze-g2", ["analyze", "--kind", "g2", "--histogram", "inputs/g2.csv", "--meta", "inputs/g2.meta.json"]),
+        ("analyze-hom", ["analyze", "--kind", "hom", "--histogram", "inputs/hom.csv",
+                         "--meta", "inputs/hom.meta.json"]),
+    ]
+    return out
+
+
+def main(argv):
+    if len(argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    src_root, out_dir = Path(argv[0]).resolve(), Path(argv[1]).resolve()
+    if out_dir.exists():
+        print(f"error: {out_dir} exists", file=sys.stderr)
+        return 2
+    sys.path.insert(0, str(src_root))
+    from lophoton import cli
+
+    if not Path(cli.__file__).resolve().is_relative_to(src_root):
+        print(f"error: lophoton imported from {cli.__file__}, not {src_root}", file=sys.stderr)
+        return 2
+    write_inputs(out_dir / "inputs")
+    os.chdir(out_dir)
+    codes = []
+    for name, args in calls():
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main([*args, "--out", f"{name}.out"])
+        Path(f"{name}.err").write_text(err.getvalue())
+        codes.append(f"{name} {code}\n")
+        print(f"{name}: exit {code}", file=sys.stderr)
+    Path("exit_codes.txt").write_text("".join(codes))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
