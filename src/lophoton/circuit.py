@@ -47,7 +47,7 @@ class ZeroSuccessProbability(ValueError):
 
 
 class UnknownElement(ValueError):
-    """Unparseable element label."""
+    """Unknown element kind."""
 
 
 @dataclass(frozen=True)
@@ -65,11 +65,6 @@ class LinearElement:
         if smax > 1.0 + _SV_TOL:
             raise ValueError(f"transfer amplifies: max singular value {smax}")
         object.__setattr__(self, "transfer", t)
-
-    @property
-    def is_unitary(self) -> bool:
-        dev = np.max(np.abs(self.transfer.conj().T @ self.transfer - np.eye(4)))
-        return bool(dev < 1e-10)
 
 
 @dataclass(frozen=True)
@@ -174,22 +169,6 @@ def build_cnot() -> list[LinearElement]:
 def elements_to_json(elements: list[LinearElement]) -> list[str]:
     """Serializable description: ordered element labels."""
     return [e.label for e in elements]
-
-
-def elements_from_json(labels: list[str]) -> list[LinearElement]:
-    """Rebuild an element list from its label description."""
-    out = []
-    for label in labels:
-        parts = label.split(":")
-        if parts[0] == "ppbs_central":
-            out.append(ppbs_central())
-        elif parts[0] == "ppbs_attenuator" and len(parts) == 2:
-            out.append(ppbs_attenuator(parts[1]))
-        elif parts[0] in ("hwp", "qwp") and len(parts) == 3 and parts[2].endswith("deg"):
-            out.append(waveplate(parts[0], parts[1], float(parts[2][:-3])))
-        else:
-            raise UnknownElement(f"cannot parse element label {label!r}")
-    return out
 
 
 def compose_transfer(elements: list[LinearElement]) -> np.ndarray:

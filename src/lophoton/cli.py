@@ -7,7 +7,8 @@ environment variable, else DEFAULT_SEED.  Results are written atomically
 (temp file + rename), so a failed run leaves no partial output.
 
 Exit codes: 0 success, 2 invalid arguments or malformed input files,
-3 state reconstruction failure, 4 model fit divergence.
+3 state reconstruction failure, 4 model fit divergence.  main is the one
+place where an exception becomes an exit code.
 """
 
 from __future__ import annotations
@@ -17,11 +18,12 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import asdict
+from dataclasses import asdict, fields, replace
+from functools import partial
 
 import numpy as np
 
-from . import circuit, counting, emitter, jones, tomo
+from . import circuit, counting, emitter, io, jones, tomo
 
 DEFAULT_SEED = 123456789
 SCHEMA_VERSION = 1
@@ -30,6 +32,10 @@ EXIT_OK = 0
 EXIT_BAD_INPUT = 2
 EXIT_RECONSTRUCTION = 3
 EXIT_FIT = 4
+
+
+#: keys of a dephasing-parameter file, and of a vis_T/vis_dt start-value file
+_DEPHASING_KEYS = tuple(f.name for f in fields(emitter.DephasingParams))
 
 
 class CliError(Exception):
@@ -79,33 +85,23 @@ def _emit_csv(out_path, header, rows):
     _write_text(out_path, "\n".join(lines) + "\n")
 
 
-def _rho_payload(rho):
-    return {"rho_real": np.real(rho), "rho_imag": np.imag(rho)}
-
-
 def _load_dephasing_params(path):
     if path is None:
         return emitter.DephasingParams()
-    try:
-        with open(path) as fh:
-            return emitter.DephasingParams.from_json_dict(json.load(fh))
-    except FileNotFoundError as e:
-        raise CliError(f"params file not found: {e}") from e
-    except (json.JSONDecodeError, TypeError, ValueError) as e:
-        raise CliError(f"malformed params file {path}: {e}") from e
+    return io.read_json_numbers(path, _DEPHASING_KEYS, (), emitter.DephasingParams)
 
 
 def _parse_grid(text, log):
     try:
         start, stop, num = text.split(":")
         start, stop, num = float(start), float(stop), int(num)
-    except (ValueError, AttributeError) as e:
-        raise CliError(f"grid must be start:stop:num, got {text!r}") from e
+    except ValueError:
+        raise ValueError(f"grid must be start:stop:num, got {text!r}") from None
     if num < 1 or stop < start:
-        raise CliError(f"bad grid {text!r}")
+        raise ValueError(f"bad grid {text!r}")
     if log:
         if start <= 0:
-            raise CliError("log grid needs a positive start")
+            raise ValueError("log grid needs a positive start")
         return np.geomspace(start, stop, num)
     return np.linspace(start, stop, num)
 
@@ -141,10 +137,7 @@ def cmd_truth_table(args):
     if (args.measured_fzz is None) != (args.measured_fxx is None):
         raise CliError("--measured-fzz and --measured-fxx must be given together")
     if args.measured_fzz is not None:
-        try:
-            lo, hi = tomo.hofmann_bounds(args.measured_fzz, args.measured_fxx)
-        except ValueError as e:
-            raise CliError(str(e)) from e
+        lo, hi = tomo.hofmann_bounds(args.measured_fzz, args.measured_fxx)
         payload["hofmann_bounds_measured"] = {
             "f_zz": args.measured_fzz,
             "f_xx": args.measured_fxx,
@@ -155,41 +148,41 @@ def cmd_truth_table(args):
     return EXIT_OK
 
 
-def _metrics_payload(point: tomo.StateMetrics, mc: tomo.MonteCarloMetrics | None):
-    payload = {"metrics": asdict(point)}
-    if mc is not None:
-        payload["metrics_mc"] = {
-            name: asdict(getattr(mc, name))
-            for name in (
-                "fidelity_to_target",
-                "concurrence",
-                "entropy_full_bits",
-                "entropy_reduced_bits",
-                "purity",
-            )
-        }
-        payload["n_resamples"] = mc.n_resamples
+def _seed(args):
+    if args.seed < 0:
+        raise CliError(f"--seed (or LOPHOTON_SEED) must be non-negative, got {args.seed}")
+    return args.seed
+
+
+def _reconstruction_payload(records, target, args):
+    """MLE state, its metrics and, for --resamples > 0, their Monte Carlo spreads."""
+    result = tomo.mle_reconstruct(records)
+    if not result.converged:
+        raise CliError("maximum-likelihood reconstruction did not converge", EXIT_RECONSTRUCTION)
+    payload = {
+        "log_likelihood": result.log_likelihood,
+        "rho_real": np.real(result.rho),
+        "rho_imag": np.imag(result.rho),
+        "metrics": asdict(tomo.state_metrics(result.rho, target)),
+    }
+    if args.resamples > 0:
+        mc = asdict(tomo.monte_carlo_metrics(records, target, args.resamples, _seed(args)))
+        payload["n_resamples"] = mc.pop("n_resamples")
+        payload["metrics_mc"] = mc
     return payload
 
 
 def cmd_bell(args):
     m = _overlap(args.overlap)
-    if args.counts_per_setting <= 0:
-        raise CliError("--counts-per-setting must be positive")
+    if not 0 < args.counts_per_setting < 2**63:
+        raise CliError("--counts-per-setting must be positive and below 2**63")
     elements = circuit.build_cnot()
     prepared = circuit.coincidence_evolve(
         elements,
         circuit.TwoPhotonInput(jones.basis_state("A"), jones.basis_state("V"), m),
     )
-    records = tomo.simulate_counts(prepared.rho, args.counts_per_setting, args.seed)
-    result = tomo.mle_reconstruct(records)
-    if not result.converged:
-        raise CliError("maximum-likelihood reconstruction did not converge", EXIT_RECONSTRUCTION)
-    target = tomo.psi_minus()
-    point = tomo.state_metrics(result.rho, target)
-    mc = None
-    if args.resamples > 0:
-        mc = tomo.monte_carlo_metrics(records, target, args.resamples, args.seed)
+    records = tomo.simulate_counts(prepared.rho, args.counts_per_setting, _seed(args))
+    reconstruction = _reconstruction_payload(records, tomo.psi_minus(), args)
     f_zz = circuit.basis_fidelity(circuit.truth_table(elements, m, "ZZ")[0], "ZZ")
     f_xx = circuit.basis_fidelity(circuit.truth_table(elements, m, "XX")[0], "XX")
     lo, hi = tomo.hofmann_bounds(f_zz, f_xx)
@@ -198,10 +191,8 @@ def cmd_bell(args):
         "counts_per_setting": args.counts_per_setting,
         "seed": args.seed,
         "success_prob": prepared.success_prob,
-        "log_likelihood": result.log_likelihood,
         "hofmann": {"f_zz": f_zz, "f_xx": f_xx, "lower": lo, "upper": hi},
-        **_rho_payload(result.rho),
-        **_metrics_payload(point, mc),
+        **reconstruction,
     }
     _emit_json(args.out, payload)
     return EXIT_OK
@@ -210,125 +201,65 @@ def cmd_bell(args):
 def cmd_visibility(args):
     params = _load_dephasing_params(args.params)
     grid = _parse_grid(args.grid, args.log_grid)
-    try:
-        if args.mode == "vs_T":
-            header = ("temperature_K", "visibility")
-            values = [emitter.tpi_visibility(t, args.delay_ns, params) for t in grid]
-        else:
-            header = ("delay_ns", "visibility")
-            values = [emitter.tpi_visibility(args.temperature, d, params) for d in grid]
-    except emitter.QuadratureFailure as e:
-        raise CliError(f"quadrature failed: {e}") from e
-    except ValueError as e:
-        raise CliError(f"bad evaluation point: {e}") from e
+    if args.mode == "vs_T":
+        header = ("temperature_K", "visibility")
+        values = [emitter.tpi_visibility(t, args.delay_ns, params) for t in grid]
+    else:
+        header = ("delay_ns", "visibility")
+        values = [emitter.tpi_visibility(args.temperature, d, params) for d in grid]
     _emit_csv(args.out, header, zip(grid, values))
     return EXIT_OK
 
 
 def cmd_fit(args):
-    try:
-        x, y = emitter.read_xy_csv(args.data)
-    except FileNotFoundError as e:
-        raise CliError(f"data file not found: {e}") from e
-    except (ValueError, IndexError, emitter.InsufficientData) as e:
-        raise CliError(f"malformed data file {args.data}: {e}") from e
-
-    init = {}
-    if args.init is not None:
-        try:
-            with open(args.init) as fh:
-                init = json.load(fh)
-        except (FileNotFoundError, json.JSONDecodeError) as e:
-            raise CliError(f"bad init file: {e}") from e
-
-    try:
-        if args.kind == "trpl":
-            p0 = None
-            if init:
-                p0 = emitter.DecayParams(
-                    t1_ps=float(init.get("t1_ps", 350.0)),
-                    delta_inv_ps=float(init.get("delta_inv_ps", emitter.fss_ueV_to_inv_ps(6.4))),
-                )
-            fit = emitter.fit_trpl(x, y, irf_fwhm_ps=args.irf_width, init=p0)
-            payload = {
-                "kind": "trpl",
-                "params": {
-                    "t1_ps": fit.params.t1_ps,
-                    "delta_inv_ps": fit.params.delta_inv_ps,
-                    "delta_ueV": emitter.inv_ps_to_ueV(fit.params.delta_inv_ps),
-                    "amplitude": fit.amplitude,
-                },
-                "irf_fwhm_ps": args.irf_width,
-                "rms_residual": fit.rms_residual,
-            }
-        else:
-            which = "vs_temperature" if args.kind == "vis_T" else "vs_delay"
-            fixed = _load_dephasing_params(args.params)
-            fit = emitter.fit_visibility_curve(
-                x, y, which, fixed, init=init or None, temperature_K=args.temperature
-            )
-            payload = {
-                "kind": args.kind,
-                "params": fit.params.to_json_dict(),
-                "rms_residual": fit.rms_residual,
-            }
-    except emitter.InsufficientData as e:
-        raise CliError(f"insufficient data: {e}") from e
-    except emitter.FitDiverged as e:
-        raise CliError(f"fit diverged: {e}", EXIT_FIT) from e
+    x, y = emitter.read_xy_csv(args.data)
+    if args.kind == "trpl":
+        if not np.isfinite(args.irf_width):
+            raise CliError(f"--irf-width must be finite, got {args.irf_width}")
+        p0 = None
+        if args.init is not None:
+            start = partial(replace, emitter.TRPL_START)
+            p0 = io.read_json_numbers(args.init, ("t1_ps", "delta_inv_ps"), (), start)
+        fit = emitter.fit_trpl(x, y, irf_fwhm_ps=args.irf_width, init=p0)
+        payload = {
+            "kind": "trpl",
+            "params": {
+                "t1_ps": fit.params.t1_ps,
+                "delta_inv_ps": fit.params.delta_inv_ps,
+                "delta_ueV": emitter.inv_ps_to_ueV(fit.params.delta_inv_ps),
+                "amplitude": fit.amplitude,
+            },
+            "irf_fwhm_ps": args.irf_width,
+            "rms_residual": fit.rms_residual,
+        }
+    else:
+        init = None
+        if args.init is not None:
+            init = io.read_json_numbers(args.init, _DEPHASING_KEYS, (), dict)
+        which = "vs_temperature" if args.kind == "vis_T" else "vs_delay"
+        fixed = _load_dephasing_params(args.params)
+        fit = emitter.fit_visibility_curve(x, y, which, fixed, init=init, temperature_K=args.temperature)
+        payload = {
+            "kind": args.kind,
+            "params": fit.params.to_json_dict(),
+            "rms_residual": fit.rms_residual,
+        }
     _emit_json(args.out, payload)
     return EXIT_OK
 
 
 def cmd_analyze(args):
-    try:
-        h = counting.read_histogram_csv(args.histogram, args.meta)
-    except FileNotFoundError as e:
-        raise CliError(f"input not found: {e}") from e
-    except (ValueError, KeyError, json.JSONDecodeError, IndexError) as e:
-        raise CliError(f"malformed histogram input: {e}") from e
-    try:
-        if args.kind == "g2":
-            value, err = counting.g2_zero(h, args.window)
-        else:
-            value, err = counting.hom_visibility(h, args.window)
-    except (counting.WindowOverlap, counting.NoSidePeaks, counting.UnresolvedCluster, ValueError) as e:
-        raise CliError(f"analysis failed: {e}") from e
-    _emit_json(
-        args.out,
-        {"kind": args.kind, "value": value, "error": err, "window_ps": args.window},
-    )
+    h = counting.read_histogram_csv(args.histogram, args.meta)
+    estimate = counting.g2_zero if args.kind == "g2" else counting.hom_visibility
+    value, err = estimate(h, args.window)
+    _emit_json(args.out, {"kind": args.kind, "value": value, "error": err, "window_ps": args.window})
     return EXIT_OK
 
 
 def cmd_reconstruct(args):
-    try:
-        records = tomo.records_from_csv(args.records)
-    except FileNotFoundError as e:
-        raise CliError(f"records file not found: {e}") from e
-    except (ValueError, IndexError) as e:
-        raise CliError(f"malformed records file: {e}") from e
-    try:
-        result = tomo.mle_reconstruct(records)
-    except tomo.MissingSetting as e:
-        raise CliError(f"incomplete tomography data: {e}") from e
-    if not result.converged:
-        raise CliError("maximum-likelihood reconstruction did not converge", EXIT_RECONSTRUCTION)
+    records = tomo.records_from_csv(args.records)
     target = tomo.psi_minus() if args.target == "psi-minus" else tomo.maximally_mixed()
-    point = tomo.state_metrics(result.rho, target)
-    mc = None
-    if args.resamples > 0:
-        try:
-            mc = tomo.monte_carlo_metrics(records, target, args.resamples, args.seed)
-        except ValueError as e:
-            raise CliError(str(e)) from e
-    payload = {
-        "target": args.target,
-        "seed": args.seed,
-        "log_likelihood": result.log_likelihood,
-        **_rho_payload(result.rho),
-        **_metrics_payload(point, mc),
-    }
+    payload = {"target": args.target, "seed": args.seed, **_reconstruction_payload(records, target, args)}
     _emit_json(args.out, payload)
     return EXIT_OK
 
@@ -344,7 +275,7 @@ def _env_seed():
     try:
         return int(raw)
     except ValueError:
-        raise CliError(f"LOPHOTON_SEED must be an integer, got {raw!r}") from None
+        raise ValueError(f"LOPHOTON_SEED must be an integer, got {raw!r}") from None
 
 
 def build_parser():
@@ -422,11 +353,16 @@ def main(argv=None) -> int:
             args.window = 2000.0 if args.kind == "g2" else 600.0
         return args.func(args)
     except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return e.code
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        return _fail(e, e.code)
+    except emitter.FitDiverged as e:
+        return _fail(e, EXIT_FIT)
+    except (OSError, ValueError, emitter.QuadratureFailure) as e:
+        return _fail(e, EXIT_BAD_INPUT)
+
+
+def _fail(error, code):
+    print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

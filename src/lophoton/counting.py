@@ -10,10 +10,9 @@ inter-peak region.
 The intensity autocorrelation at zero delay is estimated as the ratio of
 the central peak area to the mean side-peak area.  Two-photon interference
 visibility is 1 - A0/A_ref, where A_ref is the central-peak area expected
-for fully distinguishable photons; the default A_ref is half the mean of
-the +-delta_t satellite areas (pulse-pair excitation with 50/50 splitting),
-and the estimator is injectable.  Both are pure count ratios, so uniform
-count rescaling leaves them unchanged.
+for fully distinguishable photons: half the mean of the +-delta_t
+satellite areas (pulse-pair excitation with 50/50 splitting).  Both are
+pure count ratios, so uniform count rescaling leaves them unchanged.
 
 Laser leakage under resonant excitation shows up as a flat coincidence
 floor; the background subtraction above is also how that leakage would be
@@ -28,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import io
 from .emitter import DecayParams
 
 #: 76 MHz repetition rate
@@ -210,25 +210,6 @@ def synth_histogram(
     return CoincidenceHistogram(taus_ps=taus, counts=counts, **meta)
 
 
-def poisson_resample(h: CoincidenceHistogram, n: int, seed: int) -> list[CoincidenceHistogram]:
-    """n independent histograms with each bin redrawn ~ Poisson(counts)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(n):
-        out.append(
-            CoincidenceHistogram(
-                bin_width_ps=h.bin_width_ps,
-                taus_ps=h.taus_ps,
-                counts=rng.poisson(h.counts),
-                rep_period_ns=h.rep_period_ns,
-                pulse_pair_sep_ns=h.pulse_pair_sep_ns,
-            )
-        )
-    return out
-
-
 def integrate_peaks(h: CoincidenceHistogram, window_ps: float) -> list[PeakIntegral]:
     """Background-subtracted area of every expected peak.
 
@@ -241,6 +222,8 @@ def integrate_peaks(h: CoincidenceHistogram, window_ps: float) -> list[PeakInteg
     rep_ps = h.rep_period_ns * 1000.0
     if not window_ps < rep_ps / 2.0:
         raise ValueError("window must be smaller than half the repetition period")
+    if max(abs(h.taus_ps[0]), abs(h.taus_ps[-1])) > rep_ps * len(h.taus_ps):
+        raise ValueError("histogram reaches more repetition periods from tau = 0 than it has bins")
     centers = _peak_centers_ps(
         h.rep_period_ns, h.pulse_pair_sep_ns, h.taus_ps[0], h.taus_ps[-1]
     )
@@ -304,16 +287,10 @@ def g2_zero(h: CoincidenceHistogram, window_ps: float = 2000.0):
     return value, float(sigma)
 
 
-def half_satellite_mean(central: PeakIntegral, satellites: list[PeakIntegral]) -> float:
-    """Default distinguishable-photon reference: half the satellite mean area."""
-    return 0.5 * float(np.mean([p.area for p in satellites]))
-
-
-def hom_visibility(h: CoincidenceHistogram, window_ps: float = 600.0, a_ref_estimator=None):
+def hom_visibility(h: CoincidenceHistogram, window_ps: float = 600.0):
     """Two-photon interference visibility from the central coincidence cluster.
 
-    Returns (V, sigma).  a_ref_estimator(central_peak, satellite_peaks) may
-    replace the default half-satellite-mean reference.
+    Returns (V, sigma), with half the mean satellite area as the reference.
     """
     if h.pulse_pair_sep_ns is None:
         raise ValueError("histogram has no pulse_pair_sep_ns metadata")
@@ -329,8 +306,7 @@ def hom_visibility(h: CoincidenceHistogram, window_ps: float = 600.0, a_ref_esti
     satellites = [p for p in peaks if abs(abs(p.center_ps) - sep_ps) < 0.5 * h.bin_width_ps]
     if len(satellites) != 2:
         raise ValueError(f"expected the two +-delta_t satellites, found {len(satellites)}")
-    estimator = a_ref_estimator or half_satellite_mean
-    a_ref = float(estimator(central, satellites))
+    a_ref = 0.5 * float(np.mean([p.area for p in satellites]))
     if a_ref <= 0:
         raise ValueError("reference area is zero; cannot form a visibility")
     value = 1.0 - central.area / a_ref
@@ -362,24 +338,15 @@ def write_histogram_csv(csv_path, meta_path, h: CoincidenceHistogram) -> None:
 
 
 def read_histogram_csv(csv_path, meta_path) -> CoincidenceHistogram:
-    with open(meta_path) as fh:
-        meta = json.load(fh)
-    taus, counts = [], []
-    with open(csv_path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if len(rows) < 2 or rows[0][:2] != ["tau_ps", "counts"]:
-        raise ValueError(f"{csv_path}: expected header tau_ps,counts")
-    for row in rows[1:]:
-        if not row:
-            continue
-        taus.append(float(row[0]))
-        counts.append(int(row[1]))
-    return CoincidenceHistogram(
-        bin_width_ps=float(meta["bin_width_ps"]),
-        taus_ps=np.asarray(taus),
-        counts=np.asarray(counts),
-        rep_period_ns=float(meta["rep_period_ns"]),
-        pulse_pair_sep_ns=(
-            None if meta.get("pulse_pair_sep_ns") is None else float(meta["pulse_pair_sep_ns"])
-        ),
-    )
+    rows = io.read_csv(csv_path, ("tau_ps", "counts"), lambda row: (io.finite(row[0]), io.count(row[1])))
+    taus, counts = np.asarray([r[0] for r in rows]), np.asarray([r[1] for r in rows], dtype=np.int64)
+    if np.any(np.diff(taus) <= 0):
+        raise ValueError(f"{csv_path}: tau_ps must be strictly increasing")
+
+    def build(bin_width_ps=None, rep_period_ns=None, pulse_pair_sep_ns=None):
+        if bin_width_ps is None or rep_period_ns is None:
+            raise ValueError("bin_width_ps and rep_period_ns are required")
+        return CoincidenceHistogram(bin_width_ps, taus, counts, rep_period_ns, pulse_pair_sep_ns)
+
+    keys = ("bin_width_ps", "rep_period_ns", "pulse_pair_sep_ns")
+    return io.read_json_numbers(meta_path, keys, ("pulse_pair_sep_ns",), build)

@@ -25,6 +25,8 @@ import numpy as np
 from scipy import constants as sc
 from scipy import integrate, optimize
 
+from . import io
+
 #: k_B / hbar in (1/ps) per kelvin
 KB_OVER_HBAR = 0.13093
 #: hbar in eV ps
@@ -105,10 +107,6 @@ class DephasingParams:
     def to_json_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "DephasingParams":
-        return cls(**d)
-
     def replace(self, **kw) -> "DephasingParams":
         d = asdict(self)
         d.update(kw)
@@ -143,30 +141,8 @@ def _decay_shape(t_ps: np.ndarray, p: DecayParams) -> np.ndarray:
     return out
 
 
-def _decay_shape_peak(p: DecayParams) -> float:
-    # f(t + period) = exp(-period/T1) f(t), so the global max sits in the
-    # first oscillation period.
-    if p.delta_inv_ps == 0:
-        return 0.0
-    res = optimize.minimize_scalar(
-        lambda t: -_decay_shape(np.array([t]), p)[0],
-        bounds=(0.0, p.beat_period_ps),
-        method="bounded",
-        options={"xatol": 1e-10 * p.beat_period_ps},
-    )
-    return float(-res.fun)
-
-
-def trpl_intensity(t_ps, p: DecayParams):
-    """Self-interference decay profile, normalized to unit peak.
-
-    Zero at t = 0 (the two fine-structure amplitudes cancel) and for all
-    t < 0; identically zero when the splitting vanishes.
-    """
-    t = np.atleast_1d(np.asarray(t_ps, dtype=float))
-    peak = _decay_shape_peak(p)
-    out = _decay_shape(t, p) / peak if peak > 0 else np.zeros_like(t)
-    return out if np.ndim(t_ps) else float(out[0])
+#: most points of the grid trpl_model convolves on; a 4 ns trace needs ~500
+_MAX_IRF_GRID = 10**5
 
 
 def trpl_model(t_ps, p: DecayParams, amplitude: float, irf_fwhm_ps: float = 0.0):
@@ -182,6 +158,8 @@ def trpl_model(t_ps, p: DecayParams, amplitude: float, irf_fwhm_ps: float = 0.0)
     step = min(sigma / 4.0, p.t1_ps / 40.0)
     lo = min(float(t.min()), 0.0) - 6.0 * sigma
     hi = float(t.max()) + 6.0 * sigma
+    if not (hi - lo) / step <= _MAX_IRF_GRID:
+        raise ValueError(f"time span {hi - lo:.3g} ps needs over {_MAX_IRF_GRID} IRF grid points")
     grid = np.arange(lo, hi + step, step)
     prof = _decay_shape(grid, p)
     half = int(np.ceil(5.0 * sigma / step))
@@ -190,6 +168,10 @@ def trpl_model(t_ps, p: DecayParams, amplitude: float, irf_fwhm_ps: float = 0.0)
     kernel /= kernel.sum()
     conv = np.convolve(prof, kernel, mode="same")
     return amplitude * np.interp(t, grid, conv)
+
+
+#: fit_trpl's starting point when no init is given
+TRPL_START = DecayParams(t1_ps=350.0, delta_inv_ps=fss_ueV_to_inv_ps(6.4))
 
 
 @dataclass(frozen=True)
@@ -212,7 +194,7 @@ def fit_trpl(t_ps, intensity, irf_fwhm_ps: float = 75.0, init: DecayParams | Non
         raise InsufficientData("t and intensity must be equal-length 1-D arrays")
     if t.size < 20:
         raise InsufficientData(f"need >= 20 samples, got {t.size}")
-    p0 = init or DecayParams(t1_ps=350.0, delta_inv_ps=fss_ueV_to_inv_ps(6.4))
+    p0 = init or TRPL_START
     if t.max() - t.min() < 2.0 * p0.t1_ps:
         raise InsufficientData("samples must span at least twice the initial T1")
 
@@ -326,8 +308,8 @@ def spectral_diffusion_rate(delay_ns: float, p: DephasingParams) -> float:
     Grows from zero as 1 - exp(-(delay/tau_c)^2) and saturates at the
     ceiling rate.
     """
-    if delay_ns < 0:
-        raise ValueError("delay must be >= 0")
+    if not delay_ns >= 0:  # also rejects NaN
+        raise ValueError(f"delay must be >= 0, got {delay_ns}")
     return p.Gamma_sd_inv_ps * (1.0 - np.exp(-((delay_ns / p.tau_c_ns) ** 2)))
 
 
@@ -437,6 +419,8 @@ def fit_visibility_curve(
     for name in free:
         x0.append(init.get(name, getattr(fixed, name)))
         b = _FIT_BOUNDS[name]
+        if not b[0] <= x0[-1] <= b[1]:
+            raise ValueError(f"start value {name} = {x0[-1]} outside the fit bounds [{b[0]}, {b[1]}]")
         lo.append(b[0])
         hi.append(b[1])
 
@@ -473,41 +457,13 @@ def fit_visibility_curve(
 
 
 # ---------------------------------------------------------------------------
-# pulsed-excitation detection probability
-# ---------------------------------------------------------------------------
-
-def rabi_curve(sqrt_power, sqrt_power_pi: float):
-    """Excited-state detection probability vs sqrt of excitation power.
-
-    Pulse area is linear in the field amplitude: area = pi at sqrt_power_pi,
-    and P = sin^2(area/2) peaks there and vanishes at the 2*pi pulse.
-    """
-    if sqrt_power_pi <= 0:
-        raise ValueError("sqrt_power_pi must be positive")
-    s = np.asarray(sqrt_power, dtype=float)
-    return np.sin(0.5 * np.pi * s / sqrt_power_pi) ** 2
-
-
-# ---------------------------------------------------------------------------
 # file I/O
 # ---------------------------------------------------------------------------
 
 def read_xy_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a two-column CSV with one header row."""
-    xs, ys = [], []
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if len(rows) < 2:
-        raise InsufficientData(f"{path}: no data rows")
-    for row in rows[1:]:
-        if not row:
-            continue
-        xs.append(float(row[0]))
-        ys.append(float(row[1]))
-    x, y = np.asarray(xs), np.asarray(ys)
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise ValueError(f"{path}: values must be finite")
-    return x, y
+    """Read a two-column CSV of finite numbers with one header row."""
+    rows = io.read_csv(path, (None, None), lambda row: (io.finite(row[0]), io.finite(row[1])))
+    return np.asarray([r[0] for r in rows]), np.asarray([r[1] for r in rows])
 
 
 def write_xy_csv(path, header: tuple[str, str], x, y) -> None:

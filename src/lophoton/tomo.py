@@ -28,7 +28,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 from scipy import optimize
 
-from . import jones
+from . import io, jones
 from .linalg import hermitian_eigen, kron, partial_trace, psd_sqrt
 
 BASES = ("Z", "X", "Y")
@@ -425,31 +425,31 @@ def monte_carlo_metrics(records, target: np.ndarray, n_resamples: int, seed: int
 # record file I/O
 # ---------------------------------------------------------------------------
 
+_RECORD_HEADER = ("basis1", "basis2", "outcome1", "outcome2", "counts")
+
+
 def records_to_csv(path, records) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["basis1", "basis2", "outcome1", "outcome2", "counts"])
+        w.writerow(_RECORD_HEADER)
         for rec in records:
             for (o1, o2), c in zip(rec.outcome_labels, rec.counts):
                 w.writerow([rec.basis1, rec.basis2, o1, o2, int(c)])
 
 
+def _record_row(row) -> tuple:
+    b1, b2, o1, o2, c = row
+    if b1 not in BASES or b2 not in BASES:
+        raise ValueError(f"unknown basis pair {b1},{b2}")
+    labels1, labels2 = BASIS_STATES[b1], BASIS_STATES[b2]
+    if o1 not in labels1 or o2 not in labels2:
+        raise ValueError(f"outcome {o1},{o2} inconsistent with bases {b1},{b2}")
+    return (b1, b2), 2 * labels1.index(o1) + labels2.index(o2), io.count(c)
+
+
 def records_from_csv(path) -> list[MeasurementRecord]:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0][:5] != ["basis1", "basis2", "outcome1", "outcome2", "counts"]:
-        raise ValueError(f"{path}: expected header basis1,basis2,outcome1,outcome2,counts")
+    """Records from a CSV file; repeated outcome rows add up."""
     acc: dict[tuple, np.ndarray] = {}
-    for row in rows[1:]:
-        if not row:
-            continue
-        b1, b2, o1, o2, c = row[0], row[1], row[2], row[3], float(row[4])
-        if b1 not in BASES or b2 not in BASES:
-            raise ValueError(f"{path}: unknown basis pair {b1},{b2}")
-        labels1, labels2 = BASIS_STATES[b1], BASIS_STATES[b2]
-        if o1 not in labels1 or o2 not in labels2:
-            raise ValueError(f"{path}: outcome {o1},{o2} inconsistent with bases {b1},{b2}")
-        pos = 2 * labels1.index(o1) + labels2.index(o2)
-        counts = acc.setdefault((b1, b2), np.zeros(4))
-        counts[pos] += c
+    for setting, pos, c in io.read_csv(path, _RECORD_HEADER, _record_row):
+        acc.setdefault(setting, np.zeros(4))[pos] += c
     return [MeasurementRecord(b1, b2, counts) for (b1, b2), counts in acc.items()]

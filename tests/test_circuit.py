@@ -28,8 +28,8 @@ def test_attenuator_transmissions():
         assert abs(u[h_idx, h_idx]) ** 2 == pytest.approx(1 / 3, abs=1e-14)
         assert u[h_idx + 1, h_idx + 1] == 1.0  # V unaffected
         assert u[other, other] == 1.0 and u[other + 1, other + 1] == 1.0
-        assert not e.is_unitary
-        assert np.linalg.svd(u, compute_uv=False)[0] <= 1 + 1e-12
+        sv = np.linalg.svd(u, compute_uv=False)
+        assert sv[0] <= 1 + 1e-12 and sv[-1] < 1 - 1e-10  # lossy: strictly sub-unitary
 
 
 def test_central_hom_amplitude_and_probability():
@@ -220,9 +220,8 @@ def test_basis_fidelity_values():
     assert circuit.basis_fidelity(table, "ZZ") == pytest.approx(0.902, abs=1e-12)
 
 
-def test_element_serialization_round_trip():
-    gate = circuit.build_cnot()
-    labels = circuit.elements_to_json(gate)
+def test_element_labels():
+    labels = circuit.elements_to_json(circuit.build_cnot())
     assert labels == [
         "hwp:target:22.5deg",
         "ppbs_central",
@@ -230,9 +229,3 @@ def test_element_serialization_round_trip():
         "ppbs_attenuator:target",
         "hwp:target:22.5deg",
     ]
-    rebuilt = circuit.elements_from_json(labels)
-    for a, b in zip(gate, rebuilt):
-        assert a.label == b.label
-        assert np.array_equal(a.transfer, b.transfer)
-    with pytest.raises(circuit.UnknownElement):
-        circuit.elements_from_json(["prism:control"])

@@ -1,7 +1,11 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from lophoton import cli, counting as ct, emitter as em, tomo
 from lophoton.cli import main
@@ -291,14 +295,77 @@ def _hom_histogram_without_tau_zero(tmp_path):
             "--meta", str(tmp_path / "hom.meta.json")]
 
 
-@pytest.mark.parametrize(
-    "make_argv", [_records_with_nan_count, _curve_with_nan_visibility, _hom_histogram_without_tau_zero],
-    ids=["reconstruct-nan-count", "fit-nan-visibility", "hom-without-tau-zero"],
-)
+def _json_file(tmp_path, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    return str(path)
+
+
+def _fit_argv(tmp_path, kind, *extra):
+    """fit on a valid curve: a noiseless decay trace for trpl, a short visibility curve otherwise."""
+    data = tmp_path / "curve.csv"
+    if kind == "trpl":
+        t = np.linspace(0.0, 2000.0, 60)
+        y = em.trpl_model(t, em.DecayParams(350.0, 0.01), 1.0, 75.0)
+        em.write_xy_csv(data, ("t_ps", "intensity"), t, y)
+    else:
+        ts = np.linspace(4.0, 40.0, 6)
+        em.write_xy_csv(data, ("temperature_K", "visibility"), ts, 0.9 - 0.01 * np.arange(6))
+    return ["fit", "--kind", kind, "--data", str(data), *extra]
+
+
+def _histogram_with_meta(tmp_path, meta_text):
+    h = ct.synth_histogram(ct.HbtModel(0.02), em.DecayParams(350.0, 0.0), 20_000, seed=1)
+    ct.write_histogram_csv(tmp_path / "h.csv", tmp_path / "h.meta.json", h)
+    return ["analyze", "--kind", "g2", "--histogram", str(tmp_path / "h.csv"),
+            "--meta", _json_file(tmp_path, meta_text)]
+
+
+def _records_with_fractional_count(tmp_path):
+    path = tmp_path / "records.csv"
+    tomo.records_to_csv(path, tomo.simulate_counts(tomo.werner(0.9), 1000, seed=3))
+    lines = path.read_text().splitlines()
+    lines[5] = lines[5].rsplit(",", 1)[0] + ",12.5"
+    path.write_text("\n".join(lines) + "\n")
+    return ["reconstruct", "--records", str(path)]
+
+
+def _out_is_a_directory(tmp_path):
+    (tmp_path / "result.json").mkdir()
+    return ["truth-table"]
+
+
+MALFORMED = {
+    "reconstruct-nan-count": _records_with_nan_count,
+    "fit-nan-visibility": _curve_with_nan_visibility,
+    "hom-without-tau-zero": _hom_histogram_without_tau_zero,
+    "bell-resamples-50": lambda tmp: ["bell", "--counts-per-setting", "1000", "--resamples", "50"],
+    "bell-negative-seed": lambda tmp: ["bell", "--counts-per-setting", "1000", "--seed", "-1"],
+    "trpl-init-list": lambda tmp: _fit_argv(tmp, "trpl", "--init", _json_file(tmp, "[1, 2]")),
+    "trpl-init-string": lambda tmp: _fit_argv(tmp, "trpl", "--init", _json_file(tmp, '{"t1_ps": "abc"}')),
+    "trpl-init-negative": lambda tmp: _fit_argv(tmp, "trpl", "--init", _json_file(tmp, '{"t1_ps": -5}')),
+    "trpl-irf-nan": lambda tmp: _fit_argv(tmp, "trpl", "--irf-width", "nan"),
+    "vis_T-init-list": lambda tmp: _fit_argv(tmp, "vis_T", "--init", _json_file(tmp, "[1, 2]")),
+    "vis_T-init-out-of-bounds": lambda tmp: _fit_argv(tmp, "vis_T", "--init", _json_file(tmp, '{"alpha_ps2": 5.0}')),
+    "vis_T-init-string": lambda tmp: _fit_argv(tmp, "vis_T", "--init", _json_file(tmp, '{"alpha_ps2": "x"}')),
+    "analyze-meta-list": lambda tmp: _histogram_with_meta(tmp, "[1]"),
+    "fit-init-directory": lambda tmp: _fit_argv(tmp, "trpl", "--init", str(tmp)),
+    "reconstruct-records-directory": lambda tmp: ["reconstruct", "--records", str(tmp)],
+    "truth-table-out-directory": _out_is_a_directory,
+    "visibility-params-nan": lambda tmp: ["visibility", "--mode", "vs_T", "--grid", "4:40:3",
+                                          "--params", _json_file(tmp, '{"alpha_ps2": NaN}')],
+    "reconstruct-fractional-count": _records_with_fractional_count,
+    "visibility-delay-nan": lambda tmp: ["visibility", "--mode", "vs_T", "--grid", "4:40:3", "--delay-ns", "nan"],
+    "bell-counts-overflow": lambda tmp: ["bell", "--counts-per-setting", str(10**20), "--resamples", "0"],
+}
+
+
+@pytest.mark.parametrize("make_argv", MALFORMED.values(), ids=MALFORMED.keys())
 def test_malformed_input_exit_2_without_output(tmp_path, make_argv):
     out = tmp_path / "result.json"
     assert main([*make_argv(tmp_path), "--out", str(out)]) == 2
-    assert not out.exists()
+    assert not out.is_file()
+    assert not list(tmp_path.glob(".lophoton-*"))
 
 
 def test_env_seed_matches_flag(tmp_path, monkeypatch):
@@ -314,3 +381,77 @@ def test_env_seed_matches_flag(tmp_path, monkeypatch):
 
 def test_default_seed_constant():
     assert cli.DEFAULT_SEED == 123456789
+
+
+# ---------------------------------------------------------------------------
+# fuzzed input files: every outcome is an exit code, never a traceback
+# ---------------------------------------------------------------------------
+
+FIELDS = st.one_of(
+    st.sampled_from(["", "nan", "-inf", "-1", "12.5", "1e400", "9" * 25, "1e300", "0", " 7", "H", "Z"]),
+    st.text(max_size=6),
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=5,
+)
+
+
+def _valid_inputs(target, tmp):
+    """argv of one valid run and the paths of its CSV and JSON inputs."""
+    data, side = tmp / "data.csv", tmp / "side.json"
+    if target == "reconstruct":
+        tomo.records_to_csv(data, tomo.simulate_counts(tomo.werner(0.9), 200, seed=3))
+        return ["reconstruct", "--records", str(data)], data, None
+    if target == "fit-trpl":
+        t = np.linspace(0.0, 2000.0, 40)
+        y = em.trpl_model(t, em.DecayParams(350.0, 0.01), 1.0, 75.0)
+        em.write_xy_csv(data, ("t_ps", "intensity"), t, y)
+        side.write_text(json.dumps({"t1_ps": 340.0, "delta_inv_ps": 0.01}))
+        return ["fit", "--kind", "trpl", "--data", str(data), "--init", str(side)], data, side
+    kind = target.split("-")[1]
+    model = ct.HbtModel(0.02) if kind == "g2" else ct.HomModel(0.9, 2.0)
+    h = ct.synth_histogram(model, em.DecayParams(100.0, 0.0), 20_000, seed=5, bin_width_ps=40.0, n_side=3)
+    ct.write_histogram_csv(data, side, h)
+    return ["analyze", "--kind", kind, "--histogram", str(data), "--meta", str(side)], data, side
+
+
+def _mutate_csv(data, lines):
+    what = data.draw(st.sampled_from(["header", "row", "field"]))
+    i = 0 if what == "header" else data.draw(st.integers(1, len(lines) - 1))
+    if what == "field":
+        fields = lines[i].split(",")
+        fields[data.draw(st.integers(0, len(fields) - 1))] = data.draw(FIELDS)
+        lines[i] = ",".join(fields)
+    else:
+        lines[i:i + 1] = data.draw(st.lists(st.text(max_size=12).filter(lambda s: "\n" not in s), max_size=2))
+    return lines
+
+
+def _mutate_json(data, text):
+    obj = json.loads(text)
+    if obj and data.draw(st.booleans()):
+        obj[data.draw(st.sampled_from(sorted(obj)))] = data.draw(JSON_VALUES)
+        return json.dumps(obj)
+    return json.dumps(data.draw(JSON_VALUES))
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(target=st.sampled_from(["reconstruct", "analyze-g2", "analyze-hom", "fit-trpl"]), data=st.data())
+def test_fuzzed_inputs_give_an_exit_code(target, data):
+    with tempfile.TemporaryDirectory() as d:
+        tmp = Path(d)
+        argv, csv_path, json_path = _valid_inputs(target, tmp)
+        if json_path is not None and data.draw(st.booleans()):
+            json_path.write_text(_mutate_json(data, json_path.read_text()))
+        else:
+            lines = _mutate_csv(data, csv_path.read_text().splitlines())
+            csv_path.write_text("\n".join(lines) + "\n")
+        out = tmp / "out.json"
+        code = main([*argv, "--out", str(out)])
+        assert code in (0, 2, 3, 4)
+        if code != 0:
+            assert not out.exists()
+            assert not list(tmp.glob(".lophoton-*"))

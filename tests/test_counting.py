@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -92,8 +94,9 @@ def test_g2_round_trip_statistics():
     # estimator consistent with the generator across Poisson resamples
     base = ct.synth_histogram(ct.HbtModel(g2=0.008), DOT_DECAY, 200_000, seed=17)
     estimates, errors = [], []
-    for h in ct.poisson_resample(base, 500, seed=18):
-        g, e = ct.g2_zero(h, 2000.0)
+    rng = np.random.default_rng(18)
+    for _ in range(500):
+        g, e = ct.g2_zero(replace(base, counts=rng.poisson(base.counts)), 2000.0)
         estimates.append(g)
         errors.append(e)
     assert abs(np.mean(estimates) - 0.008) < np.mean(errors)
@@ -127,16 +130,6 @@ def test_hom_round_trip():
     assert abs(v - 0.947) < 3 * err
 
 
-def test_hom_estimator_injectable():
-    h = ct.synth_histogram(ct.HomModel(0.5, 2.0), SHORT_DECAY, 100_000, seed=9)
-    v_half, _ = ct.hom_visibility(h, 600.0)
-    v_full, _ = ct.hom_visibility(
-        h, 600.0, a_ref_estimator=lambda central, sats: np.mean([p.area for p in sats])
-    )
-    # doubling the reference halves the dip arithmetic: 1 - a0/(2 a_ref_half)
-    assert 1.0 - v_full == pytest.approx((1.0 - v_half) / 2.0, rel=1e-9)
-
-
 def test_hom_requires_metadata_and_resolution():
     h = ct.synth_histogram(ct.HbtModel(0.01), SHORT_DECAY, 10_000, seed=2)
     with pytest.raises(ValueError):
@@ -158,6 +151,14 @@ def test_histogram_rejects_non_finite_taus():
     taus = np.array([0.0, 20.0, np.nan, 60.0])
     with pytest.raises(ValueError, match="finite"):
         ct.CoincidenceHistogram(bin_width_ps=20.0, taus_ps=taus, counts=np.ones(4, dtype=int))
+
+
+def test_integrate_peaks_rejects_histogram_reaching_too_many_periods():
+    # one stray far tau would otherwise make every repetition period up to it a peak center
+    taus = np.append(np.arange(-5000.0, 5000.0, 20.0), 1e300)
+    h = ct.CoincidenceHistogram(bin_width_ps=20.0, taus_ps=taus, counts=np.ones(taus.size, dtype=int))
+    with pytest.raises(ValueError, match="repetition periods"):
+        ct.integrate_peaks(h, 2000.0)
 
 
 def test_ratio_estimators_scale_invariant():
@@ -211,19 +212,6 @@ def test_beat_satellites_inside_cluster():
     tops = sorted(local_max, key=lambda i: y[i], reverse=True)[:2]
     spacing = abs(x[tops[0]] - x[tops[1]])
     assert spacing == pytest.approx(DOT_DECAY.beat_period_ps, abs=25.0)
-
-
-def test_poisson_resample_statistics():
-    taus = np.arange(-500.0, 501.0, 20.0)
-    zero = ct.CoincidenceHistogram(20.0, taus, np.zeros_like(taus, dtype=int))
-    for h in ct.poisson_resample(zero, 5, seed=1):
-        assert h.counts.sum() == 0
-    flat = ct.CoincidenceHistogram(20.0, taus, np.full(taus.size, 100))
-    samples = np.array([h.counts for h in ct.poisson_resample(flat, 10_000, seed=2)], dtype=float)
-    assert np.mean(samples[:, 0]) == pytest.approx(100.0, abs=1.0)
-    assert np.var(samples[:, 0]) == pytest.approx(100.0, rel=0.05)
-    again = np.array([h.counts for h in ct.poisson_resample(flat, 10_000, seed=2)], dtype=float)
-    assert np.array_equal(samples, again)
 
 
 def test_histogram_csv_round_trip(tmp_path):

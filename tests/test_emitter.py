@@ -9,7 +9,7 @@ DOT_DECAY = em.DecayParams(t1_ps=350.0, delta_inv_ps=em.fss_ueV_to_inv_ps(6.4))
 
 
 def test_decay_zero_at_origin_and_negative_times():
-    y = em.trpl_intensity(np.array([-50.0, 0.0]), DOT_DECAY)
+    y = em.trpl_model(np.array([-50.0, 0.0]), DOT_DECAY, 1.0, 0.0)
     assert y[0] == 0.0 and y[1] == 0.0
 
 
@@ -17,24 +17,23 @@ def test_beat_period():
     assert DOT_DECAY.beat_period_ps == pytest.approx(646.2, abs=1.0)
 
 
-def test_decay_normalized_to_unit_peak():
-    t = np.linspace(0, 4000, 200001)
-    y = em.trpl_intensity(t, DOT_DECAY)
-    assert y.max() <= 1.0 + 1e-12
-    assert y.max() > 0.999999
-
-
 def test_envelope_decays_by_e_over_t1():
     # one beat period later the profile scales by exp(-period/T1) exactly
     period = DOT_DECAY.beat_period_ps
     t = np.array([200.0, 450.0])
-    r = em.trpl_intensity(t + period, DOT_DECAY) / em.trpl_intensity(t, DOT_DECAY)
+    r = em.trpl_model(t + period, DOT_DECAY, 1.0, 0.0) / em.trpl_model(t, DOT_DECAY, 1.0, 0.0)
     assert np.allclose(r, np.exp(-period / 350.0), rtol=1e-9)
 
 
 def test_zero_splitting_profile_is_null():
     p = em.DecayParams(350.0, 0.0)
-    assert np.all(em.trpl_intensity(np.linspace(0, 1000, 50), p) == 0.0)
+    assert np.all(em.trpl_model(np.linspace(0, 1000, 50), p, 1.0, 0.0) == 0.0)
+
+
+def test_trpl_model_rejects_span_too_long_for_its_grid():
+    # the IRF grid step is at most T1/40, so a 1 s span would need ~1e11 points
+    with pytest.raises(ValueError, match="grid points"):
+        em.trpl_model(np.array([0.0, 1e12]), DOT_DECAY, 1.0, 75.0)
 
 
 def test_fit_trpl_noiseless_recovery():
@@ -270,19 +269,13 @@ def test_fit_visibility_insufficient_points():
         em.fit_visibility_curve([4.0, 8.0, 12.0], [0.9, 0.8, 0.7], "vs_temperature", em.DephasingParams())
 
 
-def test_rabi_curve_pulse_areas():
-    assert em.rabi_curve(1.0, 1.0) == pytest.approx(1.0, abs=1e-12)
-    assert em.rabi_curve(2.0, 1.0) == pytest.approx(0.0, abs=1e-12)
-    assert em.rabi_curve(0.5, 1.0) == pytest.approx(0.5, abs=1e-12)
-
-
 def test_dephasing_params_validation_and_json():
     p = em.DephasingParams()
     d = p.to_json_dict()
     assert set(d) == {
         "alpha_ps2", "v_c_inv_ps", "mu_ps2", "F", "T1_ps", "Gamma_sd_inv_ps", "tau_c_ns",
     }
-    assert em.DephasingParams.from_json_dict(d) == p
+    assert em.DephasingParams(**d) == p
     with pytest.raises(ValueError):
         em.DephasingParams(F=1.5)
     with pytest.raises(ValueError):

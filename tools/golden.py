@@ -8,9 +8,12 @@ directory of a checkout.  The script writes fixed input files into
 <out-dir>/inputs with numpy alone, so a change to lophoton's own writers
 cannot move them, then runs a fixed list of seeded lophoton.cli.main calls
 from inside <out-dir>.  Each call leaves <name>.out (its --out file),
-<name>.err (its stderr) and one line "<name> <exit code>" in exit_codes.txt.
+<name>.err (its stderr) and one line "<name> <exit code>" in exit_codes.txt;
+a call that raises is recorded as "<name> raised <exception type>".  The
+calls on malformed inputs (names starting with "bad-") keep only the exit
+code and whether <name>.out exists, since error wording is not compared.
 Run it on two source trees; an empty ``diff -r`` of the two out-dirs means
-every subcommand gave the same bytes.
+every subcommand gave the same bytes and exit codes.
 """
 
 from __future__ import annotations
@@ -122,18 +125,27 @@ def xy_csv(header, xs, ys):
 def write_inputs(inputs: Path):
     rng = np.random.default_rng(SEED)
     inputs.mkdir(parents=True)
-    (inputs / "records.csv").write_text(records_csv(rng))
+    records = records_csv(rng).splitlines()
+    (inputs / "records.csv").write_text("\n".join(records) + "\n")
+    records[5] = records[5].rsplit(",", 1)[0] + ",nan"
+    (inputs / "bad-records.csv").write_text("\n".join(records) + "\n")
     for kind in ("g2", "hom"):
         text, meta = histogram_csv(rng, kind)
         (inputs / f"{kind}.csv").write_text(text)
         (inputs / f"{kind}.meta.json").write_text(meta)
+    # the hom histogram moved 4 repetition periods, so that it misses tau = 0
+    rows = [row.split(",") for row in text.splitlines()[1:]]
+    (inputs / "bad-hom.csv").write_text("tau_ps,counts\n" + "".join(
+        f"{float(tau) + 4 * REP_PERIOD_PS!r},{c}\n" for tau, c in rows))
     (inputs / "decay.csv").write_text(decay_csv(rng))
     (inputs / "params.json").write_text(json.dumps(DEPHASING) + "\n")
 
     no_sd = {**DEPHASING, "Gamma_sd_inv_ps": 0.0}
     temps = np.linspace(4.0, 40.0, 12).tolist()
-    (inputs / "vis_T.csv").write_text(xy_csv("temperature_K,visibility", temps,
-                                             [visibility(t, 0.0, no_sd) for t in temps]))
+    vis_T = [visibility(t, 0.0, no_sd) for t in temps]
+    (inputs / "vis_T.csv").write_text(xy_csv("temperature_K,visibility", temps, vis_T))
+    (inputs / "bad-vis_T.csv").write_text(xy_csv("temperature_K,visibility", temps,
+                                                 vis_T[:3] + [float("nan")] + vis_T[4:]))
     (inputs / "vis_T.init.json").write_text(json.dumps(
         {"alpha_ps2": 0.0055 * 1.03, "v_c_inv_ps": 4.9 * 0.97, "mu_ps2": 2.2e-3 * 1.03, "F": 0.3 * 0.97}) + "\n")
     delays = np.geomspace(1.0, 2000.0, 12).tolist()
@@ -166,6 +178,10 @@ def calls():
         ("analyze-g2", ["analyze", "--kind", "g2", "--histogram", "inputs/g2.csv", "--meta", "inputs/g2.meta.json"]),
         ("analyze-hom", ["analyze", "--kind", "hom", "--histogram", "inputs/hom.csv",
                          "--meta", "inputs/hom.meta.json"]),
+        ("bad-records", ["reconstruct", "--records", "inputs/bad-records.csv", "--resamples", "100"]),
+        ("bad-vis_T", ["fit", "--kind", "vis_T", "--data", "inputs/bad-vis_T.csv"]),
+        ("bad-hom", ["analyze", "--kind", "hom", "--histogram", "inputs/bad-hom.csv",
+                     "--meta", "inputs/hom.meta.json"]),
     ]
     return out
 
@@ -189,9 +205,13 @@ def main(argv):
     codes = []
     for name, args in calls():
         err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            code = cli.main([*args, "--out", f"{name}.out"])
-        Path(f"{name}.err").write_text(err.getvalue())
+        try:
+            with contextlib.redirect_stderr(err):
+                code = cli.main([*args, "--out", f"{name}.out"])
+        except Exception as e:  # a leak out of cli.main is recorded, not fatal
+            code = f"raised {type(e).__name__}"
+        if not name.startswith("bad-"):
+            Path(f"{name}.err").write_text(err.getvalue())
         codes.append(f"{name} {code}\n")
         print(f"{name}: exit {code}", file=sys.stderr)
     Path("exit_codes.txt").write_text("".join(codes))
