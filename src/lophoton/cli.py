@@ -26,7 +26,7 @@ import numpy as np
 from . import circuit, counting, emitter, io, jones, tomo
 
 DEFAULT_SEED = 123456789
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -38,10 +38,8 @@ EXIT_FIT = 4
 _DEPHASING_KEYS = tuple(f.name for f in fields(emitter.DephasingParams))
 
 
-class CliError(Exception):
-    def __init__(self, message, code=EXIT_BAD_INPUT):
-        super().__init__(message)
-        self.code = code
+class CliError(ValueError):
+    """Invalid arguments (exit 2)."""
 
 
 def _jsonify(obj):
@@ -158,7 +156,7 @@ def _reconstruction_payload(records, target, args):
     """MLE state, its metrics and, for --resamples > 0, their Monte Carlo spreads."""
     result = tomo.mle_reconstruct(records)
     if not result.converged:
-        raise CliError("maximum-likelihood reconstruction did not converge", EXIT_RECONSTRUCTION)
+        raise tomo.NotConverged("maximum-likelihood reconstruction did not converge")
     payload = {
         "log_likelihood": result.log_likelihood,
         "rho_real": np.real(result.rho),
@@ -168,6 +166,7 @@ def _reconstruction_payload(records, target, args):
     if args.resamples > 0:
         mc = asdict(tomo.monte_carlo_metrics(records, target, args.resamples, _seed(args)))
         payload["n_resamples"] = mc.pop("n_resamples")
+        payload["n_not_converged"] = mc.pop("n_not_converged")
         payload["metrics_mc"] = mc
     return payload
 
@@ -220,7 +219,10 @@ def cmd_fit(args):
         if args.init is not None:
             start = partial(replace, emitter.TRPL_START)
             p0 = io.read_json_numbers(args.init, ("t1_ps", "delta_inv_ps"), (), start)
-        fit = emitter.fit_trpl(x, y, irf_fwhm_ps=args.irf_width, init=p0)
+        try:
+            fit = emitter.fit_trpl(x, y, irf_fwhm_ps=args.irf_width, init=p0)
+        except emitter.NonFiniteStart as e:
+            raise CliError(f"--data {args.data}: {e}") from None
         payload = {
             "kind": "trpl",
             "params": {
@@ -352,8 +354,8 @@ def main(argv=None) -> int:
         if getattr(args, "window", "") is None:
             args.window = 2000.0 if args.kind == "g2" else 600.0
         return args.func(args)
-    except CliError as e:
-        return _fail(e, e.code)
+    except tomo.NotConverged as e:
+        return _fail(e, EXIT_RECONSTRUCTION)
     except emitter.FitDiverged as e:
         return _fail(e, EXIT_FIT)
     except (OSError, ValueError, emitter.QuadratureFailure) as e:

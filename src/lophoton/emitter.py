@@ -41,6 +41,10 @@ class FitDiverged(RuntimeError):
     """Least squares terminated without converging."""
 
 
+class NonFiniteStart(ValueError):
+    """The squared residuals of a fit overflow at its start point."""
+
+
 class InsufficientData(ValueError):
     """Too few samples for the requested fit."""
 
@@ -205,6 +209,14 @@ def fit_trpl(t_ps, intensity, irf_fwhm_ps: float = 75.0, init: DecayParams | Non
         return trpl_model(t, DecayParams(t1, delta), amp, irf_fwhm_ps) - y
 
     x0 = np.array([p0.t1_ps, p0.delta_inv_ps, 0.5 * scale])
+    with np.errstate(over="ignore"):
+        r0 = residuals(x0)
+        start_finite = np.isfinite(r0 @ r0)
+    if not start_finite:
+        i = int(np.argmax(np.abs(y)))
+        raise NonFiniteStart(
+            f"intensity {float(y[i])!r} at t = {float(t[i])!r} ps: the squared residuals overflow"
+        )
     res = optimize.least_squares(
         residuals,
         x0,
@@ -256,8 +268,8 @@ def franck_condon_factor(temperature_K: float, p: DephasingParams, rel_tol: floa
     B = exp(-(alpha/2) Int v exp(-(v/v_c)^2) coth(v / 2 kT) dv) with kT in
     1/ps units; coth -> 1 at T = 0, where the integral is v_c^2/2 exactly.
     """
-    if temperature_K < 0:
-        raise ValueError("temperature must be >= 0")
+    if not temperature_K >= 0:
+        raise ValueError(f"temperature must be >= 0 K, got {temperature_K}")
     if p.alpha_ps2 == 0:
         return 1.0
     vc = p.v_c_inv_ps
@@ -281,8 +293,8 @@ def virtual_phonon_rate(temperature_K: float, p: DephasingParams, rel_tol: float
     Bose occupation n; identically zero at T = 0.  The upper limit widens
     with sqrt(kT/v_c) so the thermally shifted integrand stays covered.
     """
-    if temperature_K < 0:
-        raise ValueError("temperature must be >= 0")
+    if not temperature_K >= 0:
+        raise ValueError(f"temperature must be >= 0 K, got {temperature_K}")
     if temperature_K == 0 or p.alpha_ps2 == 0 or p.mu_ps2 == 0:
         return 0.0
     vc = p.v_c_inv_ps

@@ -25,14 +25,27 @@ class NegativeEigenvalue(ValueError):
     """Matrix has an eigenvalue more negative than the clamping tolerance."""
 
 
+def _as_matrices(m) -> np.ndarray:
+    """Coerce to a complex ndarray of shape (..., rows, cols) and check finiteness."""
+    a = np.asarray(m, dtype=complex)
+    if a.ndim < 2:
+        raise BadDimension(f"expected a matrix or a stack of matrices, got ndim={a.ndim}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix entries must be finite")
+    return a
+
+
 def as_matrix(m) -> np.ndarray:
     """Coerce to a 2-D complex ndarray and check finiteness."""
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2:
         raise BadDimension(f"expected a matrix, got ndim={a.ndim}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
-    return a
+    return _as_matrices(a)
+
+
+def dagger(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix of a stack."""
+    return m.conj().swapaxes(-1, -2)
 
 
 def kron(a, b) -> np.ndarray:
@@ -41,44 +54,45 @@ def kron(a, b) -> np.ndarray:
 
 
 def _check_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> None:
-    dev = np.max(np.abs(m - m.conj().T))
+    dev = np.max(np.abs(m - dagger(m)))
     if dev > tol:
         raise NotHermitian(f"max |m - m^dag| = {dev:.3e} exceeds {tol:.1e}")
 
 
 def hermitian_eigen(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, or of each matrix of a stack.
 
     Returns (eigenvalues descending, eigenvector matrix V) with
-    m = V diag(w) V^dag and V unitary.  Rejects non-Hermitian input rather
-    than symmetrizing it, so upstream construction errors stay visible.
+    m = V diag(w) V^dag and V unitary, both with the leading stack axes of m.
+    Rejects non-Hermitian input rather than symmetrizing it, so upstream
+    construction errors stay visible.
     """
-    a = as_matrix(m)
-    if a.shape[0] != a.shape[1]:
+    a = _as_matrices(m)
+    if a.shape[-1] != a.shape[-2]:
         raise BadDimension("matrix must be square")
     _check_hermitian(a)
     w, v = np.linalg.eigh(a)
-    return w[::-1].copy(), v[:, ::-1].copy()
+    return w[..., ::-1].copy(), v[..., ::-1].copy()
 
 
 def partial_trace(rho, keep: str) -> np.ndarray:
-    """Trace out one qubit of a 4x4 two-qubit operator.
+    """Trace out one qubit of a 4x4 two-qubit operator, or of each of a stack.
 
     keep is "first" or "second"; basis order is (00, 01, 10, 11).
     """
-    a = as_matrix(rho)
-    if a.shape != (4, 4):
+    a = _as_matrices(rho)
+    if a.shape[-2:] != (4, 4):
         raise BadDimension(f"expected 4x4, got {a.shape}")
-    r = a.reshape(2, 2, 2, 2)
+    r = a.reshape(a.shape[:-2] + (2, 2, 2, 2))
     if keep == "first":
-        return np.trace(r, axis1=1, axis2=3)
+        return np.trace(r, axis1=-3, axis2=-1)
     if keep == "second":
-        return np.trace(r, axis1=0, axis2=2)
+        return np.trace(r, axis1=-4, axis2=-2)
     raise ValueError(f"keep must be 'first' or 'second', got {keep!r}")
 
 
 def psd_sqrt(m, clamp: float = EIGENVALUE_CLAMP) -> np.ndarray:
-    """Hermitian square root of a positive semidefinite matrix.
+    """Hermitian square root of a positive semidefinite matrix (or of each of a stack).
 
     Eigenvalues within -clamp of zero are clamped to zero; anything more
     negative raises, since all callers construct PSD matrices and larger
@@ -88,4 +102,4 @@ def psd_sqrt(m, clamp: float = EIGENVALUE_CLAMP) -> np.ndarray:
     if np.min(w) < -clamp:
         raise NegativeEigenvalue(f"eigenvalue {np.min(w):.3e} below -{clamp:.1e}")
     w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
+    return (v * np.sqrt(w)[..., None, :]) @ dagger(v)

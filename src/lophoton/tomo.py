@@ -18,18 +18,21 @@ Error bars come from Monte Carlo resampling: every outcome count is redrawn
 from a Poisson law at the observed value, the state is refit, and metric
 spreads are reported.  Resample seeds derive from the master seed through
 ``numpy.random.SeedSequence(seed).spawn``, one child stream per resample.
+The resamples run in stacks of up to 100: one array of counts, one linear
+inversion product, one stacked projection and one stacked evaluation of
+the metrics per stack; only the likelihood fit runs once per resample.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 from scipy import optimize
 
 from . import io, jones
-from .linalg import hermitian_eigen, kron, partial_trace, psd_sqrt
+from .linalg import dagger, hermitian_eigen, kron, partial_trace, psd_sqrt
 
 BASES = ("Z", "X", "Y")
 BASIS_STATES = {"Z": ("H", "V"), "X": ("D", "A"), "Y": ("R", "L")}
@@ -48,10 +51,26 @@ _PAULI = {
 
 _SIGMA_YY = np.kron(_PAULI["Y"], _PAULI["Y"])
 
-#: row-major lower-triangle order of the 12 off-diagonal parameters
-_LOWER = ((1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2))
+#: flat (row-major) positions in a 4x4 matrix of the diagonal and of the
+#: strictly lower triangle; the 16 real parameters of T are the diagonal,
+#: then (real, imaginary) of each lower entry in this order
+_DIAG = np.arange(4) * 5
+_LOWER = np.array([4 * r + c for r in range(4) for c in range(r)])
+
+#: (16, 16) map from the parameters x to T: T.reshape(16) = _T_OF_X @ x;
+#: conversely x = (m.reshape(16) @ _T_OF_X.conj()).real reads the
+#: parameters of any lower-triangular m
+_T_OF_X = np.zeros((16, 16), dtype=complex)
+_T_OF_X[_DIAG, range(4)] = 1.0
+_T_OF_X[_LOWER, range(4, 16, 2)] = 1.0
+_T_OF_X[_LOWER, range(5, 16, 2)] = 1j
+_X_OF_T = _T_OF_X.conj()
 
 _FLIP = np.fliplr(np.eye(4))
+
+#: share of Monte Carlo resamples whose fit may fail to converge before the
+#: error bars are refused
+MAX_NOT_CONVERGED_FRACTION = 0.01
 
 
 def outcome_labels(setting) -> tuple:
@@ -78,8 +97,38 @@ PROJECTORS = np.array(
 )
 
 
+#: PROJECTORS flattened to (36, 16): Tr(A Pi_k) = (_PI_FLAT @ A.T.reshape(16))[k]
+_PI_FLAT = PROJECTORS.reshape(36, 16)
+
+
+def _inversion_map() -> np.ndarray:
+    # frequency f_k of outcome (o1, o2) of setting (b1, b2) adds
+    # s1 s2 f_k to <b1 b2> and s1 f_k / 3, s2 f_k / 3 to <b1 I>, <I b2>,
+    # since each single-qubit expectation is averaged over three settings
+    rows = []
+    for b1, b2 in SETTINGS:
+        for o1, o2 in outcome_labels((b1, b2)):
+            s1, s2 = EIGENSIGN[o1], EIGENSIGN[o2]
+            m = (
+                s1 * s2 * kron(_PAULI[b1], _PAULI[b2])
+                + s1 / 3.0 * kron(_PAULI[b1], _PAULI["I"])
+                + s2 / 3.0 * kron(_PAULI["I"], _PAULI[b2])
+            )
+            rows.append(m.reshape(16) / 4.0)
+    return np.array(rows)
+
+
+#: (36, 16) linear-inversion map: rho = I/4 + (f @ _INVERSION_MAP).reshape(4, 4)
+#: for the 36 outcome frequencies f in SETTINGS and outcome order
+_INVERSION_MAP = _inversion_map()
+
+
 class MissingSetting(ValueError):
     """A required measurement setting is absent or has zero total counts."""
+
+
+class NotConverged(RuntimeError):
+    """A maximum-likelihood fit, or too many Monte Carlo refits, did not converge."""
 
 
 @dataclass(frozen=True)
@@ -157,6 +206,19 @@ def _validated(records) -> dict:
     return by_setting
 
 
+def _counts36(by_setting) -> np.ndarray:
+    return np.concatenate([by_setting[setting].counts for setting in SETTINGS])
+
+
+def _inversion(counts: np.ndarray) -> np.ndarray:
+    """Linear inversion of (..., 36) counts in SETTINGS order to (..., 4, 4)."""
+    per_setting = counts.reshape(counts.shape[:-1] + (9, 4))
+    f = (per_setting / per_setting.sum(axis=-1, keepdims=True)).reshape(counts.shape)
+    rho = (f @ _INVERSION_MAP).reshape(counts.shape[:-1] + (4, 4))
+    rho[..., range(4), range(4)] += 0.25
+    return rho
+
+
 def linear_inversion(records) -> np.ndarray:
     """Stokes reconstruction from outcome frequencies.
 
@@ -164,58 +226,36 @@ def linear_inversion(records) -> np.ndarray:
     Single-qubit Pauli expectations are averaged over the three settings
     that measure them.
     """
-    by_setting = _validated(records)
-    s = np.zeros((4, 4))  # Pauli correlation matrix over (I, X, Y, Z)
-    s[0, 0] = 1.0
-    idx = {"I": 0, "X": 1, "Y": 2, "Z": 3}
-    ones = np.zeros((4, 2))  # accumulators for single-qubit terms: (sum, n)
-    twos = np.zeros((4, 2))
-    for (b1, b2), rec in by_setting.items():
-        f = rec.counts / rec.counts.sum()
-        sign1 = np.array([EIGENSIGN[o[0]] for o in rec.outcome_labels])
-        sign2 = np.array([EIGENSIGN[o[1]] for o in rec.outcome_labels])
-        s[idx[b1], idx[b2]] = float(np.sum(sign1 * sign2 * f))
-        ones[idx[b1]] += (float(np.sum(sign1 * f)), 1.0)
-        twos[idx[b2]] += (float(np.sum(sign2 * f)), 1.0)
-    for b in BASES:
-        s[idx[b], 0] = ones[idx[b], 0] / ones[idx[b], 1]
-        s[0, idx[b]] = twos[idx[b], 0] / twos[idx[b], 1]
-    rho = np.zeros((4, 4), dtype=complex)
-    for a, pa in _PAULI.items():
-        for b, pb in _PAULI.items():
-            rho += s[idx[a], idx[b]] * np.kron(pa, pb)
-    return rho / 4.0
+    return _inversion(_counts36(_validated(records)))
 
 
 def project_to_physical(rho: np.ndarray, floor: float = 0.0) -> np.ndarray:
-    """Clamp negative eigenvalues (to `floor`) and renormalize the trace."""
+    """Clamp negative eigenvalues (to `floor`) and renormalize the trace.
+
+    rho is one matrix or a stack of them along leading axes.
+    """
     w, v = hermitian_eigen(rho)
     w = np.clip(w, floor, None)
-    w /= w.sum()
-    return (v * w) @ v.conj().T
+    w /= w.sum(axis=-1, keepdims=True)
+    return (v * w[..., None, :]) @ dagger(v)
 
 
 def _t_from_params(x: np.ndarray) -> np.ndarray:
-    t = np.zeros((4, 4), dtype=complex)
-    t[np.diag_indices(4)] = x[:4]
-    for k, (r, c) in enumerate(_LOWER):
-        t[r, c] = x[4 + 2 * k] + 1j * x[5 + 2 * k]
-    return t
+    return (_T_OF_X @ x).reshape(4, 4)
 
 
-def _params_from_lower(t: np.ndarray) -> np.ndarray:
-    x = np.zeros(16)
-    x[:4] = np.real(np.diag(t))
-    for k, (r, c) in enumerate(_LOWER):
-        x[4 + 2 * k] = t[r, c].real
-        x[5 + 2 * k] = t[r, c].imag
-    return x
+def _lower_params(m: np.ndarray) -> np.ndarray:
+    """The 16 reals of the diagonal (real part) and lower triangle of (..., 4, 4) m."""
+    return (m.reshape(m.shape[:-2] + (16,)) @ _X_OF_T).real
 
 
-def _lower_factor(rho_pd: np.ndarray) -> np.ndarray:
-    # lower-triangular T with T^dag T = rho exactly: flip, Cholesky, flip back
+def _start_params(rho_pd: np.ndarray) -> np.ndarray:
+    """Parameters of the lower-triangular T with T^dag T = rho, for (..., 4, 4) rho.
+
+    Flip, Cholesky, flip back; rho must be positive definite.
+    """
     chol = np.linalg.cholesky(_FLIP @ rho_pd @ _FLIP)
-    return (_FLIP @ chol @ _FLIP).conj().T
+    return _lower_params(dagger(_FLIP @ chol @ _FLIP))
 
 
 def _rho_from_params(x: np.ndarray) -> np.ndarray:
@@ -234,10 +274,15 @@ def log_likelihood(rho: np.ndarray, records) -> float:
     return ll
 
 
+#: L-BFGS-B limits of every fit, the Monte Carlo refits included
+_MLE_MAX_ITER = 10_000
+_MLE_LL_REL_TOL = 1e-10
+
+
 def mle_reconstruct(
     records,
-    max_iter: int = 10_000,
-    ll_rel_tol: float = 1e-10,
+    max_iter: int = _MLE_MAX_ITER,
+    ll_rel_tol: float = _MLE_LL_REL_TOL,
     init: np.ndarray | None = None,
 ) -> MleResult:
     """Maximum-likelihood state fit over the triangular parameterization.
@@ -246,35 +291,32 @@ def mle_reconstruct(
     change falls below ll_rel_tol or after max_iter iterations (the best
     iterate is then returned with converged=False).
     """
-    by_setting = _validated(records)
-    pi_stack = PROJECTORS.reshape(36, 4, 4)
-    pi_flat = PROJECTORS.reshape(36, 16)
-    n = np.concatenate([by_setting[setting].counts for setting in SETTINGS])  # (36,)
-    n_tot = n.sum()
-
+    n = _counts36(_validated(records))
     if init is None:
-        init = linear_inversion(records)
-    rho0 = project_to_physical(init, floor=1e-12)
-    x0 = _params_from_lower(_lower_factor(rho0))
+        init = _inversion(n)
+    x0 = _start_params(project_to_physical(init, floor=1e-12))
+    return _mle_fit(n, x0, max_iter, ll_rel_tol)
+
+
+def _mle_fit(
+    n: np.ndarray, x0: np.ndarray, max_iter: int = _MLE_MAX_ITER, ll_rel_tol: float = _MLE_LL_REL_TOL
+) -> MleResult:
+    """L-BFGS-B fit of the 16 parameters to the 36 counts n, from x0."""
+    n_tot = n.sum()
 
     def objective(x):
         t = _t_from_params(x)
         a = t.conj().T @ t
-        tr_a = np.trace(a).real
-        q = np.real(pi_flat @ a.T.reshape(16))  # Tr(A Pi_k) for all k
+        tr_a = a.trace().real
+        q = (_PI_FLAT @ a.T.reshape(16)).real  # Tr(A Pi_k) for all k
         # floor keeps the n/q gradient finite when a line search probes the
         # boundary of the physical set; the log barrier still rejects it
-        q = np.clip(q, 1e-12, None)
-        f = -float(np.sum(n * np.log(q))) + n_tot * np.log(tr_a)
+        q = np.maximum(q, 1e-12)
+        f = -float((n * np.log(q)).sum()) + n_tot * np.log(tr_a)
         # G = dF/dA (Hermitian); gradient wrt T entries is 2 (T G)
-        g = np.tensordot(-(n / q), pi_stack, axes=1) + (n_tot / tr_a) * np.eye(4)
-        m = 2.0 * (t @ g)
-        grad = np.zeros(16)
-        grad[:4] = np.real(np.diag(m))
-        for k, (r, c) in enumerate(_LOWER):
-            grad[4 + 2 * k] = m[r, c].real
-            grad[5 + 2 * k] = m[r, c].imag
-        return f / n_tot, grad / n_tot
+        g = -(n / q) @ _PI_FLAT
+        g[_DIAG] += n_tot / tr_a
+        return f / n_tot, _lower_params(2.0 * (t @ g.reshape(4, 4))) / n_tot
 
     res = optimize.minimize(
         objective,
@@ -313,6 +355,9 @@ def werner(p: float) -> np.ndarray:
     return p * psi_minus() + (1.0 - p) * maximally_mixed()
 
 
+# Each functional takes one 4x4 matrix and returns a float, or a stack
+# (..., 4, 4) and returns an array over the stack axes.
+
 def fidelity(rho: np.ndarray, target: np.ndarray) -> float:
     """Uhlmann fidelity (Tr sqrt(sqrt(target) rho sqrt(target)))^2.
 
@@ -320,22 +365,22 @@ def fidelity(rho: np.ndarray, target: np.ndarray) -> float:
     """
     s = psd_sqrt(target)
     inner = s @ rho @ s
-    w, _ = hermitian_eigen(0.5 * (inner + inner.conj().T))
-    return float(np.sum(np.sqrt(np.clip(w, 0.0, None))) ** 2)
+    w = np.linalg.eigvalsh(0.5 * (inner + dagger(inner)))
+    return np.sum(np.sqrt(np.clip(w, 0.0, None)), axis=-1) ** 2
 
 
 def concurrence(rho: np.ndarray) -> float:
     """Wootters concurrence of a two-qubit density matrix."""
     tilde = _SIGMA_YY @ rho.conj() @ _SIGMA_YY
     ev = np.linalg.eigvals(rho @ tilde)
-    lam = np.sort(np.sqrt(np.abs(np.real(ev))))[::-1]
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+    lam = np.sort(np.sqrt(np.abs(np.real(ev))), axis=-1)
+    return np.maximum(0.0, lam[..., 3] - lam[..., 2] - lam[..., 1] - lam[..., 0])
 
 
 def _entropy_bits(w: np.ndarray) -> float:
     w = np.clip(np.real(w), 0.0, None)
     nz = w > 1e-15
-    return float(-np.sum(w[nz] * np.log2(w[nz])))
+    return -np.sum(np.where(nz, w * np.log2(np.where(nz, w, 1.0)), 0.0), axis=-1)
 
 
 def entropies(rho: np.ndarray) -> tuple[float, float]:
@@ -351,7 +396,7 @@ def entropies(rho: np.ndarray) -> tuple[float, float]:
 
 
 def purity(rho: np.ndarray) -> float:
-    return float(np.real(np.trace(rho @ rho)))
+    return np.real(np.trace(rho @ rho, axis1=-2, axis2=-1))
 
 
 def hofmann_bounds(f_zz: float, f_xx: float) -> tuple[float, float]:
@@ -363,6 +408,7 @@ def hofmann_bounds(f_zz: float, f_xx: float) -> tuple[float, float]:
 
 
 def state_metrics(rho: np.ndarray, target: np.ndarray) -> StateMetrics:
+    """Every metric of rho against target; arrays over the stack for a stack of rho."""
     s_full, s_red = entropies(rho)
     return StateMetrics(
         fidelity_to_target=fidelity(rho, target),
@@ -391,6 +437,13 @@ class MonteCarloMetrics:
     entropy_reduced_bits: MetricStat
     purity: MetricStat
     n_resamples: int
+    n_not_converged: int
+
+
+#: resamples drawn, refit and scored as one stack: large enough to amortise
+#: the numpy calls, small enough that memory does not grow with the number
+#: of resamples
+_MC_BLOCK = 100
 
 
 def monte_carlo_metrics(records, target: np.ndarray, n_resamples: int, seed: int) -> MonteCarloMetrics:
@@ -398,27 +451,40 @@ def monte_carlo_metrics(records, target: np.ndarray, n_resamples: int, seed: int
 
     Each resample redraws all 36 outcome counts ~ Poisson(observed), refits
     by maximum likelihood and recomputes the metrics; means and sample
-    standard deviations are reported.
+    standard deviations over the resamples whose fit converged are
+    reported.  Raises NotConverged when more than
+    MAX_NOT_CONVERGED_FRACTION of the fits did not converge.
     """
     if n_resamples < 100:
         raise ValueError("n_resamples must be >= 100 for a usable spread")
-    base = _validated(records)
-    rows = []
-    for child in np.random.SeedSequence(seed).spawn(n_resamples):
-        rng = np.random.default_rng(child)
-        resampled = []
-        for setting in SETTINGS:
-            rec = base[setting]
-            counts = rng.poisson(rec.counts)
-            if counts.sum() == 0:  # keep the setting usable at tiny totals
-                counts = counts + 1
-            resampled.append(MeasurementRecord(rec.basis1, rec.basis2, counts))
-        rows.append(astuple(state_metrics(mle_reconstruct(resampled).rho, target)))
-    arr = np.array(rows)
-    means = arr.mean(axis=0)
-    stds = arr.std(axis=0, ddof=1)
+    observed = _counts36(_validated(records))
+    children = np.random.SeedSequence(seed).spawn(n_resamples)
+    table = np.empty((n_resamples, len(fields(StateMetrics))))
+    converged = np.empty(n_resamples, dtype=bool)
+    for lo in range(0, n_resamples, _MC_BLOCK):
+        block = slice(lo, lo + _MC_BLOCK)
+        table[block], converged[block] = _resample_block(observed, children[block], target)
+    n_not_converged = int(n_resamples - converged.sum())
+    if n_not_converged > MAX_NOT_CONVERGED_FRACTION * n_resamples:
+        raise NotConverged(
+            f"{n_not_converged} of {n_resamples} Monte Carlo refits did not converge "
+            f"(at most {MAX_NOT_CONVERGED_FRACTION:.0%} may fail)"
+        )
+    means = table[converged].mean(axis=0)
+    stds = table[converged].std(axis=0, ddof=1)
     stats = [MetricStat(float(m), float(s)) for m, s in zip(means, stds)]
-    return MonteCarloMetrics(*stats, n_resamples=n_resamples)
+    return MonteCarloMetrics(*stats, n_resamples=n_resamples, n_not_converged=n_not_converged)
+
+
+def _resample_block(observed: np.ndarray, children, target: np.ndarray):
+    """(metric rows, convergence flags) of the resamples drawn from the child seeds."""
+    counts = np.array([np.random.default_rng(child).poisson(observed) for child in children])
+    per_setting = counts.reshape(len(children), 9, 4)
+    per_setting[per_setting.sum(axis=-1) == 0] += 1  # keep the setting usable at tiny totals
+    x0 = _start_params(project_to_physical(_inversion(counts), floor=1e-12))
+    fits = [_mle_fit(n, x) for n, x in zip(counts, x0)]
+    metrics = state_metrics(np.array([fit.rho for fit in fits]), target)
+    return np.column_stack(astuple(metrics)), [fit.converged for fit in fits]
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,50 @@ def conditional_state_oracle(u4, alpha, beta, overlap):
 
 
 # ---------------------------------------------------------------------------
+# tomography
+# ---------------------------------------------------------------------------
+
+_PAULI = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+#: Pauli eigenvalue of each polarization label (L is the +1 state of Y)
+_EIGENSIGN = {"H": +1, "V": -1, "D": +1, "A": -1, "R": -1, "L": +1}
+
+
+def linear_inversion_oracle(records):
+    """Stokes linear inversion accumulated setting by setting.
+
+    Builds the 4x4 Pauli correlation matrix s over (I, X, Y, Z) from the
+    outcome frequencies, averaging each single-qubit expectation over the
+    three settings that measure it, then sums s[a, b] (P_a x P_b) / 4.
+    """
+    s = np.zeros((4, 4))
+    s[0, 0] = 1.0
+    idx = {"I": 0, "X": 1, "Y": 2, "Z": 3}
+    ones = np.zeros((4, 2))  # accumulators for single-qubit terms: (sum, n)
+    twos = np.zeros((4, 2))
+    for rec in records:
+        b1, b2 = rec.basis1, rec.basis2
+        f = rec.counts / rec.counts.sum()
+        sign1 = np.array([_EIGENSIGN[o[0]] for o in rec.outcome_labels])
+        sign2 = np.array([_EIGENSIGN[o[1]] for o in rec.outcome_labels])
+        s[idx[b1], idx[b2]] = float(np.sum(sign1 * sign2 * f))
+        ones[idx[b1]] += (float(np.sum(sign1 * f)), 1.0)
+        twos[idx[b2]] += (float(np.sum(sign2 * f)), 1.0)
+    for b in "XYZ":
+        s[idx[b], 0] = ones[idx[b], 0] / ones[idx[b], 1]
+        s[0, idx[b]] = twos[idx[b], 0] / twos[idx[b], 1]
+    rho = np.zeros((4, 4), dtype=complex)
+    for a, pa in _PAULI.items():
+        for b, pb in _PAULI.items():
+            rho += s[idx[a], idx[b]] * kron_oracle(pa, pb)
+    return rho / 4.0
+
+
+# ---------------------------------------------------------------------------
 # trapezoid quadrature for the visibility model
 # ---------------------------------------------------------------------------
 

@@ -25,7 +25,7 @@ def test_truth_table_ideal(tmp_path):
     code, out = run(tmp_path, "truth-table", "--overlap", "1.0", "--basis", "ZZ")
     assert code == 0
     d = load(out)
-    assert d["schema_version"] == 1
+    assert d["schema_version"] == 2
     assert d["fidelity"] == pytest.approx(1.0, abs=1e-10)
     for v in d["success_prob"].values():
         assert v == pytest.approx(1 / 9, abs=1e-12)
@@ -249,6 +249,27 @@ def test_reconstruct_cli(tmp_path):
     assert d["metrics"]["fidelity_to_target"] == pytest.approx(0.925, abs=0.01)
     assert d["metrics"]["concurrence"] == pytest.approx(0.85, abs=0.02)
     assert "concurrence" in d["metrics_mc"]
+    assert d["n_resamples"] == 100 and d["n_not_converged"] == 0
+
+
+def test_reconstruct_monte_carlo_non_convergence_exit_3(tmp_path, monkeypatch, capsys):
+    """More than 1% of Monte Carlo refits not converged: exit 3 and no output."""
+    records = tomo.simulate_counts(tomo.werner(0.9), 10_000, seed=3)
+    path = tmp_path / "records.csv"
+    tomo.records_to_csv(path, records)
+    fit = tomo._mle_fit
+    calls = []
+
+    def every_tenth_refit_fails(*args, **kwargs):
+        res = fit(*args, **kwargs)
+        calls.append(None)
+        return res if len(calls) % 10 else tomo.MleResult(res.rho, res.log_likelihood, False, res.n_iter)
+
+    monkeypatch.setattr(tomo, "_mle_fit", every_tenth_refit_fails)
+    code, out = run(tmp_path, "reconstruct", "--records", str(path), "--resamples", "100")
+    assert code == 3
+    assert "10 of 100 Monte Carlo refits did not converge" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_reconstruct_incomplete_records_exit_2(tmp_path):
@@ -330,6 +351,15 @@ def _records_with_fractional_count(tmp_path):
     return ["reconstruct", "--records", str(path)]
 
 
+def _trace_with_huge_intensity(tmp_path):
+    data = tmp_path / "curve.csv"
+    t = np.linspace(0.0, 2000.0, 60)
+    y = em.trpl_model(t, em.DecayParams(350.0, 0.01), 1.0, 75.0)
+    y[10] = 1e300
+    em.write_xy_csv(data, ("t_ps", "intensity"), t, y)
+    return ["fit", "--kind", "trpl", "--data", str(data)]
+
+
 def _out_is_a_directory(tmp_path):
     (tmp_path / "result.json").mkdir()
     return ["truth-table"]
@@ -357,6 +387,10 @@ MALFORMED = {
     "reconstruct-fractional-count": _records_with_fractional_count,
     "visibility-delay-nan": lambda tmp: ["visibility", "--mode", "vs_T", "--grid", "4:40:3", "--delay-ns", "nan"],
     "bell-counts-overflow": lambda tmp: ["bell", "--counts-per-setting", str(10**20), "--resamples", "0"],
+    "visibility-temperature-nan": lambda tmp: ["visibility", "--mode", "vs_dt", "--grid", "1:10:3",
+                                               "--temperature", "nan"],
+    "visibility-grid-nan": lambda tmp: ["visibility", "--mode", "vs_T", "--grid", "nan:40:3"],
+    "trpl-huge-intensity": _trace_with_huge_intensity,
 }
 
 
@@ -366,6 +400,20 @@ def test_malformed_input_exit_2_without_output(tmp_path, make_argv):
     assert main([*make_argv(tmp_path), "--out", str(out)]) == 2
     assert not out.is_file()
     assert not list(tmp_path.glob(".lophoton-*"))
+
+
+@pytest.mark.parametrize("name, expected", [
+    ("visibility-temperature-nan", "temperature must be >= 0 K, got nan"),
+    ("visibility-grid-nan", "temperature must be >= 0 K, got nan"),
+    ("trpl-huge-intensity", "intensity 1e+300 at t = "),
+])
+def test_malformed_input_message_names_the_value(tmp_path, capsys, name, expected):
+    argv = MALFORMED[name](tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert expected in err
+    if name.startswith("trpl"):
+        assert f"--data {argv[argv.index('--data') + 1]}" in err
 
 
 def test_env_seed_matches_flag(tmp_path, monkeypatch):

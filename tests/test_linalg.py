@@ -68,6 +68,24 @@ def test_eigen_rejects_non_hermitian():
         hermitian_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_stacks_match_one_matrix_at_a_time(rng):
+    stack = np.array([random_density_matrix(rng, 4) for _ in range(6)])
+    w, v = hermitian_eigen(stack)
+    for i, rho in enumerate(stack):
+        wi, vi = hermitian_eigen(rho)
+        assert np.array_equal(w[i], wi) and np.array_equal(v[i], vi)
+        for keep in ("first", "second"):
+            assert np.allclose(partial_trace(stack, keep)[i], partial_trace_oracle(rho, keep), atol=1e-13)
+        assert np.allclose(psd_sqrt(stack)[i], psd_sqrt(rho), atol=1e-14)
+
+
+def test_eigen_rejects_stack_with_one_non_hermitian(rng):
+    stack = np.array([random_density_matrix(rng, 4) for _ in range(5)])
+    stack[3, 0, 1] += 1e-6
+    with pytest.raises(NotHermitian):
+        hermitian_eigen(stack)
+
+
 def test_partial_trace_singlet():
     v = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
     rho = np.outer(v, v.conj())

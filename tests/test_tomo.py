@@ -5,7 +5,7 @@ from lophoton import jones, tomo
 from lophoton.linalg import kron
 
 from conftest import random_density_matrix
-from oracles import kron_oracle
+from oracles import kron_oracle, linear_inversion_oracle
 
 
 def exact_records(rho, n=1_000_000):
@@ -71,6 +71,18 @@ def test_linear_inversion_exact_inputs():
     assert np.max(np.abs(tomo.linear_inversion(exact_records(singlet)) - singlet)) < 1e-10
     mixed = tomo.maximally_mixed()
     assert np.max(np.abs(tomo.linear_inversion(exact_records(mixed)) - mixed)) < 1e-10
+
+
+def test_linear_inversion_map_matches_loop_oracle(rng):
+    for trial in range(50):
+        counts = rng.integers(0, 10 ** rng.integers(1, 7), size=(9, 4)).astype(float)
+        counts[counts.sum(axis=1) == 0, 0] = 1.0
+        records = [
+            tomo.MeasurementRecord(s[0], s[1], counts[i]) for i, s in enumerate(tomo.SETTINGS)
+        ]
+        if trial % 2:  # the map must not depend on the order of the records
+            records = records[::-1]
+        assert np.max(np.abs(tomo.linear_inversion(records) - linear_inversion_oracle(records))) <= 1e-15
 
 
 def test_linear_inversion_always_hermitian_unit_trace(rng):
@@ -240,6 +252,90 @@ def test_monte_carlo_rounded_exact_input_has_tiny_spread():
     mc = tomo.monte_carlo_metrics(records, tomo.psi_minus(), 100, seed=4)
     for name in ("fidelity_to_target", "concurrence", "purity"):
         assert getattr(mc, name).std < 2e-3
+
+
+_METRICS = ("fidelity_to_target", "concurrence", "entropy_full_bits", "entropy_reduced_bits", "purity")
+
+
+def _serial_monte_carlo(records, target, n_resamples, seed):
+    """Reference loop: per-setting Poisson redraws, public MLE and metrics per resample."""
+    base = {(r.basis1, r.basis2): r for r in records}
+    rows = []
+    for child in np.random.SeedSequence(seed).spawn(n_resamples):
+        rng = np.random.default_rng(child)
+        resampled = []
+        for b1, b2 in tomo.SETTINGS:
+            counts = rng.poisson(base[(b1, b2)].counts)
+            if counts.sum() == 0:
+                counts = counts + 1
+            resampled.append(tomo.MeasurementRecord(b1, b2, counts))
+        fit = tomo.mle_reconstruct(resampled)
+        if fit.converged:
+            m = tomo.state_metrics(fit.rho, target)
+            rows.append([getattr(m, f) for f in _METRICS])
+    arr = np.array(rows)
+    return arr.mean(axis=0), arr.std(axis=0, ddof=1), n_resamples - len(rows)
+
+
+@pytest.mark.parametrize("rho, n_per_setting, n_resamples", [
+    (tomo.psi_minus(), 100_000, 100),
+    (tomo.werner(0.6), 3, 250),  # settings redrawn to 0 counts; two full stacks and a partial one
+], ids=["bell-1e5", "werner-low-count"])
+def test_monte_carlo_matches_serial_reference_loop(rho, n_per_setting, n_resamples):
+    records = tomo.simulate_counts(0.98 * rho + 0.02 * tomo.maximally_mixed(), n_per_setting, seed=31)
+    mc = tomo.monte_carlo_metrics(records, tomo.psi_minus(), n_resamples, seed=32)
+    means, stds, n_not_converged = _serial_monte_carlo(records, tomo.psi_minus(), n_resamples, seed=32)
+    assert mc.n_resamples == n_resamples
+    assert mc.n_not_converged == n_not_converged
+    for name, mean, std in zip(_METRICS, means, stds):
+        assert abs(getattr(mc, name).mean - mean) <= 1e-8, name
+        assert abs(getattr(mc, name).std - std) <= 1e-8, name
+
+
+def test_stacked_metrics_equal_serial_metrics(rng):
+    rhos = np.array([random_density_matrix(rng, 4) for _ in range(20)] + [tomo.psi_minus(), tomo.werner(0.3)])
+    stacked = tomo.state_metrics(rhos, tomo.psi_minus())
+    for i, rho in enumerate(rhos):
+        single = tomo.state_metrics(rho, tomo.psi_minus())
+        for name in _METRICS:
+            assert getattr(stacked, name)[i] == getattr(single, name), name
+    projected = tomo.project_to_physical(rhos - 0.05 * np.eye(4), floor=1e-12)
+    for i, rho in enumerate(rhos):
+        assert np.array_equal(projected[i], tomo.project_to_physical(rho - 0.05 * np.eye(4), floor=1e-12))
+
+
+def _flag_fits_not_converged(monkeypatch, flagged):
+    """Make the refits with the given call indices report non-convergence; returns the kept rhos."""
+    fit = tomo._mle_fit
+    calls, kept = [], []
+
+    def patched(*args, **kwargs):
+        res = fit(*args, **kwargs)
+        calls.append(None)
+        if len(calls) - 1 in flagged:
+            return tomo.MleResult(res.rho, res.log_likelihood, False, res.n_iter)
+        kept.append(res.rho)
+        return res
+
+    monkeypatch.setattr(tomo, "_mle_fit", patched)
+    return kept
+
+
+def test_monte_carlo_leaves_out_and_counts_non_converged_fits(monkeypatch):
+    records = tomo.simulate_counts(tomo.werner(0.9), 5000, seed=2)
+    kept = _flag_fits_not_converged(monkeypatch, {17})
+    mc = tomo.monte_carlo_metrics(records, tomo.psi_minus(), 100, seed=3)
+    assert mc.n_not_converged == 1 and len(kept) == 99
+    expected = tomo.purity(np.array(kept))
+    assert mc.purity.mean == pytest.approx(expected.mean(), abs=1e-15)
+    assert mc.purity.std == pytest.approx(expected.std(ddof=1), abs=1e-15)
+
+
+def test_monte_carlo_refuses_more_than_one_percent_non_converged(monkeypatch):
+    records = tomo.simulate_counts(tomo.werner(0.9), 5000, seed=2)
+    _flag_fits_not_converged(monkeypatch, {3, 50})
+    with pytest.raises(tomo.NotConverged, match="2 of 100"):
+        tomo.monte_carlo_metrics(records, tomo.psi_minus(), 100, seed=3)
 
 
 def test_monte_carlo_requires_enough_resamples():
