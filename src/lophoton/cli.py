@@ -202,52 +202,57 @@ def cmd_visibility(args):
     grid = _parse_grid(args.grid, args.log_grid)
     if args.mode == "vs_T":
         header = ("temperature_K", "visibility")
-        values = [emitter.tpi_visibility(t, args.delay_ns, params) for t in grid]
+        values = emitter.tpi_visibility(grid, args.delay_ns, params)
     else:
         header = ("delay_ns", "visibility")
-        values = [emitter.tpi_visibility(args.temperature, d, params) for d in grid]
+        values = emitter.tpi_visibility(args.temperature, grid, params)
     _emit_csv(args.out, header, zip(grid, values))
     return EXIT_OK
 
 
 def cmd_fit(args):
     x, y = emitter.read_xy_csv(args.data)
-    if args.kind == "trpl":
-        if not np.isfinite(args.irf_width):
-            raise CliError(f"--irf-width must be finite, got {args.irf_width}")
-        p0 = None
-        if args.init is not None:
-            start = partial(replace, emitter.TRPL_START)
-            p0 = io.read_json_numbers(args.init, ("t1_ps", "delta_inv_ps"), (), start)
-        try:
-            fit = emitter.fit_trpl(x, y, irf_fwhm_ps=args.irf_width, init=p0)
-        except emitter.NonFiniteStart as e:
-            raise CliError(f"--data {args.data}: {e}") from None
-        payload = {
-            "kind": "trpl",
-            "params": {
-                "t1_ps": fit.params.t1_ps,
-                "delta_inv_ps": fit.params.delta_inv_ps,
-                "delta_ueV": emitter.inv_ps_to_ueV(fit.params.delta_inv_ps),
-                "amplitude": fit.amplitude,
-            },
-            "irf_fwhm_ps": args.irf_width,
-            "rms_residual": fit.rms_residual,
-        }
-    else:
-        init = None
-        if args.init is not None:
-            init = io.read_json_numbers(args.init, _DEPHASING_KEYS, (), dict)
-        which = "vs_temperature" if args.kind == "vis_T" else "vs_delay"
-        fixed = _load_dephasing_params(args.params)
-        fit = emitter.fit_visibility_curve(x, y, which, fixed, init=init, temperature_K=args.temperature)
-        payload = {
-            "kind": args.kind,
-            "params": fit.params.to_json_dict(),
-            "rms_residual": fit.rms_residual,
-        }
+    try:
+        payload = _fit_trpl(args, x, y) if args.kind == "trpl" else _fit_visibility(args, x, y)
+    except emitter.NonFiniteStart as e:
+        raise CliError(f"--data {args.data}: {e}") from None
     _emit_json(args.out, payload)
     return EXIT_OK
+
+
+def _fit_trpl(args, x, y):
+    if not np.isfinite(args.irf_width):
+        raise CliError(f"--irf-width must be finite, got {args.irf_width}")
+    p0 = None
+    if args.init is not None:
+        start = partial(replace, emitter.TRPL_START)
+        p0 = io.read_json_numbers(args.init, ("t1_ps", "delta_inv_ps"), (), start)
+    fit = emitter.fit_trpl(x, y, irf_fwhm_ps=args.irf_width, init=p0)
+    return {
+        "kind": "trpl",
+        "params": {
+            "t1_ps": fit.params.t1_ps,
+            "delta_inv_ps": fit.params.delta_inv_ps,
+            "delta_ueV": emitter.inv_ps_to_ueV(fit.params.delta_inv_ps),
+            "amplitude": fit.amplitude,
+        },
+        "irf_fwhm_ps": args.irf_width,
+        "rms_residual": fit.rms_residual,
+    }
+
+
+def _fit_visibility(args, x, y):
+    init = None
+    if args.init is not None:
+        init = io.read_json_numbers(args.init, _DEPHASING_KEYS, (), dict)
+    which = "vs_temperature" if args.kind == "vis_T" else "vs_delay"
+    fixed = _load_dephasing_params(args.params)
+    fit = emitter.fit_visibility_curve(x, y, which, fixed, init=init, temperature_K=args.temperature)
+    return {
+        "kind": args.kind,
+        "params": fit.params.to_json_dict(),
+        "rms_residual": fit.rms_residual,
+    }
 
 
 def cmd_analyze(args):

@@ -14,6 +14,10 @@ filtered zero-phonon-line weight [B^2 / (B^2 + F (1 - B^2))]^2, where B is
 the Franck-Condon factor of a super-ohmic phonon coupling with Gaussian
 cutoff.  The virtual-phonon integrand uses the squared cutoff
 exp(-2 v^2 / v_c^2), as required by its (v^5)^2 matrix-element structure.
+tpi_visibility is the one evaluator of this model: it takes scalars or
+arrays, which broadcast, and runs the two phonon quadratures (adaptive, at
+a fixed relative tolerance of 1e-8) once per element of its temperature
+argument.
 """
 
 from __future__ import annotations
@@ -174,6 +178,25 @@ def trpl_model(t_ps, p: DecayParams, amplitude: float, irf_fwhm_ps: float = 0.0)
     return amplitude * np.interp(t, grid, conv)
 
 
+def _least_squares(residuals, x0, x, y, point, **options):
+    """optimize.least_squares from x0; returns the solution and its rms residual.
+
+    Raises NonFiniteStart when the squared residuals overflow at x0, naming
+    the sample of largest |y| through the format string point, and
+    FitDiverged when least_squares stops without converging.
+    """
+    with np.errstate(over="ignore"):
+        r0 = residuals(x0)
+        start_finite = np.isfinite(r0 @ r0)
+    if not start_finite:
+        i = int(np.argmax(np.abs(y)))
+        raise NonFiniteStart(point.format(x=float(x[i]), y=float(y[i])) + ": the squared residuals overflow")
+    res = optimize.least_squares(residuals, x0, **options)
+    if res.status <= 0:
+        raise FitDiverged(f"least_squares status {res.status}: {res.message}")
+    return res.x, float(np.sqrt(np.mean(res.fun ** 2)))
+
+
 #: fit_trpl's starting point when no init is given
 TRPL_START = DecayParams(t1_ps=350.0, delta_inv_ps=fss_ueV_to_inv_ps(6.4))
 
@@ -209,25 +232,13 @@ def fit_trpl(t_ps, intensity, irf_fwhm_ps: float = 75.0, init: DecayParams | Non
         return trpl_model(t, DecayParams(t1, delta), amp, irf_fwhm_ps) - y
 
     x0 = np.array([p0.t1_ps, p0.delta_inv_ps, 0.5 * scale])
-    with np.errstate(over="ignore"):
-        r0 = residuals(x0)
-        start_finite = np.isfinite(r0 @ r0)
-    if not start_finite:
-        i = int(np.argmax(np.abs(y)))
-        raise NonFiniteStart(
-            f"intensity {float(y[i])!r} at t = {float(t[i])!r} ps: the squared residuals overflow"
-        )
-    res = optimize.least_squares(
-        residuals,
-        x0,
+    best, rms = _least_squares(
+        residuals, x0, t, y, "intensity {y!r} at t = {x!r} ps",
         bounds=([1e-3, 0.0, 0.0], [np.inf, np.inf, np.inf]),
         x_scale=[p0.t1_ps, max(p0.delta_inv_ps, 1e-4), scale],
         max_nfev=20000,
     )
-    if res.status <= 0:
-        raise FitDiverged(f"least_squares status {res.status}: {res.message}")
-    rms = float(np.sqrt(np.mean(res.fun ** 2)))
-    return TrplFit(DecayParams(res.x[0], res.x[1]), float(res.x[2]), rms)
+    return TrplFit(DecayParams(best[0], best[1]), float(best[2]), rms)
 
 
 # ---------------------------------------------------------------------------
@@ -255,14 +266,18 @@ def oscillator_strength(inputs: OscillatorInputs) -> float:
 # phonon / spectral-diffusion visibility model
 # ---------------------------------------------------------------------------
 
-def _quad(f, a: float, b: float, rel_tol: float):
-    out = integrate.quad(f, a, b, epsabs=1e-300, epsrel=rel_tol, limit=200, full_output=1)
+#: relative tolerance of the adaptive phonon quadratures
+_QUAD_REL_TOL = 1e-8
+
+
+def _quad(f, a: float, b: float):
+    out = integrate.quad(f, a, b, epsabs=1e-300, epsrel=_QUAD_REL_TOL, limit=200, full_output=1)
     if len(out) > 3:
         raise QuadratureFailure(str(out[3]))
     return out[0], out[1]
 
 
-def franck_condon_factor(temperature_K: float, p: DephasingParams, rel_tol: float = 1e-8) -> float:
+def franck_condon_factor(temperature_K: float, p: DephasingParams) -> float:
     """Zero-phonon-line weight B in (0, 1].
 
     B = exp(-(alpha/2) Int v exp(-(v/v_c)^2) coth(v / 2 kT) dv) with kT in
@@ -282,11 +297,11 @@ def franck_condon_factor(temperature_K: float, p: DephasingParams, rel_tol: floa
             return 2.0 * kt  # v coth(v/2kT) -> 2kT
         return v * np.exp(-((v / vc) ** 2)) / np.tanh(v / (2.0 * kt))
 
-    val, _ = _quad(integrand, 0.0, 8.0 * vc, rel_tol)
+    val, _ = _quad(integrand, 0.0, 8.0 * vc)
     return float(np.exp(-0.5 * p.alpha_ps2 * val))
 
 
-def virtual_phonon_rate(temperature_K: float, p: DephasingParams, rel_tol: float = 1e-8) -> float:
+def virtual_phonon_rate(temperature_K: float, p: DephasingParams) -> float:
     """Pure-dephasing rate from virtual phonon scattering, in 1/ps.
 
     (alpha^2 mu / v_c^4) Int v^10 exp(-2 (v/v_c)^2) n(v)[n(v)+1] dv with the
@@ -310,68 +325,65 @@ def virtual_phonon_rate(temperature_K: float, p: DephasingParams, rel_tol: float
         n = 1.0 / np.expm1(x)
         return v ** 10 * np.exp(-2.0 * (v / vc) ** 2) * n * (n + 1.0)
 
-    val, _ = _quad(integrand, 0.0, upper, rel_tol)
+    val, _ = _quad(integrand, 0.0, upper)
     return float(p.alpha_ps2 ** 2 * p.mu_ps2 / vc ** 4 * val)
 
 
-def spectral_diffusion_rate(delay_ns: float, p: DephasingParams) -> float:
+def spectral_diffusion_rate(delay_ns, p: DephasingParams):
     """Charge-noise dephasing rate in 1/ps at photon separation delay_ns.
 
     Grows from zero as 1 - exp(-(delay/tau_c)^2) and saturates at the
-    ceiling rate.
+    ceiling rate.  delay_ns may be an array.
     """
-    if not delay_ns >= 0:  # also rejects NaN
-        raise ValueError(f"delay must be >= 0, got {delay_ns}")
-    return p.Gamma_sd_inv_ps * (1.0 - np.exp(-((delay_ns / p.tau_c_ns) ** 2)))
+    d = np.asarray(delay_ns, dtype=float)
+    bad = ~(d >= 0)  # also catches NaN
+    if bad.any():
+        raise ValueError(f"delay must be >= 0, got {d[bad].flat[0]}")
+    return p.Gamma_sd_inv_ps * (1.0 - np.exp(-((d / p.tau_c_ns) ** 2)))
 
 
-def sideband_factor(temperature_K: float, p: DephasingParams, rel_tol: float = 1e-8) -> float:
+def sideband_factor(temperature_K: float, p: DephasingParams) -> float:
     """Squared filtered ZPL weight [B^2 / (B^2 + F (1 - B^2))]^2."""
-    b2 = franck_condon_factor(temperature_K, p, rel_tol) ** 2
+    b2 = franck_condon_factor(temperature_K, p) ** 2
     return float((b2 / (b2 + p.F * (1.0 - b2))) ** 2)
 
 
-def _visibility(gamma_half, g_vp, g_sd, side):
-    """Coherence factor (Gamma/2) / (Gamma/2 + g_vp + g_sd) times the sideband factor."""
-    return gamma_half / (gamma_half + g_vp + g_sd) * side
+def tpi_visibility(temperature_K, delay_ns, p: DephasingParams):
+    """Two-photon interference visibility at a temperature and pulse delay.
 
-
-def tpi_visibility(
-    temperature_K: float, delay_ns: float, p: DephasingParams, rel_tol: float = 1e-8
-) -> float:
-    """Two-photon interference visibility at a temperature and pulse delay."""
-    g_vp = virtual_phonon_rate(temperature_K, p, rel_tol)
+    The coherence factor (Gamma/2) / (Gamma/2 + g_vp + g_sd) times the
+    sideband factor.  The arguments may be arrays and broadcast against
+    each other; the phonon quadratures run once per element of
+    temperature_K.  Scalar arguments give a float.
+    """
     g_sd = spectral_diffusion_rate(delay_ns, p)
-    return float(_visibility(0.5 / p.T1_ps, g_vp, g_sd, sideband_factor(temperature_K, p, rel_tol)))
+    temps = np.asarray(temperature_K, dtype=float)
+    g_vp = np.reshape([virtual_phonon_rate(t, p) for t in temps.flat], temps.shape)
+    side = np.reshape([sideband_factor(t, p) for t in temps.flat], temps.shape)
+    gamma_half = 0.5 / p.T1_ps
+    v = gamma_half / (gamma_half + g_vp + g_sd) * side
+    return float(v) if v.ndim == 0 else v
 
 
-def solve_sd_ceiling(
-    v_long: float,
-    delay_ns: float,
-    temperature_K: float,
-    p: DephasingParams,
-    rel_tol: float = 1e-8,
-) -> float:
+def solve_sd_ceiling(v_long: float, delay_ns: float, temperature_K: float, p: DephasingParams) -> float:
     """Invert the visibility model for the spectral-diffusion ceiling rate.
 
     Given a measured visibility at long pulse separation, solves for the
     Gamma_sd that reproduces it at (temperature_K, delay_ns), holding every
-    other parameter of p fixed.  Raises Infeasible when v_long exceeds the
+    other parameter of p fixed.  The inverse visibility is linear in
+    Gamma_sd, so the model at delay 0 (no diffusion) and at delay_ns with a
+    unit ceiling rate fixes it.  Raises Infeasible when v_long exceeds the
     Gamma_sd = 0 visibility.
     """
     if not 0.0 < v_long <= 1.0:
         raise ValueError("v_long must lie in (0, 1]")
-    gamma_half = 0.5 / p.T1_ps
-    g_vp = virtual_phonon_rate(temperature_K, p, rel_tol)
-    side = sideband_factor(temperature_K, p, rel_tol)
-    ceiling = _visibility(gamma_half, g_vp, 0.0, side)
-    if v_long > ceiling + 1e-15:
-        raise Infeasible(f"v_long={v_long} exceeds zero-diffusion visibility {ceiling}")
-    g_sd = gamma_half * (side / v_long - 1.0) - g_vp
-    shape = 1.0 - np.exp(-((delay_ns / p.tau_c_ns) ** 2))
-    if shape <= 0:
+    v0, v_unit = tpi_visibility(temperature_K, np.array([0.0, delay_ns]), p.replace(Gamma_sd_inv_ps=1.0))
+    if v_long > v0 + 1e-15:
+        raise Infeasible(f"v_long={v_long} exceeds zero-diffusion visibility {v0}")
+    slope = 1.0 / v_unit - 1.0 / v0
+    if slope <= 0:
         raise Infeasible("delay too short: diffusion has not turned on yet")
-    return float(max(g_sd, 0.0) / shape)
+    return float(max(1.0 / v_long - 1.0 / v0, 0.0) / slope)
 
 
 # ---------------------------------------------------------------------------
@@ -403,15 +415,14 @@ def fit_visibility_curve(
     fixed: DephasingParams,
     init: dict | None = None,
     temperature_K: float = 4.0,
-    rel_tol: float = 1e-8,
 ) -> VisibilityFit:
     """Bounded least squares of the visibility model against a curve.
 
     which = "vs_temperature": x is temperature in K, the phonon parameters
-    (alpha, v_c, mu, F) float and spectral diffusion is ignored (fast-delay
-    regime).  which = "vs_delay": x is the pulse separation in ns at fixed
-    temperature_K, and (Gamma_sd, tau_c) float.  Starting values come from
-    init or from the corresponding fields of `fixed`.
+    (alpha, v_c, mu, F) float and the delay is 0, so spectral diffusion is
+    off (fast-delay regime).  which = "vs_delay": x is the pulse separation
+    in ns at fixed temperature_K, and (Gamma_sd, tau_c) float.  Starting
+    values come from init or from the corresponding fields of `fixed`.
     """
     xs = np.asarray(x, dtype=float)
     vs = np.asarray(visibility, dtype=float)
@@ -420,9 +431,9 @@ def fit_visibility_curve(
     if xs.size < 4:
         raise InsufficientData(f"need >= 4 points, got {xs.size}")
     if which == "vs_temperature":
-        free = _VS_T_FREE
+        free, temps, delays, point = _VS_T_FREE, xs, 0.0, "visibility {y!r} at T = {x!r} K"
     elif which == "vs_delay":
-        free = _VS_DT_FREE
+        free, temps, delays, point = _VS_DT_FREE, temperature_K, xs, "visibility {y!r} at delay = {x!r} ns"
     else:
         raise ValueError(f"which must be 'vs_temperature' or 'vs_delay', got {which!r}")
 
@@ -439,33 +450,14 @@ def fit_visibility_curve(
     def params_for(vec):
         return fixed.replace(**dict(zip(free, vec)))
 
-    if which == "vs_temperature":
+    def residuals(vec):
+        return tpi_visibility(temps, delays, params_for(vec)) - vs
 
-        def residuals(vec):
-            p = params_for(vec).replace(Gamma_sd_inv_ps=0.0)
-            return np.array([tpi_visibility(t, 0.0, p, rel_tol) for t in xs]) - vs
-
-    else:
-
-        def residuals(vec):
-            p = params_for(vec)
-            # temperature fixed: evaluate the phonon factors once per step
-            g_vp = virtual_phonon_rate(temperature_K, p, rel_tol)
-            side = sideband_factor(temperature_K, p, rel_tol)
-            g_sd = np.array([spectral_diffusion_rate(d, p) for d in xs])
-            return _visibility(0.5 / p.T1_ps, g_vp, g_sd, side) - vs
-
-    res = optimize.least_squares(
-        residuals,
-        np.array(x0, dtype=float),
-        bounds=(lo, hi),
-        x_scale=[max(abs(v), 1e-6) for v in x0],
-        max_nfev=5000,
+    best, rms = _least_squares(
+        residuals, np.array(x0, dtype=float), xs, vs, point,
+        bounds=(lo, hi), x_scale=[max(abs(v), 1e-6) for v in x0], max_nfev=5000,
     )
-    if res.status <= 0:
-        raise FitDiverged(f"least_squares status {res.status}: {res.message}")
-    rms = float(np.sqrt(np.mean(res.fun ** 2)))
-    return VisibilityFit(params_for(res.x), rms)
+    return VisibilityFit(params_for(best), rms)
 
 
 # ---------------------------------------------------------------------------

@@ -360,6 +360,17 @@ def _trace_with_huge_intensity(tmp_path):
     return ["fit", "--kind", "trpl", "--data", str(data)]
 
 
+def _curve_with_huge_visibility(kind):
+    def make_argv(tmp_path):
+        argv = _fit_argv(tmp_path, kind)
+        data = Path(argv[argv.index("--data") + 1])
+        lines = data.read_text().splitlines()
+        lines[3] = lines[3].split(",")[0] + ",1e300"
+        data.write_text("\n".join(lines) + "\n")
+        return argv
+    return make_argv
+
+
 def _out_is_a_directory(tmp_path):
     (tmp_path / "result.json").mkdir()
     return ["truth-table"]
@@ -391,6 +402,8 @@ MALFORMED = {
                                                "--temperature", "nan"],
     "visibility-grid-nan": lambda tmp: ["visibility", "--mode", "vs_T", "--grid", "nan:40:3"],
     "trpl-huge-intensity": _trace_with_huge_intensity,
+    "vis_T-huge-visibility": _curve_with_huge_visibility("vis_T"),
+    "vis_dt-huge-visibility": _curve_with_huge_visibility("vis_dt"),
 }
 
 
@@ -406,14 +419,29 @@ def test_malformed_input_exit_2_without_output(tmp_path, make_argv):
     ("visibility-temperature-nan", "temperature must be >= 0 K, got nan"),
     ("visibility-grid-nan", "temperature must be >= 0 K, got nan"),
     ("trpl-huge-intensity", "intensity 1e+300 at t = "),
+    ("vis_T-huge-visibility", "visibility 1e+300 at T = 18.4 K"),
+    ("vis_dt-huge-visibility", "visibility 1e+300 at delay = 18.4 ns"),
 ])
 def test_malformed_input_message_names_the_value(tmp_path, capsys, name, expected):
     argv = MALFORMED[name](tmp_path)
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert expected in err
-    if name.startswith("trpl"):
+    if "--data" in argv:
         assert f"--data {argv[argv.index('--data') + 1]}" in err
+
+
+def test_visibility_curve_runs_quadratures_once_per_temperature(tmp_path, monkeypatch):
+    calls = {"virtual_phonon_rate": 0, "franck_condon_factor": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(em, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(em, name, counted)
+    code, out = run(tmp_path, "visibility", "--mode", "vs_dt", "--grid", "1:2000:30")
+    assert code == 0
+    assert len(out.read_text().splitlines()) == 31
+    assert calls == {"virtual_phonon_rate": 1, "franck_condon_factor": 1}
 
 
 def test_env_seed_matches_flag(tmp_path, monkeypatch):
