@@ -250,7 +250,7 @@ def _fit_visibility(args, x, y):
     fit = emitter.fit_visibility_curve(x, y, which, fixed, init=init, temperature_K=args.temperature)
     return {
         "kind": args.kind,
-        "params": fit.params.to_json_dict(),
+        "params": asdict(fit.params),
         "rms_residual": fit.rms_residual,
     }
 
@@ -363,7 +363,7 @@ def main(argv=None) -> int:
         return _fail(e, EXIT_RECONSTRUCTION)
     except emitter.FitDiverged as e:
         return _fail(e, EXIT_FIT)
-    except (OSError, ValueError, emitter.QuadratureFailure) as e:
+    except (OSError, ValueError) as e:
         return _fail(e, EXIT_BAD_INPUT)
 
 

@@ -15,19 +15,21 @@ the Franck-Condon factor of a super-ohmic phonon coupling with Gaussian
 cutoff.  The virtual-phonon integrand uses the squared cutoff
 exp(-2 v^2 / v_c^2), as required by its (v^5)^2 matrix-element structure.
 tpi_visibility is the one evaluator of this model: it takes scalars or
-arrays, which broadcast, and runs the two phonon quadratures (adaptive, at
-a fixed relative tolerance of 1e-8) once per element of its temperature
-argument.
+arrays, which broadcast.  The two phonon integrals are fixed Gauss-Legendre
+sums, with nodes built once per process, evaluated over blocks of up to 64
+temperatures at a time: 64 nodes for the thermal part of the Franck-Condon
+exponent (its vacuum part is closed-form) and 128 for the virtual-phonon
+rate, both on ranges capped at 80 kT.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import asdict, dataclass
+from functools import cache
 
 import numpy as np
 from scipy import constants as sc
-from scipy import integrate, optimize
+from scipy import optimize
 
 from . import io
 
@@ -35,10 +37,6 @@ from . import io
 KB_OVER_HBAR = 0.13093
 #: hbar in eV ps
 HBAR_EV_PS = 6.582119569e-4
-
-
-class QuadratureFailure(RuntimeError):
-    """Adaptive quadrature did not reach the requested tolerance."""
 
 
 class FitDiverged(RuntimeError):
@@ -111,9 +109,6 @@ class DephasingParams:
             raise ValueError("v_c_inv_ps, T1_ps and tau_c_ns must be positive")
         if not 0.0 <= self.F <= 1.0:
             raise ValueError("F must lie in [0, 1]")
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
     def replace(self, **kw) -> "DephasingParams":
         d = asdict(self)
@@ -266,67 +261,86 @@ def oscillator_strength(inputs: OscillatorInputs) -> float:
 # phonon / spectral-diffusion visibility model
 # ---------------------------------------------------------------------------
 
-#: relative tolerance of the adaptive phonon quadratures
-_QUAD_REL_TOL = 1e-8
+@cache
+def _gauss_legendre(n: int):
+    """Nodes and weights of the n-point Gauss-Legendre rule, mapped to [0, 1].
 
-
-def _quad(f, a: float, b: float):
-    out = integrate.quad(f, a, b, epsabs=1e-300, epsrel=_QUAD_REL_TOL, limit=200, full_output=1)
-    if len(out) > 3:
-        raise QuadratureFailure(str(out[3]))
-    return out[0], out[1]
-
-
-def franck_condon_factor(temperature_K: float, p: DephasingParams) -> float:
-    """Zero-phonon-line weight B in (0, 1].
-
-    B = exp(-(alpha/2) Int v exp(-(v/v_c)^2) coth(v / 2 kT) dv) with kT in
-    1/ps units; coth -> 1 at T = 0, where the integral is v_c^2/2 exactly.
+    Built on first use, once per process: the eigensolve in leggauss would
+    otherwise cost every import some milliseconds and raise the peak memory
+    of runs that never evaluate the phonon model.
     """
-    if not temperature_K >= 0:
-        raise ValueError(f"temperature must be >= 0 K, got {temperature_K}")
-    if p.alpha_ps2 == 0:
-        return 1.0
+    x, w = np.polynomial.legendre.leggauss(n)
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
+#: nodes of the fixed rules of the Franck-Condon and the virtual-phonon integral
+_FC_NODES = 64
+_VP_NODES = 128
+#: the phonon integrals stop at this many kT, where the occupation is below e^-80
+_KT_REACH = 80.0
+#: temperatures per franck_condon_factor and virtual_phonon_rate call in
+#: tpi_visibility; bounds the (block, nodes) temporaries
+_BLOCK = 64
+
+
+def _thermal_energy(temperature_K) -> np.ndarray:
+    """kT in 1/ps; raises ValueError on a negative or NaN temperature."""
+    t = np.asarray(temperature_K, dtype=float)
+    bad = ~(t >= 0)  # also catches NaN
+    if bad.any():
+        raise ValueError(f"temperature must be >= 0 K, got {t[bad].flat[0]}")
+    return KB_OVER_HBAR * t
+
+
+def _thermal_sum(n_nodes, kt, reach, integrand):
+    """Int_0^min(reach, 80 kT) integrand(v, n(v)) dv by n_nodes-point Gauss-Legendre.
+
+    The nodes v run along a trailing axis, and n(v) = 1 / (e^(v/kT) - 1) is
+    the Bose occupation.  It is taken from the nodes in units of kT,
+    u = v / kT <= 80, whose span min(reach / kT, 80) stays finite at kT = 0,
+    where the sum is 0.
+    """
+    nodes, weights = _gauss_legendre(n_nodes)
+    span = reach / np.maximum(kt, reach / _KT_REACH)
+    u = span[..., None] * nodes
+    # a sum per row, not a matrix product, so a row does not depend on the block around it
+    return kt * span * np.sum(integrand(kt[..., None] * u, 1.0 / np.expm1(u)) * weights, axis=-1)
+
+
+def _float_if_scalar(a):
+    return float(a) if np.ndim(a) == 0 else a
+
+
+def franck_condon_factor(temperature_K, p: DephasingParams):
+    """Zero-phonon-line weight B in (0, 1], per element of temperature_K.
+
+    B = exp(-(alpha/2) Int_0^inf v exp(-(v/v_c)^2) coth(v / 2 kT) dv) with kT
+    in 1/ps units.  coth(v / 2 kT) = 1 + 2 n(v) splits the integral: the
+    vacuum part is v_c^2/2 exactly, and the thermal part
+    2 v n(v) exp(-(v/v_c)^2), which vanishes at T = 0, is a 64-node
+    Gauss-Legendre sum on [0, min(8 v_c, 80 kT)].  Scalar input gives a float.
+    """
+    kt = _thermal_energy(temperature_K)
     vc = p.v_c_inv_ps
-    if temperature_K == 0:
-        return float(np.exp(-p.alpha_ps2 * vc ** 2 / 4.0))
-    kt = KB_OVER_HBAR * temperature_K
-
-    def integrand(v):
-        if v <= 0:
-            return 2.0 * kt  # v coth(v/2kT) -> 2kT
-        return v * np.exp(-((v / vc) ** 2)) / np.tanh(v / (2.0 * kt))
-
-    val, _ = _quad(integrand, 0.0, 8.0 * vc)
-    return float(np.exp(-0.5 * p.alpha_ps2 * val))
+    thermal = _thermal_sum(_FC_NODES, kt, 8.0 * vc, lambda v, n: 2.0 * v * n * np.exp(-((v / vc) ** 2)))
+    return _float_if_scalar(np.exp(-0.5 * p.alpha_ps2 * (0.5 * vc ** 2 + thermal)))
 
 
-def virtual_phonon_rate(temperature_K: float, p: DephasingParams) -> float:
-    """Pure-dephasing rate from virtual phonon scattering, in 1/ps.
+def virtual_phonon_rate(temperature_K, p: DephasingParams):
+    """Pure-dephasing rate from virtual phonon scattering in 1/ps, per element of temperature_K.
 
     (alpha^2 mu / v_c^4) Int v^10 exp(-2 (v/v_c)^2) n(v)[n(v)+1] dv with the
-    Bose occupation n; identically zero at T = 0.  The upper limit widens
-    with sqrt(kT/v_c) so the thermally shifted integrand stays covered.
+    Bose occupation n; identically zero at T = 0.  A 128-node
+    Gauss-Legendre sum on [0, min(8 v_c max(1, sqrt(kT/v_c)), 80 kT)]: the
+    reach widens with sqrt(kT/v_c) so the thermally shifted integrand stays
+    covered, and the 80 kT cap keeps the nodes on the spike about kT wide
+    at v = 0 that the integrand becomes at low T.  Scalar input gives a float.
     """
-    if not temperature_K >= 0:
-        raise ValueError(f"temperature must be >= 0 K, got {temperature_K}")
-    if temperature_K == 0 or p.alpha_ps2 == 0 or p.mu_ps2 == 0:
-        return 0.0
+    kt = _thermal_energy(temperature_K)
     vc = p.v_c_inv_ps
-    kt = KB_OVER_HBAR * temperature_K
-    upper = 8.0 * vc * max(1.0, np.sqrt(kt / vc))
-
-    def integrand(v):
-        if v <= 0:
-            return 0.0
-        x = v / kt
-        if x > 700.0:  # occupation underflows
-            return 0.0
-        n = 1.0 / np.expm1(x)
-        return v ** 10 * np.exp(-2.0 * (v / vc) ** 2) * n * (n + 1.0)
-
-    val, _ = _quad(integrand, 0.0, upper)
-    return float(p.alpha_ps2 ** 2 * p.mu_ps2 / vc ** 4 * val)
+    reach = 8.0 * vc * np.maximum(1.0, np.sqrt(kt / vc))
+    val = _thermal_sum(_VP_NODES, kt, reach, lambda v, n: v ** 10 * np.exp(-2.0 * (v / vc) ** 2) * n * (n + 1.0))
+    return _float_if_scalar(p.alpha_ps2 ** 2 * p.mu_ps2 / vc ** 4 * val)
 
 
 def spectral_diffusion_rate(delay_ns, p: DephasingParams):
@@ -342,27 +356,34 @@ def spectral_diffusion_rate(delay_ns, p: DephasingParams):
     return p.Gamma_sd_inv_ps * (1.0 - np.exp(-((d / p.tau_c_ns) ** 2)))
 
 
-def sideband_factor(temperature_K: float, p: DephasingParams) -> float:
-    """Squared filtered ZPL weight [B^2 / (B^2 + F (1 - B^2))]^2."""
-    b2 = franck_condon_factor(temperature_K, p) ** 2
-    return float((b2 / (b2 + p.F * (1.0 - b2))) ** 2)
-
-
 def tpi_visibility(temperature_K, delay_ns, p: DephasingParams):
     """Two-photon interference visibility at a temperature and pulse delay.
 
     The coherence factor (Gamma/2) / (Gamma/2 + g_vp + g_sd) times the
-    sideband factor.  The arguments may be arrays and broadcast against
-    each other; the phonon quadratures run once per element of
-    temperature_K.  Scalar arguments give a float.
+    sideband factor [B^2 / (B^2 + F (1 - B^2))]^2, which is exactly 1 at
+    F = 0 (also where B^2 underflows to 0).  The arguments may be arrays and
+    broadcast against each other; franck_condon_factor and
+    virtual_phonon_rate each run once per block of _BLOCK elements of
+    temperature_K.  Scalar arguments give a float.  Raises ValueError,
+    naming the temperature, where the model is not finite.
     """
     g_sd = spectral_diffusion_rate(delay_ns, p)
     temps = np.asarray(temperature_K, dtype=float)
-    g_vp = np.reshape([virtual_phonon_rate(t, p) for t in temps.flat], temps.shape)
-    side = np.reshape([sideband_factor(t, p) for t in temps.flat], temps.shape)
-    gamma_half = 0.5 / p.T1_ps
-    v = gamma_half / (gamma_half + g_vp + g_sd) * side
-    return float(v) if v.ndim == 0 else v
+    flat = temps.ravel()
+    g_vp = np.empty_like(flat)
+    side = np.empty_like(flat)
+    with np.errstate(all="ignore"):  # non-finite results raise below
+        for lo in range(0, flat.size, _BLOCK):
+            block = slice(lo, lo + _BLOCK)
+            g_vp[block] = virtual_phonon_rate(flat[block], p)
+            b2 = franck_condon_factor(flat[block], p) ** 2
+            side[block] = 1.0 if p.F == 0 else (b2 / (b2 + p.F * (1.0 - b2))) ** 2
+        gamma_half = 0.5 / p.T1_ps
+        v = gamma_half / (gamma_half + g_vp.reshape(temps.shape) + g_sd) * side.reshape(temps.shape)
+    bad = ~np.isfinite(v)
+    if bad.any():
+        raise ValueError(f"the visibility model is not finite at T = {np.broadcast_to(temps, v.shape)[bad].flat[0]} K")
+    return _float_if_scalar(v)
 
 
 def solve_sd_ceiling(v_long: float, delay_ns: float, temperature_K: float, p: DephasingParams) -> float:
@@ -468,11 +489,3 @@ def read_xy_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a two-column CSV of finite numbers with one header row."""
     rows = io.read_csv(path, (None, None), lambda row: (io.finite(row[0]), io.finite(row[1])))
     return np.asarray([r[0] for r in rows]), np.asarray([r[1] for r in rows])
-
-
-def write_xy_csv(path, header: tuple[str, str], x, y) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for xi, yi in zip(x, y):
-            w.writerow([repr(float(xi)), repr(float(yi))])

@@ -2,11 +2,12 @@
 
 Everything here deliberately avoids the code paths of the package: index
 loops instead of vectorized products, an enlarged-mode-space brute force
-instead of the convex-mixture shortcut, and fixed-grid trapezoid sums
-instead of adaptive quadrature.
+instead of the convex-mixture shortcut, and fixed-grid trapezoid sums or
+adaptive quadrature instead of Gauss-Legendre rules.
 """
 
 import numpy as np
+from scipy import integrate
 
 KB_OVER_HBAR = 0.13093
 
@@ -154,15 +155,62 @@ def trapezoid_vp_rate(temperature_K, p, n=1_000_000):
     upper = 8.0 * vc * max(1.0, np.sqrt(kt / vc))
     v = np.linspace(0.0, upper, n)
     occ = np.zeros_like(v)
-    occ[1:] = 1.0 / np.expm1(v[1:] / kt)
+    with np.errstate(over="ignore"):  # the occupation is 0 beyond v = 709 kT
+        occ[1:] = 1.0 / np.expm1(v[1:] / kt)
     integrand = v ** 10 * np.exp(-2.0 * ((v / vc) ** 2)) * occ * (occ + 1.0)
     return float(p.alpha_ps2 ** 2 * p.mu_ps2 / vc ** 4 * np.trapezoid(integrand, v))
 
 
-def trapezoid_visibility(temperature_K, delay_ns, p, n=1_000_000):
+def _visibility(fc_factor, vp_rate, delay_ns, p):
+    """The visibility model from the Franck-Condon factor and the virtual-phonon rate."""
     gamma_half = 0.5 / p.T1_ps
-    b2 = trapezoid_fc_factor(temperature_K, p, n) ** 2
-    side = (b2 / (b2 + p.F * (1.0 - b2))) ** 2
+    b2 = fc_factor ** 2
+    side = 1.0 if p.F == 0 else (b2 / (b2 + p.F * (1.0 - b2))) ** 2  # B^2 may underflow to 0
     g_sd = p.Gamma_sd_inv_ps * (1.0 - np.exp(-((delay_ns / p.tau_c_ns) ** 2)))
-    g_vp = trapezoid_vp_rate(temperature_K, p, n)
-    return float(gamma_half / (gamma_half + g_vp + g_sd) * side)
+    return float(gamma_half / (gamma_half + vp_rate + g_sd) * side)
+
+
+def trapezoid_visibility(temperature_K, delay_ns, p, n=1_000_000):
+    return _visibility(trapezoid_fc_factor(temperature_K, p, n), trapezoid_vp_rate(temperature_K, p, n), delay_ns, p)
+
+
+# ---------------------------------------------------------------------------
+# adaptive quadrature for the visibility model
+# ---------------------------------------------------------------------------
+
+def _quad(f, upper):
+    return integrate.quad(f, 0.0, upper, epsabs=1e-300, epsrel=1e-12, limit=500)[0]
+
+
+def quad_fc_factor(temperature_K, p):
+    """Franck-Condon factor by adaptive quadrature of v coth(v/2kT) on [0, 8 v_c]."""
+    vc = p.v_c_inv_ps
+    kt = KB_OVER_HBAR * temperature_K
+
+    def integrand(v):
+        if v <= 0:
+            return 2.0 * kt  # v coth(v/2kT) -> 2kT
+        return v * np.exp(-((v / vc) ** 2)) / np.tanh(v / (2.0 * kt))
+
+    return float(np.exp(-0.5 * p.alpha_ps2 * _quad(integrand, 8.0 * vc)))
+
+
+def quad_vp_rate(temperature_K, p):
+    """Virtual-phonon dephasing rate by adaptive quadrature on [0, 8 v_c max(1, sqrt(kT/v_c))]."""
+    vc = p.v_c_inv_ps
+    kt = KB_OVER_HBAR * temperature_K
+
+    def integrand(v):
+        x = v / kt
+        if v <= 0 or x > 700.0:  # the occupation underflows
+            return 0.0
+        n = 1.0 / np.expm1(x)
+        return v ** 10 * np.exp(-2.0 * (v / vc) ** 2) * n * (n + 1.0)
+
+    upper = 8.0 * vc * max(1.0, np.sqrt(kt / vc))
+    return float(p.alpha_ps2 ** 2 * p.mu_ps2 / vc ** 4 * _quad(integrand, upper))
+
+
+def quad_visibility(temperature_K, delay_ns, p):
+    """Visibility at T > 0 from the adaptive-quadrature rates."""
+    return _visibility(quad_fc_factor(temperature_K, p), quad_vp_rate(temperature_K, p), delay_ns, p)

@@ -1,5 +1,7 @@
+import csv
 import json
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +21,14 @@ def run(tmp_path, *argv):
 
 def load(out):
     return json.loads(out.read_text())
+
+
+def write_xy_csv(path, header, x, y):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for xi, yi in zip(x, y):
+            w.writerow([repr(float(xi)), repr(float(yi))])
 
 
 def test_truth_table_ideal(tmp_path):
@@ -91,7 +101,7 @@ def test_bell_deterministic_and_thread_independent(tmp_path):
 def test_visibility_vs_temperature_curve(tmp_path):
     params = tmp_path / "p.json"
     gsd = em.solve_sd_ceiling(0.71, 1000.0, 4.0, em.DephasingParams())
-    params.write_text(json.dumps(em.DephasingParams(Gamma_sd_inv_ps=gsd).to_json_dict()))
+    params.write_text(json.dumps(asdict(em.DephasingParams(Gamma_sd_inv_ps=gsd))))
     code, out = run(
         tmp_path, "visibility", "--mode", "vs_T", "--grid", "4:40:10",
         "--params", str(params),
@@ -110,7 +120,7 @@ def test_visibility_vs_temperature_curve(tmp_path):
 def test_visibility_vs_delay_curve(tmp_path):
     params = tmp_path / "p.json"
     gsd = em.solve_sd_ceiling(0.71, 1000.0, 4.0, em.DephasingParams())
-    params.write_text(json.dumps(em.DephasingParams(Gamma_sd_inv_ps=gsd).to_json_dict()))
+    params.write_text(json.dumps(asdict(em.DephasingParams(Gamma_sd_inv_ps=gsd))))
     code, out = run(
         tmp_path, "visibility", "--mode", "vs_dt", "--grid", "1:2000:30",
         "--log-grid", "--params", str(params),
@@ -128,7 +138,7 @@ def test_visibility_vs_delay_curve(tmp_path):
 def test_visibility_flat_when_coupling_zero(tmp_path):
     params = tmp_path / "p.json"
     params.write_text(
-        json.dumps(em.DephasingParams(alpha_ps2=0.0, mu_ps2=0.0).to_json_dict())
+        json.dumps(asdict(em.DephasingParams(alpha_ps2=0.0, mu_ps2=0.0)))
     )
     code, out = run(
         tmp_path, "visibility", "--mode", "vs_T", "--grid", "4:40:5",
@@ -137,6 +147,21 @@ def test_visibility_flat_when_coupling_zero(tmp_path):
     assert code == 0
     data = [float(ln.split(",")[1]) for ln in out.read_text().strip().splitlines()[1:]]
     assert np.allclose(data, 1.0, atol=1e-12)
+
+
+def test_visibility_f_zero_where_b_squared_underflows(tmp_path):
+    # B = exp(-625) at alpha = 1, v_c = 50, so B^2 is 0; with F = 0 the
+    # sideband factor is exactly 1 and the coherence factor is left
+    p = em.DephasingParams(alpha_ps2=1.0, v_c_inv_ps=50.0, F=0.0)
+    assert em.franck_condon_factor(4.0, p) ** 2 == 0.0
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps({"alpha_ps2": 1.0, "v_c_inv_ps": 50.0, "F": 0.0}))
+    code, out = run(tmp_path, "visibility", "--mode", "vs_T", "--grid", "4:40:3", "--params", str(params))
+    assert code == 0
+    data = np.array([[float(x) for x in ln.split(",")] for ln in out.read_text().splitlines()[1:]])
+    gamma_half = 0.5 / p.T1_ps
+    coherence = gamma_half / (gamma_half + em.virtual_phonon_rate(data[:, 0], p))
+    assert data[:, 1] == pytest.approx(coherence, rel=1e-15)
 
 
 def test_visibility_malformed_params_exit_2(tmp_path):
@@ -157,7 +182,7 @@ def test_fit_trpl_cli(tmp_path):
     decay = em.DecayParams(350.0, em.fss_ueV_to_inv_ps(6.4))
     t = np.linspace(0.0, 2000.0, 300)
     data = tmp_path / "trpl.csv"
-    em.write_xy_csv(data, ("t_ps", "intensity"), t, em.trpl_model(t, decay, 1.0, 75.0))
+    write_xy_csv(data, ("t_ps", "intensity"), t, em.trpl_model(t, decay, 1.0, 75.0))
     code, out = run(tmp_path, "fit", "--kind", "trpl", "--data", str(data), "--irf-width", "75")
     assert code == 0
     d = load(out)
@@ -170,7 +195,7 @@ def test_fit_vis_temperature_cli(tmp_path):
     ts = np.arange(4.0, 41.0, 2.0)
     vs = [em.tpi_visibility(T, 0.0, truth) for T in ts]
     data = tmp_path / "vis.csv"
-    em.write_xy_csv(data, ("temperature_K", "visibility"), ts, vs)
+    write_xy_csv(data, ("temperature_K", "visibility"), ts, vs)
     init = tmp_path / "init.json"
     init.write_text(json.dumps({"alpha_ps2": 0.004, "v_c_inv_ps": 4.2, "mu_ps2": 0.003, "F": 0.34}))
     code, out = run(tmp_path, "fit", "--kind", "vis_T", "--data", str(data), "--init", str(init))
@@ -186,7 +211,7 @@ def test_fit_vis_delay_cli(tmp_path):
     delays = np.geomspace(2.0, 2000.0, 14)
     vs = [em.tpi_visibility(4.0, d, truth) for d in delays]
     data = tmp_path / "vdt.csv"
-    em.write_xy_csv(data, ("delay_ns", "visibility"), delays, vs)
+    write_xy_csv(data, ("delay_ns", "visibility"), delays, vs)
     init = tmp_path / "init.json"
     init.write_text(json.dumps({"Gamma_sd_inv_ps": 2e-4, "tau_c_ns": 500.0}))
     code, out = run(tmp_path, "fit", "--kind", "vis_dt", "--data", str(data),
@@ -301,7 +326,7 @@ def _curve_with_nan_visibility(tmp_path):
     path = tmp_path / "vis.csv"
     ts = np.linspace(4.0, 40.0, 10)
     vs = [float("nan") if i == 3 else 0.9 - 0.01 * i for i in range(10)]
-    em.write_xy_csv(path, ("temperature_K", "visibility"), ts, vs)
+    write_xy_csv(path, ("temperature_K", "visibility"), ts, vs)
     return ["fit", "--kind", "vis_T", "--data", str(path)]
 
 
@@ -328,10 +353,10 @@ def _fit_argv(tmp_path, kind, *extra):
     if kind == "trpl":
         t = np.linspace(0.0, 2000.0, 60)
         y = em.trpl_model(t, em.DecayParams(350.0, 0.01), 1.0, 75.0)
-        em.write_xy_csv(data, ("t_ps", "intensity"), t, y)
+        write_xy_csv(data, ("t_ps", "intensity"), t, y)
     else:
         ts = np.linspace(4.0, 40.0, 6)
-        em.write_xy_csv(data, ("temperature_K", "visibility"), ts, 0.9 - 0.01 * np.arange(6))
+        write_xy_csv(data, ("temperature_K", "visibility"), ts, 0.9 - 0.01 * np.arange(6))
     return ["fit", "--kind", kind, "--data", str(data), *extra]
 
 
@@ -356,7 +381,7 @@ def _trace_with_huge_intensity(tmp_path):
     t = np.linspace(0.0, 2000.0, 60)
     y = em.trpl_model(t, em.DecayParams(350.0, 0.01), 1.0, 75.0)
     y[10] = 1e300
-    em.write_xy_csv(data, ("t_ps", "intensity"), t, y)
+    write_xy_csv(data, ("t_ps", "intensity"), t, y)
     return ["fit", "--kind", "trpl", "--data", str(data)]
 
 
@@ -401,6 +426,7 @@ MALFORMED = {
     "visibility-temperature-nan": lambda tmp: ["visibility", "--mode", "vs_dt", "--grid", "1:10:3",
                                                "--temperature", "nan"],
     "visibility-grid-nan": lambda tmp: ["visibility", "--mode", "vs_T", "--grid", "nan:40:3"],
+    "visibility-grid-overflow": lambda tmp: ["visibility", "--mode", "vs_T", "--grid", "4:1e300:3"],
     "trpl-huge-intensity": _trace_with_huge_intensity,
     "vis_T-huge-visibility": _curve_with_huge_visibility("vis_T"),
     "vis_dt-huge-visibility": _curve_with_huge_visibility("vis_dt"),
@@ -418,6 +444,7 @@ def test_malformed_input_exit_2_without_output(tmp_path, make_argv):
 @pytest.mark.parametrize("name, expected", [
     ("visibility-temperature-nan", "temperature must be >= 0 K, got nan"),
     ("visibility-grid-nan", "temperature must be >= 0 K, got nan"),
+    ("visibility-grid-overflow", "the visibility model is not finite at T = 5e+299 K"),
     ("trpl-huge-intensity", "intensity 1e+300 at t = "),
     ("vis_T-huge-visibility", "visibility 1e+300 at T = 18.4 K"),
     ("vis_dt-huge-visibility", "visibility 1e+300 at delay = 18.4 ns"),
@@ -431,17 +458,24 @@ def test_malformed_input_message_names_the_value(tmp_path, capsys, name, expecte
         assert f"--data {argv[argv.index('--data') + 1]}" in err
 
 
-def test_visibility_curve_runs_quadratures_once_per_temperature(tmp_path, monkeypatch):
-    calls = {"virtual_phonon_rate": 0, "franck_condon_factor": 0}
+def test_visibility_curve_runs_quadratures_once_per_block(tmp_path, monkeypatch):
+    calls = {"virtual_phonon_rate": [], "franck_condon_factor": []}
     for name in calls:
-        def counted(*args, _fn=getattr(em, name), _name=name):
-            calls[_name] += 1
-            return _fn(*args)
+        def counted(temperature_K, p, _fn=getattr(em, name), _name=name):
+            calls[_name].append(np.size(temperature_K))
+            return _fn(temperature_K, p)
         monkeypatch.setattr(em, name, counted)
-    code, out = run(tmp_path, "visibility", "--mode", "vs_dt", "--grid", "1:2000:30")
+    n = 2 * em._BLOCK + 1
+    code, out = run(tmp_path, "visibility", "--mode", "vs_T", "--grid", f"4:40:{n}")
     assert code == 0
-    assert len(out.read_text().splitlines()) == 31
-    assert calls == {"virtual_phonon_rate": 1, "franck_condon_factor": 1}
+    assert len(out.read_text().splitlines()) == n + 1
+    blocks = [em._BLOCK, em._BLOCK, 1]
+    assert calls == {"virtual_phonon_rate": blocks, "franck_condon_factor": blocks}
+    # a vs_dt curve is one temperature, so one block
+    for sizes in calls.values():
+        sizes.clear()
+    assert run(tmp_path, "visibility", "--mode", "vs_dt", "--grid", "1:2000:30")[0] == 0
+    assert calls == {"virtual_phonon_rate": [1], "franck_condon_factor": [1]}
 
 
 def test_env_seed_matches_flag(tmp_path, monkeypatch):
@@ -483,7 +517,7 @@ def _valid_inputs(target, tmp):
     if target == "fit-trpl":
         t = np.linspace(0.0, 2000.0, 40)
         y = em.trpl_model(t, em.DecayParams(350.0, 0.01), 1.0, 75.0)
-        em.write_xy_csv(data, ("t_ps", "intensity"), t, y)
+        write_xy_csv(data, ("t_ps", "intensity"), t, y)
         side.write_text(json.dumps({"t1_ps": 340.0, "delta_inv_ps": 0.01}))
         return ["fit", "--kind", "trpl", "--data", str(data), "--init", str(side)], data, side
     kind = target.split("-")[1]

@@ -1,9 +1,12 @@
+import itertools
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from lophoton import emitter as em
 
-from oracles import trapezoid_fc_factor, trapezoid_visibility, trapezoid_vp_rate
+from oracles import quad_visibility, trapezoid_fc_factor, trapezoid_visibility, trapezoid_vp_rate
 
 DOT_DECAY = em.DecayParams(t1_ps=350.0, delta_inv_ps=em.fss_ueV_to_inv_ps(6.4))
 
@@ -182,6 +185,38 @@ def test_array_visibility_matches_trapezoid_oracle_and_scalar_calls():
     assert grid.shape == (2, 3) and grid[1, 2] == em.tpi_visibility(4.0, 100.0, p)
 
 
+def test_array_visibility_matches_oracles_over_the_fit_box():
+    # corners and middles of the vis_T fit box in (alpha, v_c); (mu, F) take
+    # turns, so F = 0 meets alpha = 1, v_c = 50, where B^2 underflows to 0
+    assert em._FIT_BOUNDS["alpha_ps2"][1] == 1.0 and em._FIT_BOUNDS["v_c_inv_ps"] == (0.1, 50.0)
+    assert em._FIT_BOUNDS["mu_ps2"][1] == 1.0 and em._FIT_BOUNDS["F"] == (0.0, 1.0)
+    temps = np.array([0.1, 2.0, 30.0, 300.0])
+    mu_f = itertools.cycle([(1.0, 0.0), (1e-3, 0.3), (0.1, 1.0)])
+    for alpha, vc in itertools.product([1e-3, 0.03, 1.0], [0.1, 6.3, 50.0]):
+        mu, f = next(mu_f)
+        p = em.DephasingParams(alpha_ps2=alpha, v_c_inv_ps=vc, mu_ps2=mu, F=f)
+        values = em.tpi_visibility(temps, 0.0, p)
+        for t, v in zip(temps, values):
+            assert abs(v - trapezoid_visibility(t, 0.0, p)) < 1e-6, (alpha, vc, mu, f, t)
+    # where adaptive quadrature is reliable it agrees to 1e-12
+    p = em.DephasingParams(Gamma_sd_inv_ps=5e-4)
+    temps = np.array([4.0, 10.0, 40.0, 100.0, 300.0])
+    for t, v in zip(temps, em.tpi_visibility(temps, 2.0, p)):
+        assert abs(v - quad_visibility(t, 2.0, p)) < 1e-12, t
+    # 64 nodes on [0, 8 v_c], without the 80 kT cap, miss this by 2.1e-7
+    p = em.DephasingParams(alpha_ps2=0.0283, v_c_inv_ps=6.3)
+    assert abs(em.tpi_visibility(0.1, 0.0, p) - trapezoid_visibility(0.1, 0.0, p)) < 1e-9
+
+
+def test_array_visibility_equals_scalar_calls_across_blocks():
+    p = em.DephasingParams(Gamma_sd_inv_ps=5e-4)
+    ts = np.linspace(0.0, 300.0, 1000)
+    assert ts.size > 10 * em._BLOCK
+    values = em.tpi_visibility(ts, 2.0, p)
+    scalar = np.array([em.tpi_visibility(t, 2.0, p) for t in ts])
+    assert np.all(np.abs(values - scalar) <= 1e-15 * np.abs(scalar))
+
+
 def test_visibility_monotone_in_temperature_and_delay():
     p = em.DephasingParams(Gamma_sd_inv_ps=5e-4)
     vt = [em.tpi_visibility(t, 2.0, p) for t in np.arange(0.0, 61.0, 1.0)]
@@ -283,7 +318,7 @@ def test_fit_visibility_insufficient_points():
 
 def test_dephasing_params_validation_and_json():
     p = em.DephasingParams()
-    d = p.to_json_dict()
+    d = asdict(p)
     assert set(d) == {
         "alpha_ps2", "v_c_inv_ps", "mu_ps2", "F", "T1_ps", "Gamma_sd_inv_ps", "tau_c_ns",
     }

@@ -34,6 +34,9 @@ DEPHASING = {
     "alpha_ps2": 0.0055, "v_c_inv_ps": 4.9, "mu_ps2": 2.2e-3, "F": 0.3,
     "T1_ps": 350.0, "Gamma_sd_inv_ps": 5e-4, "tau_c_ns": 350.0,
 }
+#: strong coupling and a wide phonon band: below 1 K the thermal integrands
+#: are spikes about kT wide at v = 0, far narrower than the 8 v_c band
+COLD_DEPHASING = {**DEPHASING, "alpha_ps2": 0.0283, "v_c_inv_ps": 12.0}
 
 _S = 1.0 / np.sqrt(2.0)
 JONES = {
@@ -139,6 +142,7 @@ def write_inputs(inputs: Path):
         f"{float(tau) + 4 * REP_PERIOD_PS!r},{c}\n" for tau, c in rows))
     (inputs / "decay.csv").write_text(decay_csv(rng))
     (inputs / "params.json").write_text(json.dumps(DEPHASING) + "\n")
+    (inputs / "params-cold.json").write_text(json.dumps(COLD_DEPHASING) + "\n")
 
     no_sd = {**DEPHASING, "Gamma_sd_inv_ps": 0.0}
     temps = np.linspace(4.0, 40.0, 12).tolist()
@@ -169,6 +173,8 @@ def calls():
                             "--measured-fzz", "0.902", "--measured-fxx", "0.874"]),
         ("visibility-vs_T", ["visibility", "--mode", "vs_T", "--grid", "4:40:25", "--delay-ns", "2.0",
                              "--params", "inputs/params.json"]),
+        ("visibility-vs_T-cold", ["visibility", "--mode", "vs_T", "--grid", "0.1:4:20", "--log-grid",
+                                  "--delay-ns", "2.0", "--params", "inputs/params-cold.json"]),
         ("visibility-vs_dt", ["visibility", "--mode", "vs_dt", "--grid", "1:2000:25", "--log-grid",
                               "--temperature", "6.0", "--params", "inputs/params.json"]),
         ("fit-trpl", ["fit", "--kind", "trpl", "--data", "inputs/decay.csv", "--irf-width", "75"]),
