@@ -38,20 +38,19 @@ EXIT_FIT = 4
 _DEPHASING_KEYS = tuple(f.name for f in fields(emitter.DephasingParams))
 
 
+#: analyze's integration half-window when --window is not given
+_ANALYZE_WINDOW_PS = {"g2": 2000.0, "hom": 600.0}
+
+
 class CliError(ValueError):
     """Invalid arguments (exit 2)."""
 
 
-def _jsonify(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _jsonify(obj.tolist())
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
+def _json_default(obj):
+    """numpy arrays and scalars, which json cannot write, as lists and Python numbers."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _write_text(out_path, text):
@@ -73,7 +72,7 @@ def _write_text(out_path, text):
 def _emit_json(out_path, payload):
     payload = dict(payload)
     payload["schema_version"] = SCHEMA_VERSION
-    _write_text(out_path, json.dumps(_jsonify(payload), indent=2, sort_keys=True) + "\n")
+    _write_text(out_path, json.dumps(payload, default=_json_default, indent=2, sort_keys=True) + "\n")
 
 
 def _emit_csv(out_path, header, rows):
@@ -104,26 +103,19 @@ def _parse_grid(text, log):
     return np.linspace(start, stop, num)
 
 
-def _overlap(value):
-    if not 0.0 <= value <= 1.0:
-        raise CliError(f"overlap must lie in [0, 1], got {value}")
-    return value
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 def cmd_truth_table(args):
-    m = _overlap(args.overlap)
     elements = circuit.build_cnot()
-    table, success_prob = circuit.truth_table(elements, m, args.basis)
+    table, success_prob = circuit.truth_table(elements, args.overlap, args.basis)
     fid = circuit.basis_fidelity(table, args.basis)
     inputs = circuit.BASIS_ZZ if args.basis == "ZZ" else circuit.BASIS_XX
     succ = dict(zip(inputs, success_prob))
     payload = {
         "basis": args.basis,
-        "overlap": m,
+        "overlap": args.overlap,
         "gate": circuit.elements_to_json(elements),
         "inputs": list(inputs),
         "outcomes": list(inputs),
@@ -163,7 +155,7 @@ def _reconstruction_payload(records, target, args):
         "rho_imag": np.imag(result.rho),
         "metrics": asdict(tomo.state_metrics(result.rho, target)),
     }
-    if args.resamples > 0:
+    if args.resamples != 0:
         mc = asdict(tomo.monte_carlo_metrics(records, target, args.resamples, _seed(args)))
         payload["n_resamples"] = mc.pop("n_resamples")
         payload["n_not_converged"] = mc.pop("n_not_converged")
@@ -172,21 +164,20 @@ def _reconstruction_payload(records, target, args):
 
 
 def cmd_bell(args):
-    m = _overlap(args.overlap)
     if not 0 < args.counts_per_setting < 2**63:
         raise CliError("--counts-per-setting must be positive and below 2**63")
     elements = circuit.build_cnot()
     prepared = circuit.coincidence_evolve(
         elements,
-        circuit.TwoPhotonInput(jones.basis_state("A"), jones.basis_state("V"), m),
+        circuit.TwoPhotonInput(jones.basis_state("A"), jones.basis_state("V"), args.overlap),
     )
     records = tomo.simulate_counts(prepared.rho, args.counts_per_setting, _seed(args))
     reconstruction = _reconstruction_payload(records, tomo.psi_minus(), args)
-    f_zz = circuit.basis_fidelity(circuit.truth_table(elements, m, "ZZ")[0], "ZZ")
-    f_xx = circuit.basis_fidelity(circuit.truth_table(elements, m, "XX")[0], "XX")
+    f_zz = circuit.basis_fidelity(circuit.truth_table(elements, args.overlap, "ZZ")[0], "ZZ")
+    f_xx = circuit.basis_fidelity(circuit.truth_table(elements, args.overlap, "XX")[0], "XX")
     lo, hi = tomo.hofmann_bounds(f_zz, f_xx)
     payload = {
-        "overlap": m,
+        "overlap": args.overlap,
         "counts_per_setting": args.counts_per_setting,
         "seed": args.seed,
         "success_prob": prepared.success_prob,
@@ -221,8 +212,8 @@ def cmd_fit(args):
 
 
 def _fit_trpl(args, x, y):
-    if not np.isfinite(args.irf_width):
-        raise CliError(f"--irf-width must be finite, got {args.irf_width}")
+    if not 0.0 <= args.irf_width < np.inf:
+        raise CliError(f"--irf-width must be finite and >= 0, got {args.irf_width}")
     p0 = None
     if args.init is not None:
         start = partial(replace, emitter.TRPL_START)
@@ -258,8 +249,9 @@ def _fit_visibility(args, x, y):
 def cmd_analyze(args):
     h = counting.read_histogram_csv(args.histogram, args.meta)
     estimate = counting.g2_zero if args.kind == "g2" else counting.hom_visibility
-    value, err = estimate(h, args.window)
-    _emit_json(args.out, {"kind": args.kind, "value": value, "error": err, "window_ps": args.window})
+    window = _ANALYZE_WINDOW_PS[args.kind] if args.window is None else args.window
+    value, err = estimate(h, window)
+    _emit_json(args.out, {"kind": args.kind, "value": value, "error": err, "window_ps": window})
     return EXIT_OK
 
 
@@ -337,7 +329,8 @@ def build_parser():
     p.add_argument("--kind", choices=["g2", "hom"], required=True)
     p.add_argument("--histogram", required=True, help="histogram CSV (tau_ps,counts)")
     p.add_argument("--meta", required=True, help="metadata sidecar JSON")
-    p.add_argument("--window", type=float, default=None, help="integration half-window in ps")
+    p.add_argument("--window", type=float,
+                   help="integration half-window in ps (default: 2000 for g2, 600 for hom)")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("reconstruct", help="tomography from a measurement record CSV")
@@ -356,8 +349,6 @@ def main(argv=None) -> int:
     try:
         if args.seed is None:
             args.seed = _env_seed()
-        if getattr(args, "window", "") is None:
-            args.window = 2000.0 if args.kind == "g2" else 600.0
         return args.func(args)
     except tomo.NotConverged as e:
         return _fail(e, EXIT_RECONSTRUCTION)

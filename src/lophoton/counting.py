@@ -21,8 +21,6 @@ removed, via the background_per_bin knob of the generator.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -217,8 +215,8 @@ def integrate_peaks(h: CoincidenceHistogram, window_ps: float) -> list[PeakInteg
     toward a peak.  The flat background per bin is the median of all bins
     farther than one window from every center.
     """
-    if window_ps <= 0:
-        raise ValueError("window_ps must be positive")
+    if not window_ps > 0:
+        raise ValueError(f"window_ps must be positive, got {window_ps}")
     rep_ps = h.rep_period_ns * 1000.0
     if not window_ps < rep_ps / 2.0:
         raise ValueError("window must be smaller than half the repetition period")
@@ -264,7 +262,7 @@ def _rep_peaks_only(peaks, rep_ps):
     return out
 
 
-def g2_zero(h: CoincidenceHistogram, window_ps: float = 2000.0):
+def g2_zero(h: CoincidenceHistogram, window_ps: float):
     """Central-to-side peak area ratio with a propagated Poisson error.
 
     Returns (g2, sigma).  Requires at least three side peaks.
@@ -287,7 +285,7 @@ def g2_zero(h: CoincidenceHistogram, window_ps: float = 2000.0):
     return value, float(sigma)
 
 
-def hom_visibility(h: CoincidenceHistogram, window_ps: float = 600.0):
+def hom_visibility(h: CoincidenceHistogram, window_ps: float):
     """Two-photon interference visibility from the central coincidence cluster.
 
     Returns (V, sigma), with half the mean satellite area as the reference.
@@ -320,22 +318,6 @@ def hom_visibility(h: CoincidenceHistogram, window_ps: float = 600.0):
 # ---------------------------------------------------------------------------
 # file I/O
 # ---------------------------------------------------------------------------
-
-def write_histogram_csv(csv_path, meta_path, h: CoincidenceHistogram) -> None:
-    with open(csv_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["tau_ps", "counts"])
-        for tau, c in zip(h.taus_ps, h.counts):
-            w.writerow([repr(float(tau)), int(c)])
-    meta = {
-        "bin_width_ps": h.bin_width_ps,
-        "rep_period_ns": h.rep_period_ns,
-        "pulse_pair_sep_ns": h.pulse_pair_sep_ns,
-    }
-    with open(meta_path, "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
 
 def read_histogram_csv(csv_path, meta_path) -> CoincidenceHistogram:
     rows = io.read_csv(csv_path, ("tau_ps", "counts"), lambda row: (io.finite(row[0]), io.count(row[1])))

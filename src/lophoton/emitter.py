@@ -24,7 +24,8 @@ rate, both on ranges capped at 80 kT.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+import dataclasses
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -111,9 +112,7 @@ class DephasingParams:
             raise ValueError("F must lie in [0, 1]")
 
     def replace(self, **kw) -> "DephasingParams":
-        d = asdict(self)
-        d.update(kw)
-        return DephasingParams(**d)
+        return dataclasses.replace(self, **kw)
 
 
 @dataclass(frozen=True)

@@ -53,10 +53,10 @@ def kron(a, b) -> np.ndarray:
     return np.kron(as_matrix(a), as_matrix(b))
 
 
-def _check_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> None:
+def _check_hermitian(m: np.ndarray) -> None:
     dev = np.max(np.abs(m - dagger(m)))
-    if dev > tol:
-        raise NotHermitian(f"max |m - m^dag| = {dev:.3e} exceeds {tol:.1e}")
+    if dev > HERMITICITY_TOL:
+        raise NotHermitian(f"max |m - m^dag| = {dev:.3e} exceeds {HERMITICITY_TOL:.1e}")
 
 
 def hermitian_eigen(m) -> tuple[np.ndarray, np.ndarray]:
@@ -91,15 +91,15 @@ def partial_trace(rho, keep: str) -> np.ndarray:
     raise ValueError(f"keep must be 'first' or 'second', got {keep!r}")
 
 
-def psd_sqrt(m, clamp: float = EIGENVALUE_CLAMP) -> np.ndarray:
+def psd_sqrt(m) -> np.ndarray:
     """Hermitian square root of a positive semidefinite matrix (or of each of a stack).
 
-    Eigenvalues within -clamp of zero are clamped to zero; anything more
-    negative raises, since all callers construct PSD matrices and larger
+    Eigenvalues within EIGENVALUE_CLAMP of zero are clamped to zero; anything
+    more negative raises, since all callers construct PSD matrices and larger
     negativity indicates a bug upstream.
     """
     w, v = hermitian_eigen(m)
-    if np.min(w) < -clamp:
-        raise NegativeEigenvalue(f"eigenvalue {np.min(w):.3e} below -{clamp:.1e}")
+    if np.min(w) < -EIGENVALUE_CLAMP:
+        raise NegativeEigenvalue(f"eigenvalue {np.min(w):.3e} below -{EIGENVALUE_CLAMP:.1e}")
     w = np.clip(w, 0.0, None)
     return (v * np.sqrt(w)[..., None, :]) @ dagger(v)

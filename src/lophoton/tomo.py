@@ -14,6 +14,11 @@ triangular (16 real parameters), which is physical by construction.  The
 likelihood is multinomial per setting; the four projectors of a setting sum
 to the identity, so the outcome probabilities normalize automatically.
 
+Each rule has one definition: outcome_labels fixes the outcome order,
+outcome_probabilities gives the (9, 4) probability table (the fit's
+objective takes the same traces of T^dag T through the flattened
+projectors), and _count_table checks records and gives their 36 counts.
+
 Error bars come from Monte Carlo resampling: every outcome count is redrawn
 from a Poisson law at the observed value, the state is refit, and metric
 spreads are reported.  Resample seeds derive from the master seed through
@@ -25,7 +30,6 @@ the metrics per stack; only the likelihood fit runs once per resample.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import astuple, dataclass, fields
 
 import numpy as np
@@ -141,7 +145,6 @@ class MeasurementRecord:
     basis1: str
     basis2: str
     counts: np.ndarray
-    metadata: dict | None = None
 
     def __post_init__(self):
         if self.basis1 not in BASES or self.basis2 not in BASES:
@@ -173,25 +176,20 @@ class MleResult:
     n_iter: int
 
 
-def setting_probabilities(rho: np.ndarray, setting) -> np.ndarray:
-    probs = np.array(
-        [float(np.real(np.trace(rho @ pi))) for pi in PROJECTORS[SETTINGS.index(tuple(setting))]]
-    )
-    probs = np.clip(probs, 0.0, None)
-    return probs / probs.sum()
+def outcome_probabilities(rho: np.ndarray) -> np.ndarray:
+    """(9, 4) outcome probabilities of rho in SETTINGS and outcome order; negative traces clip to 0."""
+    probs = np.clip(np.real(np.trace(rho @ PROJECTORS, axis1=-2, axis2=-1)), 0.0, None)
+    return probs / probs.sum(axis=-1, keepdims=True)
 
 
 def simulate_counts(rho: np.ndarray, n_per_setting: int, seed: int) -> list[MeasurementRecord]:
     """Multinomial coincidence counts for all nine settings."""
-    rng = np.random.default_rng(seed)
-    records = []
-    for setting in SETTINGS:
-        counts = rng.multinomial(n_per_setting, setting_probabilities(rho, setting))
-        records.append(MeasurementRecord(setting[0], setting[1], counts))
-    return records
+    counts = np.random.default_rng(seed).multinomial(n_per_setting, outcome_probabilities(rho))
+    return [MeasurementRecord(b1, b2, c) for (b1, b2), c in zip(SETTINGS, counts)]
 
 
-def _validated(records) -> dict:
+def _count_table(records) -> np.ndarray:
+    """The 36 counts in SETTINGS and outcome order; each setting must occur once, with counts."""
     by_setting = {}
     for r in records:
         key = (r.basis1, r.basis2)
@@ -199,15 +197,11 @@ def _validated(records) -> dict:
             raise MissingSetting(f"duplicate setting {key}")
         if r.counts.sum() <= 0:
             raise MissingSetting(f"setting {key} has zero total counts")
-        by_setting[key] = r
+        by_setting[key] = r.counts
     missing = [s for s in SETTINGS if s not in by_setting]
     if missing:
         raise MissingSetting(f"missing settings: {missing}")
-    return by_setting
-
-
-def _counts36(by_setting) -> np.ndarray:
-    return np.concatenate([by_setting[setting].counts for setting in SETTINGS])
+    return np.concatenate([by_setting[s] for s in SETTINGS])
 
 
 def _inversion(counts: np.ndarray) -> np.ndarray:
@@ -226,7 +220,7 @@ def linear_inversion(records) -> np.ndarray:
     Single-qubit Pauli expectations are averaged over the three settings
     that measure them.
     """
-    return _inversion(_counts36(_validated(records)))
+    return _inversion(_count_table(records))
 
 
 def project_to_physical(rho: np.ndarray, floor: float = 0.0) -> np.ndarray:
@@ -265,13 +259,10 @@ def _rho_from_params(x: np.ndarray) -> np.ndarray:
 
 
 def log_likelihood(rho: np.ndarray, records) -> float:
-    """Multinomial log-likelihood of the records under rho (natural log)."""
-    ll = 0.0
-    for rec in records:
-        probs = setting_probabilities(rho, (rec.basis1, rec.basis2))
-        mask = rec.counts > 0
-        ll += float(np.sum(rec.counts[mask] * np.log(np.clip(probs[mask], 1e-300, None))))
-    return ll
+    """Multinomial log-likelihood (natural log) under rho of records of any subset of the settings."""
+    rows = [SETTINGS.index((r.basis1, r.basis2)) for r in records]
+    counts = np.reshape([r.counts for r in records], (-1, 4))
+    return float(np.sum(counts * np.log(np.clip(outcome_probabilities(rho)[rows], 1e-300, None))))
 
 
 #: L-BFGS-B limits of every fit, the Monte Carlo refits included
@@ -279,28 +270,18 @@ _MLE_MAX_ITER = 10_000
 _MLE_LL_REL_TOL = 1e-10
 
 
-def mle_reconstruct(
-    records,
-    max_iter: int = _MLE_MAX_ITER,
-    ll_rel_tol: float = _MLE_LL_REL_TOL,
-    init: np.ndarray | None = None,
-) -> MleResult:
+def mle_reconstruct(records) -> MleResult:
     """Maximum-likelihood state fit over the triangular parameterization.
 
     Deterministic for given records; stops when the relative log-likelihood
-    change falls below ll_rel_tol or after max_iter iterations (the best
-    iterate is then returned with converged=False).
+    change falls below _MLE_LL_REL_TOL or after _MLE_MAX_ITER iterations (the
+    best iterate is then returned with converged=False).
     """
-    n = _counts36(_validated(records))
-    if init is None:
-        init = _inversion(n)
-    x0 = _start_params(project_to_physical(init, floor=1e-12))
-    return _mle_fit(n, x0, max_iter, ll_rel_tol)
+    n = _count_table(records)
+    return _mle_fit(n, _start_params(project_to_physical(_inversion(n), floor=1e-12)))
 
 
-def _mle_fit(
-    n: np.ndarray, x0: np.ndarray, max_iter: int = _MLE_MAX_ITER, ll_rel_tol: float = _MLE_LL_REL_TOL
-) -> MleResult:
+def _mle_fit(n: np.ndarray, x0: np.ndarray) -> MleResult:
     """L-BFGS-B fit of the 16 parameters to the 36 counts n, from x0."""
     n_tot = n.sum()
 
@@ -323,17 +304,13 @@ def _mle_fit(
         x0,
         jac=True,
         method="L-BFGS-B",
-        options={"maxiter": max_iter, "ftol": ll_rel_tol, "gtol": 1e-12, "maxfun": 10 * max_iter},
+        options={"maxiter": _MLE_MAX_ITER, "maxfun": 10 * _MLE_MAX_ITER, "ftol": _MLE_LL_REL_TOL,
+                 "gtol": 1e-12},
     )
     rho = _rho_from_params(res.x)
     rho = 0.5 * (rho + rho.conj().T)
     converged = bool(res.success or "CONVERGENCE" in str(res.message).upper())
-    return MleResult(
-        rho=rho,
-        log_likelihood=-float(res.fun) * n_tot,
-        converged=converged,
-        n_iter=int(res.nit),
-    )
+    return MleResult(rho, -float(res.fun) * n_tot, converged, int(res.nit))
 
 
 # ---------------------------------------------------------------------------
@@ -456,8 +433,8 @@ def monte_carlo_metrics(records, target: np.ndarray, n_resamples: int, seed: int
     MAX_NOT_CONVERGED_FRACTION of the fits did not converge.
     """
     if n_resamples < 100:
-        raise ValueError("n_resamples must be >= 100 for a usable spread")
-    observed = _counts36(_validated(records))
+        raise ValueError(f"n_resamples must be at least 100 for a usable spread, got {n_resamples}")
+    observed = _count_table(records)
     children = np.random.SeedSequence(seed).spawn(n_resamples)
     table = np.empty((n_resamples, len(fields(StateMetrics))))
     converged = np.empty(n_resamples, dtype=bool)
@@ -491,31 +468,20 @@ def _resample_block(observed: np.ndarray, children, target: np.ndarray):
 # record file I/O
 # ---------------------------------------------------------------------------
 
-_RECORD_HEADER = ("basis1", "basis2", "outcome1", "outcome2", "counts")
-
-
-def records_to_csv(path, records) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(_RECORD_HEADER)
-        for rec in records:
-            for (o1, o2), c in zip(rec.outcome_labels, rec.counts):
-                w.writerow([rec.basis1, rec.basis2, o1, o2, int(c)])
-
-
 def _record_row(row) -> tuple:
     b1, b2, o1, o2, c = row
     if b1 not in BASES or b2 not in BASES:
         raise ValueError(f"unknown basis pair {b1},{b2}")
-    labels1, labels2 = BASIS_STATES[b1], BASIS_STATES[b2]
-    if o1 not in labels1 or o2 not in labels2:
+    labels = outcome_labels((b1, b2))
+    if (o1, o2) not in labels:
         raise ValueError(f"outcome {o1},{o2} inconsistent with bases {b1},{b2}")
-    return (b1, b2), 2 * labels1.index(o1) + labels2.index(o2), io.count(c)
+    return (b1, b2), labels.index((o1, o2)), io.count(c)
 
 
 def records_from_csv(path) -> list[MeasurementRecord]:
     """Records from a CSV file; repeated outcome rows add up."""
     acc: dict[tuple, np.ndarray] = {}
-    for setting, pos, c in io.read_csv(path, _RECORD_HEADER, _record_row):
+    header = ("basis1", "basis2", "outcome1", "outcome2", "counts")
+    for setting, pos, c in io.read_csv(path, header, _record_row):
         acc.setdefault(setting, np.zeros(4))[pos] += c
     return [MeasurementRecord(b1, b2, counts) for (b1, b2), counts in acc.items()]

@@ -6,6 +6,8 @@ instead of the convex-mixture shortcut, and fixed-grid trapezoid sums or
 adaptive quadrature instead of Gauss-Legendre rules.
 """
 
+import math
+
 import numpy as np
 from scipy import integrate
 
@@ -126,6 +128,34 @@ def linear_inversion_oracle(records):
         for b, pb in _PAULI.items():
             rho += s[idx[a], idx[b]] * kron_oracle(pa, pb)
     return rho / 4.0
+
+
+def trace_loop_probabilities(rho, projectors):
+    """Outcome probabilities setting by setting, one trace per projector.
+
+    projectors is (settings, outcomes, d, d); each setting's traces are
+    clipped at 0 and normalized to sum to 1.
+    """
+    table = []
+    for setting in projectors:
+        probs = np.array([float(np.real(np.trace(rho @ pi))) for pi in setting])
+        probs = np.clip(probs, 0.0, None)
+        table.append(probs / probs.sum())
+    return np.array(table)
+
+
+def log_likelihood_oracle(counts, probs):
+    """Sum of n log p over the outcomes with n > 0, rounded once by math.fsum.
+
+    counts and probs are matching sequences of per-setting rows; p is
+    floored at 1e-300.
+    """
+    return math.fsum(
+        n * math.log(max(p, 1e-300))
+        for row_n, row_p in zip(counts, probs)
+        for n, p in zip(row_n, row_p)
+        if n > 0
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from lophoton import cli, counting as ct, emitter as em, tomo
 from lophoton.cli import main
 
+from conftest import write_histogram_csv, write_records_csv
+
 
 def run(tmp_path, *argv):
     out = tmp_path / "out"
@@ -232,7 +234,7 @@ def test_analyze_cli_round_trip(tmp_path):
     h = ct.synth_histogram(
         ct.HbtModel(0.008), em.DecayParams(350.0, em.fss_ueV_to_inv_ps(6.4)), 100_000, seed=42
     )
-    ct.write_histogram_csv(tmp_path / "h.csv", tmp_path / "h.meta.json", h)
+    write_histogram_csv(tmp_path / "h.csv", tmp_path / "h.meta.json", h)
     code, out = run(
         tmp_path, "analyze", "--kind", "g2",
         "--histogram", str(tmp_path / "h.csv"), "--meta", str(tmp_path / "h.meta.json"),
@@ -242,7 +244,7 @@ def test_analyze_cli_round_trip(tmp_path):
     assert abs(d["value"] - 0.008) < 3 * d["error"]
 
     hh = ct.synth_histogram(ct.HomModel(0.947, 2.0), em.DecayParams(100.0, 0.0), 100_000, seed=7)
-    ct.write_histogram_csv(tmp_path / "hom.csv", tmp_path / "hom.meta.json", hh)
+    write_histogram_csv(tmp_path / "hom.csv", tmp_path / "hom.meta.json", hh)
     code, out = run(
         tmp_path, "analyze", "--kind", "hom",
         "--histogram", str(tmp_path / "hom.csv"), "--meta", str(tmp_path / "hom.meta.json"),
@@ -252,9 +254,23 @@ def test_analyze_cli_round_trip(tmp_path):
     assert abs(d["value"] - 0.947) < 3 * d["error"]
 
 
+@pytest.mark.parametrize("kind, window", [("g2", 2000.0), ("hom", 600.0)])
+def test_analyze_default_window(tmp_path, kind, window):
+    model = ct.HbtModel(0.02) if kind == "g2" else ct.HomModel(0.9, 2.0)
+    h = ct.synth_histogram(model, em.DecayParams(100.0, 0.0), 20_000, seed=5)
+    write_histogram_csv(tmp_path / "h.csv", tmp_path / "h.meta.json", h)
+    code, out = run(tmp_path, "analyze", "--kind", kind,
+                    "--histogram", str(tmp_path / "h.csv"), "--meta", str(tmp_path / "h.meta.json"))
+    assert code == 0
+    d = load(out)
+    assert d["window_ps"] == window
+    estimate = ct.g2_zero if kind == "g2" else ct.hom_visibility
+    assert [d["value"], d["error"]] == list(estimate(h, window))
+
+
 def test_analyze_malformed_inputs_exit_2(tmp_path):
     good = ct.synth_histogram(ct.HbtModel(0.01), em.DecayParams(350.0, 0.01), 10_000, seed=1)
-    ct.write_histogram_csv(tmp_path / "h.csv", tmp_path / "h.meta.json", good)
+    write_histogram_csv(tmp_path / "h.csv", tmp_path / "h.meta.json", good)
     bad_meta = tmp_path / "bad.meta.json"
     bad_meta.write_text("{oops")
     assert main(["analyze", "--kind", "g2", "--histogram", str(tmp_path / "h.csv"),
@@ -267,7 +283,7 @@ def test_analyze_malformed_inputs_exit_2(tmp_path):
 def test_reconstruct_cli(tmp_path):
     records = tomo.simulate_counts(tomo.werner(0.9), 100_000, seed=3)
     path = tmp_path / "records.csv"
-    tomo.records_to_csv(path, records)
+    write_records_csv(path, records)
     code, out = run(tmp_path, "reconstruct", "--records", str(path), "--resamples", "100")
     assert code == 0
     d = load(out)
@@ -281,7 +297,7 @@ def test_reconstruct_monte_carlo_non_convergence_exit_3(tmp_path, monkeypatch, c
     """More than 1% of Monte Carlo refits not converged: exit 3 and no output."""
     records = tomo.simulate_counts(tomo.werner(0.9), 10_000, seed=3)
     path = tmp_path / "records.csv"
-    tomo.records_to_csv(path, records)
+    write_records_csv(path, records)
     fit = tomo._mle_fit
     calls = []
 
@@ -313,9 +329,14 @@ def test_no_partial_output_on_failure(tmp_path):
     assert leftovers == []
 
 
-def _records_with_nan_count(tmp_path):
+def _records_file(tmp_path):
     path = tmp_path / "records.csv"
-    tomo.records_to_csv(path, tomo.simulate_counts(tomo.werner(0.9), 1000, seed=3))
+    write_records_csv(path, tomo.simulate_counts(tomo.werner(0.9), 1000, seed=3))
+    return path
+
+
+def _records_with_nan_count(tmp_path):
+    path = _records_file(tmp_path)
     lines = path.read_text().splitlines()
     lines[5] = lines[5].rsplit(",", 1)[0] + ",nan"
     path.write_text("\n".join(lines) + "\n")
@@ -336,7 +357,7 @@ def _hom_histogram_without_tau_zero(tmp_path):
         bin_width_ps=h.bin_width_ps, taus_ps=h.taus_ps + 3.0 * h.rep_period_ns * 1000.0,
         counts=h.counts, pulse_pair_sep_ns=h.pulse_pair_sep_ns,
     )
-    ct.write_histogram_csv(tmp_path / "hom.csv", tmp_path / "hom.meta.json", shifted)
+    write_histogram_csv(tmp_path / "hom.csv", tmp_path / "hom.meta.json", shifted)
     return ["analyze", "--kind", "hom", "--histogram", str(tmp_path / "hom.csv"),
             "--meta", str(tmp_path / "hom.meta.json")]
 
@@ -360,16 +381,19 @@ def _fit_argv(tmp_path, kind, *extra):
     return ["fit", "--kind", kind, "--data", str(data), *extra]
 
 
-def _histogram_with_meta(tmp_path, meta_text):
+def _g2_histogram(tmp_path):
+    """analyze g2 on a valid histogram, without its --meta."""
     h = ct.synth_histogram(ct.HbtModel(0.02), em.DecayParams(350.0, 0.0), 20_000, seed=1)
-    ct.write_histogram_csv(tmp_path / "h.csv", tmp_path / "h.meta.json", h)
-    return ["analyze", "--kind", "g2", "--histogram", str(tmp_path / "h.csv"),
-            "--meta", _json_file(tmp_path, meta_text)]
+    write_histogram_csv(tmp_path / "h.csv", tmp_path / "h.meta.json", h)
+    return ["analyze", "--kind", "g2", "--histogram", str(tmp_path / "h.csv")]
+
+
+def _histogram_with_meta(tmp_path, meta_text):
+    return [*_g2_histogram(tmp_path), "--meta", _json_file(tmp_path, meta_text)]
 
 
 def _records_with_fractional_count(tmp_path):
-    path = tmp_path / "records.csv"
-    tomo.records_to_csv(path, tomo.simulate_counts(tomo.werner(0.9), 1000, seed=3))
+    path = _records_file(tmp_path)
     lines = path.read_text().splitlines()
     lines[5] = lines[5].rsplit(",", 1)[0] + ",12.5"
     path.write_text("\n".join(lines) + "\n")
@@ -430,6 +454,11 @@ MALFORMED = {
     "trpl-huge-intensity": _trace_with_huge_intensity,
     "vis_T-huge-visibility": _curve_with_huge_visibility("vis_T"),
     "vis_dt-huge-visibility": _curve_with_huge_visibility("vis_dt"),
+    "bell-resamples-negative": lambda tmp: ["bell", "--counts-per-setting", "1000", "--resamples", "-5"],
+    "reconstruct-resamples-negative": lambda tmp: ["reconstruct", "--records", str(_records_file(tmp)),
+                                                   "--resamples", "-1"],
+    "trpl-irf-negative": lambda tmp: _fit_argv(tmp, "trpl", "--irf-width", "-75"),
+    "analyze-window-nan": lambda tmp: [*_g2_histogram(tmp), "--meta", str(tmp / "h.meta.json"), "--window", "nan"],
 }
 
 
@@ -448,13 +477,17 @@ def test_malformed_input_exit_2_without_output(tmp_path, make_argv):
     ("trpl-huge-intensity", "intensity 1e+300 at t = "),
     ("vis_T-huge-visibility", "visibility 1e+300 at T = 18.4 K"),
     ("vis_dt-huge-visibility", "visibility 1e+300 at delay = 18.4 ns"),
+    ("bell-resamples-negative", "n_resamples must be at least 100 for a usable spread, got -5"),
+    ("reconstruct-resamples-negative", "n_resamples must be at least 100 for a usable spread, got -1"),
+    ("trpl-irf-negative", "--irf-width must be finite and >= 0, got -75.0"),
+    ("analyze-window-nan", "window_ps must be positive, got nan"),
 ])
 def test_malformed_input_message_names_the_value(tmp_path, capsys, name, expected):
     argv = MALFORMED[name](tmp_path)
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert expected in err
-    if "--data" in argv:
+    if "--data" in argv and not expected.startswith("--"):  # a fault in the data names the file
         assert f"--data {argv[argv.index('--data') + 1]}" in err
 
 
@@ -512,7 +545,7 @@ def _valid_inputs(target, tmp):
     """argv of one valid run and the paths of its CSV and JSON inputs."""
     data, side = tmp / "data.csv", tmp / "side.json"
     if target == "reconstruct":
-        tomo.records_to_csv(data, tomo.simulate_counts(tomo.werner(0.9), 200, seed=3))
+        write_records_csv(data, tomo.simulate_counts(tomo.werner(0.9), 200, seed=3))
         return ["reconstruct", "--records", str(data)], data, None
     if target == "fit-trpl":
         t = np.linspace(0.0, 2000.0, 40)
@@ -523,7 +556,7 @@ def _valid_inputs(target, tmp):
     kind = target.split("-")[1]
     model = ct.HbtModel(0.02) if kind == "g2" else ct.HomModel(0.9, 2.0)
     h = ct.synth_histogram(model, em.DecayParams(100.0, 0.0), 20_000, seed=5, bin_width_ps=40.0, n_side=3)
-    ct.write_histogram_csv(data, side, h)
+    write_histogram_csv(data, side, h)
     return ["analyze", "--kind", kind, "--histogram", str(data), "--meta", str(side)], data, side
 
 

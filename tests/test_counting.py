@@ -6,6 +6,8 @@ import pytest
 from lophoton import counting as ct
 from lophoton import emitter as em
 
+from conftest import write_histogram_csv
+
 DOT_DECAY = em.DecayParams(t1_ps=350.0, delta_inv_ps=em.fss_ueV_to_inv_ps(6.4))
 SHORT_DECAY = em.DecayParams(t1_ps=100.0, delta_inv_ps=0.0)
 REP_PS = ct.DEFAULT_REP_PERIOD_NS * 1000.0
@@ -218,7 +220,7 @@ def test_histogram_csv_round_trip(tmp_path):
     h = ct.synth_histogram(ct.HomModel(0.9, 2.0), SHORT_DECAY, 30_000, seed=4)
     csv_path = tmp_path / "h.csv"
     meta_path = tmp_path / "h.meta.json"
-    ct.write_histogram_csv(csv_path, meta_path, h)
+    write_histogram_csv(csv_path, meta_path, h)
     back = ct.read_histogram_csv(csv_path, meta_path)
     assert np.array_equal(back.counts, h.counts)
     assert np.allclose(back.taus_ps, h.taus_ps)

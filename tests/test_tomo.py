@@ -1,19 +1,17 @@
 import numpy as np
 import pytest
 
-from lophoton import jones, tomo
+from lophoton import circuit, jones, tomo
 from lophoton.linalg import kron
 
-from conftest import random_density_matrix
-from oracles import kron_oracle, linear_inversion_oracle
+from conftest import random_density_matrix, write_records_csv
+from oracles import kron_oracle, linear_inversion_oracle, log_likelihood_oracle, trace_loop_probabilities
 
 
 def exact_records(rho, n=1_000_000):
     """Counts equal to n times the exact outcome probabilities."""
-    return [
-        tomo.MeasurementRecord(s[0], s[1], n * tomo.setting_probabilities(rho, s))
-        for s in tomo.SETTINGS
-    ]
+    probs = tomo.outcome_probabilities(rho)
+    return [tomo.MeasurementRecord(s[0], s[1], n * p) for s, p in zip(tomo.SETTINGS, probs)]
 
 
 def test_projectors_zz_setting():
@@ -46,6 +44,51 @@ def test_projectors_match_loop_built_oracle():
                 jones.projector(jones.basis_state(s1)), jones.projector(jones.basis_state(s2))
             )
             assert np.array_equal(tomo.PROJECTORS[i, k], expected)
+
+
+def _bell_state(overlap):
+    """The state the bell subcommand prepares at the given wavepacket overlap."""
+    inp = circuit.TwoPhotonInput(jones.basis_state("A"), jones.basis_state("V"), overlap)
+    return circuit.coincidence_evolve(circuit.build_cnot(), inp).rho
+
+
+def test_outcome_probabilities_equal_trace_loop(rng):
+    states = [_bell_state(m) for m in [*np.linspace(0.0, 1.0, 21), 0.947]]
+    states += [tomo.werner(p) for p in (0.0, 0.3, 0.9, 1.0)]
+    states += [random_density_matrix(rng, 4) for _ in range(50)]
+    for rho in states:
+        probs = tomo.outcome_probabilities(rho)
+        assert probs.shape == (9, 4)
+        assert np.array_equal(probs, trace_loop_probabilities(rho, tomo.PROJECTORS))
+
+
+@pytest.mark.parametrize("overlap", [0.947, 0.0])
+def test_simulate_counts_equal_per_setting_multinomial_loop(overlap):
+    # at overlap 0.947 a map built on the flattened projectors (off by up
+    # to 5.6e-17) draws different counts for this seed
+    rho = _bell_state(overlap)
+    rng = np.random.default_rng(42)
+    expected = [rng.multinomial(20_000, p) for p in trace_loop_probabilities(rho, tomo.PROJECTORS)]
+    records = tomo.simulate_counts(rho, 20_000, seed=42)
+    assert [(r.basis1, r.basis2) for r in records] == list(tomo.SETTINGS)
+    for rec, counts in zip(records, expected):
+        assert np.array_equal(rec.counts, counts)
+
+
+def test_log_likelihood_matches_loop_oracle(rng):
+    for trial in range(20):
+        rho = random_density_matrix(rng, 4) if trial % 2 else tomo.werner(0.95)
+        counts = rng.integers(0, 1000, size=(9, 4)).astype(float)
+        counts[rng.random((9, 4)) < 0.2] = 0.0  # zero counts leave the sum unchanged
+        records = [tomo.MeasurementRecord(s[0], s[1], c) for s, c in zip(tomo.SETTINGS, counts)]
+        rows = rng.permutation(9)[: 1 + trial % 9]  # a partial list, in any order
+        part = [records[i] for i in rows]
+        table = trace_loop_probabilities(rho, tomo.PROJECTORS)
+        expected = log_likelihood_oracle([r.counts for r in part], table[rows])
+        assert tomo.log_likelihood(rho, part) == pytest.approx(expected, rel=1e-12)
+    # a probability of 0 under the pure state is floored, not -inf
+    zz = tomo.MeasurementRecord("Z", "Z", np.array([3.0, 0.0, 0.0, 0.0]))
+    assert tomo.log_likelihood(tomo.psi_minus(), [zz]) == pytest.approx(3 * np.log(1e-300), rel=1e-12)
 
 
 def test_simulate_counts_pure_and_mixed():
@@ -162,9 +205,10 @@ def test_mle_output_always_physical(rng):
         assert np.linalg.eigvalsh(rho).min() > -1e-10
 
 
-def test_mle_iteration_cap_flags_not_converged():
+def test_mle_iteration_cap_flags_not_converged(monkeypatch):
     records = tomo.simulate_counts(tomo.werner(0.8), 10_000, seed=5)
-    res = tomo.mle_reconstruct(records, max_iter=1)
+    monkeypatch.setattr(tomo, "_MLE_MAX_ITER", 1)
+    res = tomo.mle_reconstruct(records)
     assert not res.converged
     assert np.trace(res.rho).real == pytest.approx(1.0, abs=1e-10)
 
@@ -347,7 +391,7 @@ def test_monte_carlo_requires_enough_resamples():
 def test_records_csv_round_trip(tmp_path):
     records = tomo.simulate_counts(tomo.werner(0.7), 5000, seed=13)
     path = tmp_path / "records.csv"
-    tomo.records_to_csv(path, records)
+    write_records_csv(path, records)
     back = {(r.basis1, r.basis2): r for r in tomo.records_from_csv(path)}
     assert len(back) == 9
     for rec in records:
