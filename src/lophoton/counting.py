@@ -3,16 +3,20 @@
 Histograms are binned coincidence counts versus detector time difference
 tau (ps).  Peaks repeat at multiples of the laser repetition period; a
 pulse-pair experiment adds satellites at +-delta_t around every repetition
-peak.  Peak areas are integrated in a window of +-window_ps around each
-expected center after subtracting a flat background estimated from the
-inter-peak region.
+peak.  Every peak is named by its repetition index k and offset index j
+(center k * rep + j * delta_t, j in {-1, 0, +1}, j = 0 alone without a
+pulse pair), never by its float position.  Peak areas are integrated in a
+window of +-window_ps around each center inside the histogram after
+subtracting a flat background estimated from the inter-peak region.
 
 The intensity autocorrelation at zero delay is estimated as the ratio of
-the central peak area to the mean side-peak area.  Two-photon interference
-visibility is 1 - A0/A_ref, where A_ref is the central-peak area expected
-for fully distinguishable photons: half the mean of the +-delta_t
-satellite areas (pulse-pair excitation with 50/50 splitting).  Both are
-pure count ratios, so uniform count rescaling leaves them unchanged.
+the central peak area (k = 0, j = 0) to the mean area of the side peaks
+(k != 0, j = 0); a zero side-peak mean is a ValueError.  Two-photon
+interference visibility is 1 - A0/A_ref, where A_ref is the central-peak
+area expected for fully distinguishable photons: half the mean of the
++-delta_t satellite areas (k = 0, j = -1 and +1; pulse-pair excitation
+with 50/50 splitting).  Both are pure count ratios, so uniform count
+rescaling leaves them unchanged.
 
 Laser leakage under resonant excitation shows up as a flat coincidence
 floor; the background subtraction above is also how that leakage would be
@@ -75,11 +79,13 @@ class CoincidenceHistogram:
 
 @dataclass(frozen=True)
 class PeakIntegral:
+    """One peak at center_ps = k * rep + j * delta_t (offset index j in {-1, 0, +1})."""
+
     center_ps: float
-    window_ps: float
+    k: int
+    j: int
     area: float
-    is_central: bool
-    raw_counts: float = 0.0  # pre-subtraction counts, for Poisson errors
+    raw_counts: float  # pre-subtraction counts, for Poisson errors
 
 
 @dataclass(frozen=True)
@@ -107,20 +113,19 @@ class HomModel:
             raise ValueError("pulse_sep_ns must be positive")
 
 
-def _peak_centers_ps(rep_period_ns, pulse_pair_sep_ns, tau_min, tau_max):
-    rep_ps = rep_period_ns * 1000.0
-    kmax = int(np.floor(max(abs(tau_min), abs(tau_max)) / rep_ps))
-    centers = []
-    offsets = [0.0]
-    if pulse_pair_sep_ns is not None:
-        sep_ps = pulse_pair_sep_ns * 1000.0
-        offsets = [-sep_ps, 0.0, sep_ps]
-    for k in range(-kmax, kmax + 1):
-        for off in offsets:
-            c = k * rep_ps + off
-            if tau_min <= c <= tau_max:
-                centers.append(c)
-    return sorted(centers)
+def _peak_layout(rep_period_ns, pulse_pair_sep_ns, kmax):
+    """Peak centers k*rep + j*delta_t (ps) with their indices k and j, each of shape (2 kmax + 1, offsets).
+
+    Row k runs from -kmax to kmax.  The offset index j is 0 alone without a
+    pulse pair and -1, 0, +1 with one.
+    """
+    k = np.arange(-kmax, kmax + 1)[:, None]
+    if pulse_pair_sep_ns is None:
+        j, sep_ps = np.array([[0]]), 0.0
+    else:
+        j, sep_ps = np.array([[-1, 0, 1]]), pulse_pair_sep_ns * 1000.0
+    centers = k * (rep_period_ns * 1000.0) + j * sep_ps
+    return np.broadcast_arrays(centers, k, j)
 
 
 def _shape_pdf(x_ps: np.ndarray, p: DecayParams) -> np.ndarray:
@@ -162,21 +167,18 @@ def expected_histogram(
     nbins = int(np.ceil(2.0 * half_span / bin_width_ps))
     taus = (np.arange(nbins) - (nbins - 1) / 2.0) * bin_width_ps
 
-    peaks = []  # (center_ps, weight)
-    pulse_sep = None
     if isinstance(model, HbtModel):
-        for k in range(-n_side, n_side + 1):
-            peaks.append((k * rep_ps, model.g2 if k == 0 else 1.0))
+        pulse_sep = None
+        weights = np.ones((2 * n_side + 1, 1))
+        weights[n_side, 0] = model.g2
     elif isinstance(model, HomModel):
         pulse_sep = model.pulse_sep_ns
-        sep_ps = pulse_sep * 1000.0
-        for k in range(-n_side, n_side + 1):
-            mid = 2.0 if k != 0 else 0.5 * (1.0 - model.visibility)
-            peaks.append((k * rep_ps - sep_ps, 1.0))
-            peaks.append((k * rep_ps, mid))
-            peaks.append((k * rep_ps + sep_ps, 1.0))
+        weights = np.tile([1.0, 2.0, 1.0], (2 * n_side + 1, 1))
+        weights[n_side, 1] = 0.5 * (1.0 - model.visibility)
     else:
         raise TypeError(f"model must be HbtModel or HomModel, got {type(model)!r}")
+    centers = _peak_layout(rep_period_ns, pulse_sep, n_side)[0]
+    peaks = list(zip(centers.ravel().tolist(), weights.ravel().tolist()))  # k ascending, then j
 
     wsum = sum(w for _, w in peaks)
     lam = np.zeros_like(taus)
@@ -209,7 +211,7 @@ def synth_histogram(
 
 
 def integrate_peaks(h: CoincidenceHistogram, window_ps: float) -> list[PeakIntegral]:
-    """Background-subtracted area of every expected peak.
+    """Background-subtracted area of every expected peak, in order of center.
 
     The window is a half-width: bins with |tau - center| <= window_ps count
     toward a peak.  The flat background per bin is the median of all bins
@@ -220,46 +222,40 @@ def integrate_peaks(h: CoincidenceHistogram, window_ps: float) -> list[PeakInteg
     rep_ps = h.rep_period_ns * 1000.0
     if not window_ps < rep_ps / 2.0:
         raise ValueError("window must be smaller than half the repetition period")
-    if max(abs(h.taus_ps[0]), abs(h.taus_ps[-1])) > rep_ps * len(h.taus_ps):
+    taus = h.taus_ps
+    reach = max(abs(taus[0]), abs(taus[-1]))
+    if reach > rep_ps * len(taus):
         raise ValueError("histogram reaches more repetition periods from tau = 0 than it has bins")
-    centers = _peak_centers_ps(
-        h.rep_period_ns, h.pulse_pair_sep_ns, h.taus_ps[0], h.taus_ps[-1]
-    )
+    kmax = int(np.floor(reach / rep_ps))
+    centers, ks, js = (a.ravel() for a in _peak_layout(h.rep_period_ns, h.pulse_pair_sep_ns, kmax))
+    inside = (taus[0] <= centers) & (centers <= taus[-1])
+    order = np.argsort(centers[inside], kind="stable")
+    centers, ks, js = (a[inside][order] for a in (centers, ks, js))
+    if not centers.size:
+        raise ValueError("no peak center inside the histogram")
     gaps = np.diff(centers)
     if len(gaps) and gaps.min() < 2.0 * window_ps:
         raise WindowOverlap(
             f"centers {gaps.min():.0f} ps apart overlap at window {window_ps:.0f} ps"
         )
 
-    dist = np.min(np.abs(h.taus_ps[:, None] - np.asarray(centers)[None, :]), axis=1)
-    outside = dist > window_ps
+    # centers are at least two windows apart, so no window but those of the
+    # two centers around a bin can hold it; a bin midway counts in both
+    right = np.searchsorted(centers, taus)  # centers[right - 1] < tau <= centers[right]
+    padded = np.concatenate(([-np.inf], centers, [np.inf]))
+    in_left = np.abs(taus - padded[right]) <= window_ps
+    in_right = np.abs(taus - padded[right + 1]) <= window_ps
+    outside = ~(in_left | in_right)
     background = float(np.median(h.counts[outside])) if outside.any() else 0.0
 
-    out = []
-    for c in centers:
-        mask = np.abs(h.taus_ps - c) <= window_ps
-        raw = float(h.counts[mask].sum())
-        area = max(raw - background * int(mask.sum()), 0.0)
-        out.append(
-            PeakIntegral(
-                center_ps=c,
-                window_ps=window_ps,
-                area=area,
-                is_central=abs(c) < 0.5 * h.bin_width_ps,
-                raw_counts=raw,
-            )
-        )
-    return out
-
-
-def _rep_peaks_only(peaks, rep_ps):
-    """Peaks sitting on repetition multiples, excluding pulse-pair satellites."""
-    out = []
-    for p in peaks:
-        k = round(p.center_ps / rep_ps)
-        if abs(p.center_ps - k * rep_ps) < 1e-6 * rep_ps + 1e-9:
-            out.append(p)
-    return out
+    peak = np.concatenate((right[in_left] - 1, right[in_right]))
+    raw = np.zeros(centers.size, dtype=h.counts.dtype)
+    np.add.at(raw, peak, np.concatenate((h.counts[in_left], h.counts[in_right])))
+    area = np.maximum(raw - background * np.bincount(peak, minlength=centers.size), 0.0)
+    return [
+        PeakIntegral(center_ps=c, k=k, j=j, area=a, raw_counts=r)
+        for c, k, j, a, r in zip(centers.tolist(), ks.tolist(), js.tolist(), area.tolist(), raw.astype(float).tolist())
+    ]
 
 
 def g2_zero(h: CoincidenceHistogram, window_ps: float):
@@ -267,18 +263,17 @@ def g2_zero(h: CoincidenceHistogram, window_ps: float):
 
     Returns (g2, sigma).  Requires at least three side peaks.
     """
-    rep_ps = h.rep_period_ns * 1000.0
-    peaks = integrate_peaks(h, window_ps)
-    rep_peaks = _rep_peaks_only(peaks, rep_ps)
-    central = [p for p in rep_peaks if p.is_central]
-    sides = [p for p in rep_peaks if not p.is_central]
+    peaks = {(p.k, p.j): p for p in integrate_peaks(h, window_ps)}
+    sides = [p for (k, j), p in peaks.items() if k != 0 and j == 0]
     if len(sides) < 3:
         raise NoSidePeaks(f"need >= 3 side peaks, found {len(sides)}")
-    if not central:
+    if (0, 0) not in peaks:
         raise ValueError("no central peak inside the histogram")
-    a0 = central[0].area
-    var0 = central[0].raw_counts
+    a0 = peaks[0, 0].area
+    var0 = peaks[0, 0].raw_counts
     side_mean = float(np.mean([p.area for p in sides]))
+    if side_mean <= 0:
+        raise ValueError("side-peak area is zero; cannot form g2")
     var_side_mean = float(np.sum([p.raw_counts for p in sides])) / len(sides) ** 2
     value = a0 / side_mean
     sigma = np.sqrt(var0 / side_mean ** 2 + (a0 * np.sqrt(var_side_mean) / side_mean ** 2) ** 2)
@@ -297,11 +292,11 @@ def hom_visibility(h: CoincidenceHistogram, window_ps: float):
         raise UnresolvedCluster(
             f"pulse separation {sep_ps:.0f} ps below 3 bins ({3 * h.bin_width_ps:.0f} ps)"
         )
-    peaks = integrate_peaks(h, window_ps)
-    central = next((p for p in peaks if p.is_central), None)
+    peaks = {(p.k, p.j): p for p in integrate_peaks(h, window_ps)}
+    central = peaks.get((0, 0))
     if central is None:
         raise ValueError("no central peak inside the histogram")
-    satellites = [p for p in peaks if abs(abs(p.center_ps) - sep_ps) < 0.5 * h.bin_width_ps]
+    satellites = [peaks[0, j] for j in (-1, 1) if (0, j) in peaks]
     if len(satellites) != 2:
         raise ValueError(f"expected the two +-delta_t satellites, found {len(satellites)}")
     a_ref = 0.5 * float(np.mean([p.area for p in satellites]))

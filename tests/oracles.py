@@ -244,3 +244,108 @@ def quad_vp_rate(temperature_K, p):
 def quad_visibility(temperature_K, delay_ns, p):
     """Visibility at T > 0 from the adaptive-quadrature rates."""
     return _visibility(quad_fc_factor(temperature_K, p), quad_vp_rate(temperature_K, p), delay_ns, p)
+
+
+# named like the package's exceptions, so that a test can compare the two by name
+class WindowOverlap(ValueError):
+    pass
+
+
+class NoSidePeaks(ValueError):
+    pass
+
+
+class UnresolvedCluster(ValueError):
+    pass
+
+
+def integrate_peaks_oracle(h, window_ps):
+    """Peak integration with one full-length mask per center.
+
+    Centers come from a loop over repetitions k and pulse-pair offsets,
+    the background from a bins x centers distance matrix.  Returns
+    (center, area, raw counts) per peak in order of center.
+    """
+    if not window_ps > 0:
+        raise ValueError(f"window_ps must be positive, got {window_ps}")
+    rep_ps = h.rep_period_ns * 1000.0
+    if not window_ps < rep_ps / 2.0:
+        raise ValueError("window must be smaller than half the repetition period")
+    tau_min, tau_max = h.taus_ps[0], h.taus_ps[-1]
+    if max(abs(tau_min), abs(tau_max)) > rep_ps * len(h.taus_ps):
+        raise ValueError("histogram reaches more repetition periods from tau = 0 than it has bins")
+    offsets = [0.0]
+    if h.pulse_pair_sep_ns is not None:
+        sep_ps = h.pulse_pair_sep_ns * 1000.0
+        offsets = [-sep_ps, 0.0, sep_ps]
+    kmax = int(np.floor(max(abs(tau_min), abs(tau_max)) / rep_ps))
+    centers = []
+    for k in range(-kmax, kmax + 1):
+        for off in offsets:
+            c = k * rep_ps + off
+            if tau_min <= c <= tau_max:
+                centers.append(c)
+    centers = sorted(centers)
+    gaps = np.diff(centers)
+    if len(gaps) and gaps.min() < 2.0 * window_ps:
+        raise WindowOverlap("windows overlap")
+
+    dist = np.min(np.abs(h.taus_ps[:, None] - np.asarray(centers)[None, :]), axis=1)
+    outside = dist > window_ps
+    background = float(np.median(h.counts[outside])) if outside.any() else 0.0
+    out = []
+    for c in centers:
+        mask = np.abs(h.taus_ps - c) <= window_ps
+        raw = float(h.counts[mask].sum())
+        out.append((c, max(raw - background * int(mask.sum()), 0.0), raw))
+    return out
+
+
+def _on_repetition(center, rep_ps):
+    k = round(center / rep_ps)
+    return abs(center - k * rep_ps) < 1e-6 * rep_ps + 1e-9
+
+
+def g2_zero_oracle(h, window_ps):
+    """g2 with the peaks told apart by their float positions.
+
+    Repetition peaks lie within 1e-6 of a period of a multiple of it, and
+    the central one within half a bin of tau = 0.  A zero side-peak mean is
+    a ValueError, as in the package.
+    """
+    rep_peaks = [p for p in integrate_peaks_oracle(h, window_ps) if _on_repetition(p[0], h.rep_period_ns * 1000.0)]
+    central = [p for p in rep_peaks if abs(p[0]) < 0.5 * h.bin_width_ps]
+    sides = [p for p in rep_peaks if abs(p[0]) >= 0.5 * h.bin_width_ps]
+    if len(sides) < 3:
+        raise NoSidePeaks(f"need >= 3 side peaks, found {len(sides)}")
+    if not central:
+        raise ValueError("no central peak inside the histogram")
+    (_, a0, var0) = central[0]
+    side_mean = float(np.mean([p[1] for p in sides]))
+    if side_mean <= 0:
+        raise ValueError("side-peak area is zero")
+    var_side_mean = float(np.sum([p[2] for p in sides])) / len(sides) ** 2
+    sigma = np.sqrt(var0 / side_mean ** 2 + (a0 * np.sqrt(var_side_mean) / side_mean ** 2) ** 2)
+    return a0 / side_mean, float(sigma)
+
+
+def hom_visibility_oracle(h, window_ps):
+    """Visibility with the satellites found within half a bin of +-delta_t."""
+    if h.pulse_pair_sep_ns is None:
+        raise ValueError("histogram has no pulse_pair_sep_ns metadata")
+    sep_ps = h.pulse_pair_sep_ns * 1000.0
+    if sep_ps < 3.0 * h.bin_width_ps:
+        raise UnresolvedCluster("unresolved")
+    peaks = integrate_peaks_oracle(h, window_ps)
+    central = next((p for p in peaks if abs(p[0]) < 0.5 * h.bin_width_ps), None)
+    if central is None:
+        raise ValueError("no central peak inside the histogram")
+    satellites = [p for p in peaks if abs(abs(p[0]) - sep_ps) < 0.5 * h.bin_width_ps]
+    if len(satellites) != 2:
+        raise ValueError(f"expected the two +-delta_t satellites, found {len(satellites)}")
+    a_ref = 0.5 * float(np.mean([p[1] for p in satellites]))
+    if a_ref <= 0:
+        raise ValueError("reference area is zero")
+    var_ref = 0.25 * float(np.sum([p[2] for p in satellites])) / len(satellites) ** 2
+    sigma = np.sqrt(central[2] / a_ref ** 2 + (central[1] / a_ref ** 2) ** 2 * var_ref)
+    return float(1.0 - central[1] / a_ref), float(sigma)

@@ -388,6 +388,14 @@ def _g2_histogram(tmp_path):
     return ["analyze", "--kind", "g2", "--histogram", str(tmp_path / "h.csv")]
 
 
+def _flat_g2_histogram(tmp_path):
+    """7000 bins of 5 counts: every side peak is all background, so their mean area is 0."""
+    taus = (np.arange(7000) - 3499.5) * 20.0
+    h = ct.CoincidenceHistogram(bin_width_ps=20.0, taus_ps=taus, counts=np.full(7000, 5))
+    write_histogram_csv(tmp_path / "h.csv", tmp_path / "h.meta.json", h)
+    return ["analyze", "--kind", "g2", "--histogram", str(tmp_path / "h.csv"), "--meta", str(tmp_path / "h.meta.json")]
+
+
 def _histogram_with_meta(tmp_path, meta_text):
     return [*_g2_histogram(tmp_path), "--meta", _json_file(tmp_path, meta_text)]
 
@@ -459,6 +467,7 @@ MALFORMED = {
                                                    "--resamples", "-1"],
     "trpl-irf-negative": lambda tmp: _fit_argv(tmp, "trpl", "--irf-width", "-75"),
     "analyze-window-nan": lambda tmp: [*_g2_histogram(tmp), "--meta", str(tmp / "h.meta.json"), "--window", "nan"],
+    "g2-flat-histogram": _flat_g2_histogram,
 }
 
 
@@ -481,6 +490,7 @@ def test_malformed_input_exit_2_without_output(tmp_path, make_argv):
     ("reconstruct-resamples-negative", "n_resamples must be at least 100 for a usable spread, got -1"),
     ("trpl-irf-negative", "--irf-width must be finite and >= 0, got -75.0"),
     ("analyze-window-nan", "window_ps must be positive, got nan"),
+    ("g2-flat-histogram", "side-peak area is zero; cannot form g2"),
 ])
 def test_malformed_input_message_names_the_value(tmp_path, capsys, name, expected):
     argv = MALFORMED[name](tmp_path)

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from lophoton import counting as ct
 from lophoton import emitter as em
 
+import oracles
 from conftest import write_histogram_csv
 
 DOT_DECAY = em.DecayParams(t1_ps=350.0, delta_inv_ps=em.fss_ueV_to_inv_ps(6.4))
@@ -147,6 +149,59 @@ def test_hom_requires_metadata_and_resolution():
     )
     with pytest.raises(ValueError, match="no central peak"):
         ct.hom_visibility(no_zero, 600.0)
+
+
+def _random_histogram(rng, case):
+    """A Poisson histogram with peaks, gapped and shifted at random, and a window for it.
+
+    Every fourth takes window = delta_t/2, where neighbouring windows touch
+    and a bin midway between two centers counts toward both.
+    """
+    sep_ns = None if case % 2 else float(rng.choice([0.6, 1.0, 2.0, rng.uniform(0.3, 4.0)]))
+    model = ct.HbtModel(rng.uniform(0.0, 1.0)) if sep_ns is None else ct.HomModel(rng.uniform(0.0, 1.0), sep_ns)
+    bin_width = float(rng.choice([10.0, 20.0, 25.0]))
+    taus, lam, meta = ct.expected_histogram(model, SHORT_DECAY, rng.uniform(1e3, 1e5), bin_width_ps=bin_width,
+                                            n_side=int(rng.integers(1, 4)), background_per_bin=rng.uniform(0, 3))
+    keep = rng.random(taus.size) < rng.choice([1.0, 0.7, 0.05])
+    taus = taus + rng.choice([0.0, rng.uniform(-0.5, 0.5) * bin_width, rng.integers(-2, 3) * REP_PS])
+    h = ct.CoincidenceHistogram(taus_ps=taus[keep], counts=rng.poisson(lam[keep]), **meta)
+    if sep_ns is not None and case % 4 == 0:
+        return h, sep_ns * 500.0
+    limit = REP_PS / 2 if sep_ns is None else sep_ns * 500.0
+    return h, float(rng.uniform(0.2, 1.1) * limit)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as e:
+        return type(e).__name__
+
+
+def test_integration_and_estimators_match_masked_loop_oracle():
+    rng = np.random.default_rng(808)
+    for case in range(400):
+        h, window = _random_histogram(rng, case)
+        new = _outcome(ct.integrate_peaks, h, window)
+        if isinstance(new, list):
+            new = [(p.center_ps, p.area, p.raw_counts) for p in new]
+        assert new == _outcome(oracles.integrate_peaks_oracle, h, window), case
+        assert _outcome(ct.g2_zero, h, window) == _outcome(oracles.g2_zero_oracle, h, window), case
+        assert _outcome(ct.hom_visibility, h, window) == _outcome(oracles.hom_visibility_oracle, h, window), case
+
+
+def test_integrate_peaks_memory_linear_in_bins():
+    # one bin every two periods: 3999 centers for 2000 bins
+    taus = (np.arange(2000) - 1000) * 2.0 * REP_PS
+    h = ct.CoincidenceHistogram(bin_width_ps=20.0, taus_ps=taus, counts=np.ones(taus.size, dtype=int))
+    tracemalloc.start()
+    try:
+        peaks = ct.integrate_peaks(h, 2000.0)
+        _, peak_bytes = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 3999
+    assert peak_bytes < 8e6
 
 
 def test_histogram_rejects_non_finite_taus():

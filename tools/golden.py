@@ -136,6 +136,10 @@ def write_inputs(inputs: Path):
         text, meta = histogram_csv(rng, kind)
         (inputs / f"{kind}.csv").write_text(text)
         (inputs / f"{kind}.meta.json").write_text(meta)
+        if kind == "g2":  # every third row dropped, so that peaks lose bins
+            lines = text.splitlines(keepends=True)
+            (inputs / "g2-gapped.csv").write_text(lines[0] + "".join(
+                row for i, row in enumerate(lines[1:]) if i % 3 != 2))
     # the hom histogram moved 4 repetition periods, so that it misses tau = 0
     rows = [row.split(",") for row in text.splitlines()[1:]]
     (inputs / "bad-hom.csv").write_text("tau_ps,counts\n" + "".join(
@@ -190,6 +194,14 @@ def calls():
         ("analyze-g2", ["analyze", "--kind", "g2", "--histogram", "inputs/g2.csv", "--meta", "inputs/g2.meta.json"]),
         ("analyze-hom", ["analyze", "--kind", "hom", "--histogram", "inputs/hom.csv",
                          "--meta", "inputs/hom.meta.json"]),
+        # g2 of a pulse-pair histogram takes the repetition peaks, not the
+        # +-2 ns satellites; at --window 1000 neighbouring windows touch
+        ("analyze-g2-pulse-pair", ["analyze", "--kind", "g2", "--histogram", "inputs/hom.csv",
+                                   "--meta", "inputs/hom.meta.json", "--window", "900"]),
+        ("analyze-hom-touching", ["analyze", "--kind", "hom", "--histogram", "inputs/hom.csv",
+                                  "--meta", "inputs/hom.meta.json", "--window", "1000"]),
+        ("analyze-g2-gapped", ["analyze", "--kind", "g2", "--histogram", "inputs/g2-gapped.csv",
+                               "--meta", "inputs/g2.meta.json"]),
         ("bad-records", ["reconstruct", "--records", "inputs/bad-records.csv", "--resamples", "100"]),
         ("bad-vis_T", ["fit", "--kind", "vis_T", "--data", "inputs/bad-vis_T.csv"]),
         ("bad-hom", ["analyze", "--kind", "hom", "--histogram", "inputs/bad-hom.csv",
