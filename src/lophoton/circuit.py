@@ -20,10 +20,15 @@ Splitter phase convention: the V modes mix by the rotation
 [[t, -r], [r, t]] with t = sqrt(1/3), r = sqrt(2/3), which makes the VV
 coincidence amplitude t^2 - r^2 = -1/3 explicit.
 
-Partial distinguishability is modeled as a convex mixture: weight M of the
-fully interfering (permanent) outcome and weight 1-M of the classical
-photon-to-path assignment sum, where M is the squared overlap of the two
-photon wavepackets.  A measured two-photon interference visibility is used
+A coincidence arises from two photon-to-path assignments: f, the control
+photon ends in the control path and the target photon in the target path,
+and s, the two are swapped.  With a and b the single-photon outputs of the
+control and target photon, f = kron(a[:2], b[2:]) and s = kron(b[:2], a[2:]).
+Indistinguishable photons interfere, psi = f + s (the 2x2 permanent), while
+distinguishable ones give the mixture f f^dag + s s^dag.  Partial
+distinguishability is the convex mixture of the two with weight M on the
+interfering one, where M is the squared overlap of the two photon
+wavepackets.  A measured two-photon interference visibility is used
 directly as M (identity calibration).
 """
 
@@ -37,17 +42,19 @@ from . import jones
 
 #: computational two-qubit basis order used for all tables and matrices
 BASIS_ZZ = ("HH", "HV", "VH", "VV")
-BASIS_XX = ("DD", "DA", "AD", "AA")
+
+#: per truth-table basis: its four labels in row and column order, and for
+#: each input row the column of the ideal CNOT's correct outcome
+TRUTH_TABLE_BASES = {
+    "ZZ": (BASIS_ZZ, (0, 1, 3, 2)),
+    "XX": (("DD", "DA", "AD", "AA"), (0, 3, 2, 1)),
+}
 
 _SV_TOL = 1e-12
 
 
 class ZeroSuccessProbability(ValueError):
     """Post-selected state undefined: coincidence probability is zero."""
-
-
-class UnknownElement(ValueError):
-    """Unknown element kind."""
 
 
 @dataclass(frozen=True)
@@ -141,19 +148,12 @@ def ppbs_attenuator(path: str) -> LinearElement:
     return LinearElement(f"ppbs_attenuator:{path}", m)
 
 
-def waveplate(kind: str, path: str, theta_deg: float) -> LinearElement:
-    """Half- or quarter-wave plate acting on one path."""
-    theta = np.deg2rad(theta_deg)
-    if kind == "hwp":
-        j = jones.hwp(theta)
-    elif kind == "qwp":
-        j = jones.qwp(theta)
-    else:
-        raise UnknownElement(f"waveplate kind must be hwp or qwp, got {kind!r}")
+def waveplate(path: str, theta_deg: float) -> LinearElement:
+    """Half-wave plate acting on one path."""
     sl = _path_slice(path)
     m = np.eye(4, dtype=complex)
-    m[sl, sl] = j
-    return LinearElement(f"{kind}:{path}:{theta_deg:g}deg", m)
+    m[sl, sl] = jones.hwp(np.deg2rad(theta_deg))
+    return LinearElement(f"hwp:{path}:{theta_deg:g}deg", m)
 
 
 def build_cz() -> list[LinearElement]:
@@ -163,12 +163,7 @@ def build_cz() -> list[LinearElement]:
 
 def build_cnot() -> list[LinearElement]:
     """CNOT: Hadamard waveplates on the target around the CZ core."""
-    return [waveplate("hwp", "target", 22.5), *build_cz(), waveplate("hwp", "target", 22.5)]
-
-
-def elements_to_json(elements: list[LinearElement]) -> list[str]:
-    """Serializable description: ordered element labels."""
-    return [e.label for e in elements]
+    return [waveplate("target", 22.5), *build_cz(), waveplate("target", 22.5)]
 
 
 def compose_transfer(elements: list[LinearElement]) -> np.ndarray:
@@ -181,39 +176,28 @@ def compose_transfer(elements: list[LinearElement]) -> np.ndarray:
     return u
 
 
-def _single_photon_outputs(u, inp: TwoPhotonInput):
+def _assignments(elements: list[LinearElement], inp: TwoPhotonInput):
+    """Coincidence amplitudes (f, s) over (HH, HV, VH, VV) of the two assignments.
+
+    f has the control photon in the control path and the target photon in
+    the target path; s has them swapped.
+    """
+    u = compose_transfer(elements)
     a = u @ np.array([inp.control[0], inp.control[1], 0.0, 0.0], dtype=complex)
     b = u @ np.array([0.0, 0.0, inp.target[0], inp.target[1]], dtype=complex)
-    return a, b
+    return np.kron(a[:2], b[2:]), np.kron(b[:2], a[2:])
 
 
 def two_photon_amplitudes(elements: list[LinearElement], inp: TwoPhotonInput) -> np.ndarray:
-    """Coincidence amplitudes for fully indistinguishable photons.
+    """Coincidence amplitudes psi = f + s for fully indistinguishable photons.
 
     Returns the unnormalized 4-vector over (HH, HV, VH, VV): entry (a, b) is
     the 2x2 permanent of the composed transfer restricted to the occupied
     input modes and output modes (a in the control path, b in the target
-    path).  Because each photon enters a disjoint pair of modes the permanent
-    sum factorizes as u_a w_b + w_a u_b.
+    path).
     """
-    return _interfering_amplitudes(*_single_photon_outputs(compose_transfer(elements), inp))
-
-
-def _interfering_amplitudes(u_vec, w_vec) -> np.ndarray:
-    return np.array(
-        [u_vec[a] * w_vec[b] + w_vec[a] * u_vec[b] for a in (0, 1) for b in (2, 3)],
-        dtype=complex,
-    )
-
-
-def _distinguishable_conditional(a, b):
-    # Classical assignment sum: each photon scatters independently; the two
-    # photon-to-output-path assignments are orthogonal outcomes, so their
-    # (unnormalized) product states add as a mixture.
-    first = np.kron(a[:2], b[2:])  # control photon stays control, target stays target
-    second = np.kron(b[:2], a[2:])  # paths swapped
-    rho = np.outer(first, first.conj()) + np.outer(second, second.conj())
-    return rho, float(np.trace(rho).real)
+    f, s = _assignments(elements, inp)
+    return f + s
 
 
 def coincidence_evolve(elements: list[LinearElement], inp: TwoPhotonInput) -> PostSelectedState:
@@ -224,11 +208,12 @@ def coincidence_evolve(elements: list[LinearElement], inp: TwoPhotonInput) -> Po
     coincidence subspace; success_prob is the matching mixture of the two
     coincidence probabilities.
     """
-    a, b = _single_photon_outputs(compose_transfer(elements), inp)
-    psi = _interfering_amplitudes(a, b)
+    f, s = _assignments(elements, inp)
+    psi = f + s
     rho_ind = np.outer(psi, psi.conj())
     p_ind = float(np.vdot(psi, psi).real)
-    rho_dist, p_dist = _distinguishable_conditional(a, b)
+    rho_dist = np.outer(f, f.conj()) + np.outer(s, s.conj())
+    p_dist = float(np.trace(rho_dist).real)
 
     m = inp.overlap
     p = m * p_ind + (1.0 - m) * p_dist
@@ -239,16 +224,11 @@ def coincidence_evolve(elements: list[LinearElement], inp: TwoPhotonInput) -> Po
     return PostSelectedState(rho=rho, success_prob=p)
 
 
-def _basis_pairs(basis: str):
-    if basis == "ZZ":
-        labels = BASIS_ZZ
-    elif basis == "XX":
-        labels = BASIS_XX
-    else:
-        raise ValueError(f"basis must be 'ZZ' or 'XX', got {basis!r}")
-    return labels, [
-        (jones.basis_state(lbl[0]), jones.basis_state(lbl[1])) for lbl in labels
-    ]
+def _basis(basis: str):
+    try:
+        return TRUTH_TABLE_BASES[basis]
+    except KeyError:
+        raise ValueError(f"basis must be 'ZZ' or 'XX', got {basis!r}") from None
 
 
 def truth_table(
@@ -257,10 +237,11 @@ def truth_table(
     """(4x4 conditional output probabilities, success probability of each input).
 
     Table rows = inputs, cols = outcomes.  ZZ uses the H/V product states,
-    XX the D/A ones, in the fixed orders BASIS_ZZ and BASIS_XX.  Rows are
-    conditional on coincidence and sum to 1.
+    XX the D/A ones, in the fixed label orders of TRUTH_TABLE_BASES.  Rows
+    are conditional on coincidence and sum to 1.
     """
-    _, pairs = _basis_pairs(basis)
+    labels, _ = _basis(basis)
+    pairs = [(jones.basis_state(lbl[0]), jones.basis_state(lbl[1])) for lbl in labels]
     probes = [np.kron(c, t) for c, t in pairs]
     table = np.empty((4, 4))
     success_prob = np.empty(4)
@@ -272,13 +253,9 @@ def truth_table(
     return table, success_prob
 
 
-#: correct-outcome column for each input row of an ideal CNOT
-_CNOT_PATTERN = {"ZZ": (0, 1, 3, 2), "XX": (0, 3, 2, 1)}
-
-
 def basis_fidelity(table: np.ndarray, basis: str) -> float:
     """Mean probability of the four correct CNOT outcomes in a basis table."""
-    pattern = _CNOT_PATTERN[basis]
+    _, pattern = _basis(basis)
     t = np.asarray(table, dtype=float)
     if t.shape != (4, 4):
         raise ValueError("table must be 4x4")

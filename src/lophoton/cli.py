@@ -111,12 +111,12 @@ def cmd_truth_table(args):
     elements = circuit.build_cnot()
     table, success_prob = circuit.truth_table(elements, args.overlap, args.basis)
     fid = circuit.basis_fidelity(table, args.basis)
-    inputs = circuit.BASIS_ZZ if args.basis == "ZZ" else circuit.BASIS_XX
+    inputs, _ = circuit.TRUTH_TABLE_BASES[args.basis]
     succ = dict(zip(inputs, success_prob))
     payload = {
         "basis": args.basis,
         "overlap": args.overlap,
-        "gate": circuit.elements_to_json(elements),
+        "gate": [e.label for e in elements],
         "inputs": list(inputs),
         "outcomes": list(inputs),
         "table": table,
@@ -292,7 +292,7 @@ def build_parser():
     p = sub.add_parser("truth-table", help="conditional gate table and basis fidelity")
     add_common(p)
     p.add_argument("--overlap", type=float, default=1.0, help="wavepacket overlap M in [0, 1]")
-    p.add_argument("--basis", choices=["ZZ", "XX"], default="ZZ")
+    p.add_argument("--basis", choices=list(circuit.TRUTH_TABLE_BASES), default="ZZ")
     p.add_argument("--measured-fzz", type=float, default=None, help="externally measured ZZ fidelity")
     p.add_argument("--measured-fxx", type=float, default=None, help="externally measured XX fidelity")
     p.set_defaults(func=cmd_truth_table)

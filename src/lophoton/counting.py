@@ -72,10 +72,6 @@ class CoincidenceHistogram:
         object.__setattr__(self, "taus_ps", taus)
         object.__setattr__(self, "counts", counts)
 
-    @property
-    def total_counts(self) -> int:
-        return int(self.counts.sum())
-
 
 @dataclass(frozen=True)
 class PeakIntegral:

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-LABELS = ("H", "V", "D", "A", "R", "L")
-
 _SQ = 1.0 / np.sqrt(2.0)
 _STATES = {
     "H": np.array([1.0, 0.0], dtype=complex),
@@ -36,12 +34,6 @@ def basis_state(label: str) -> np.ndarray:
         raise UnknownLabel(f"unknown polarization label {label!r}") from None
 
 
-def rotator(theta: float) -> np.ndarray:
-    """Frame rotation by theta radians."""
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, -s], [s, c]], dtype=complex)
-
-
 def hwp(theta: float) -> np.ndarray:
     """Half-wave plate with fast axis at theta radians (global phase dropped).
 
@@ -50,16 +42,6 @@ def hwp(theta: float) -> np.ndarray:
     """
     c, s = np.cos(2.0 * theta), np.sin(2.0 * theta)
     return np.array([[c, s], [s, -c]], dtype=complex)
-
-
-def qwp(theta: float) -> np.ndarray:
-    """Quarter-wave plate with fast axis at theta radians.
-
-    Retarder diag(1, i) rotated into the theta frame; qwp(t) @ qwp(t) equals
-    hwp(t) with this phase choice.
-    """
-    r = rotator(theta)
-    return r @ np.diag([1.0, 1.0j]) @ r.conj().T
 
 
 def projector(state: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Dense complex linear algebra shared by the optics and tomography modules.
+"""Dense complex linear algebra behind the tomography module.
 
 All matrices handled here are small (2x2 or 4x4) with infinity norm of
 order one (unit-trace density matrices, unitary optical elements), so every
@@ -35,22 +35,9 @@ def _as_matrices(m) -> np.ndarray:
     return a
 
 
-def as_matrix(m) -> np.ndarray:
-    """Coerce to a 2-D complex ndarray and check finiteness."""
-    a = np.asarray(m, dtype=complex)
-    if a.ndim != 2:
-        raise BadDimension(f"expected a matrix, got ndim={a.ndim}")
-    return _as_matrices(a)
-
-
 def dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix or of each matrix of a stack."""
     return m.conj().swapaxes(-1, -2)
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product of two complex matrices."""
-    return np.kron(as_matrix(a), as_matrix(b))
 
 
 def _check_hermitian(m: np.ndarray) -> None:

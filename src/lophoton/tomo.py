@@ -36,7 +36,7 @@ import numpy as np
 from scipy import optimize
 
 from . import io, jones
-from .linalg import dagger, hermitian_eigen, kron, partial_trace, psd_sqrt
+from .linalg import dagger, hermitian_eigen, partial_trace, psd_sqrt
 
 BASES = ("Z", "X", "Y")
 BASIS_STATES = {"Z": ("H", "V"), "X": ("D", "A"), "Y": ("R", "L")}
@@ -93,7 +93,7 @@ def outcome_labels(setting) -> tuple:
 PROJECTORS = np.array(
     [
         [
-            kron(jones.projector(jones.basis_state(s1)), jones.projector(jones.basis_state(s2)))
+            np.kron(jones.projector(jones.basis_state(s1)), jones.projector(jones.basis_state(s2)))
             for s1, s2 in outcome_labels(setting)
         ]
         for setting in SETTINGS
@@ -114,9 +114,9 @@ def _inversion_map() -> np.ndarray:
         for o1, o2 in outcome_labels((b1, b2)):
             s1, s2 = EIGENSIGN[o1], EIGENSIGN[o2]
             m = (
-                s1 * s2 * kron(_PAULI[b1], _PAULI[b2])
-                + s1 / 3.0 * kron(_PAULI[b1], _PAULI["I"])
-                + s2 / 3.0 * kron(_PAULI["I"], _PAULI[b2])
+                s1 * s2 * np.kron(_PAULI[b1], _PAULI[b2])
+                + s1 / 3.0 * np.kron(_PAULI[b1], _PAULI["I"])
+                + s2 / 3.0 * np.kron(_PAULI["I"], _PAULI[b2])
             )
             rows.append(m.reshape(16) / 4.0)
     return np.array(rows)

@@ -119,7 +119,7 @@ def test_truth_table_rows_normalized(m):
         table, success_prob = circuit.truth_table(cnot, m, basis)
         assert np.allclose(table.sum(axis=1), 1.0, atol=1e-10)
         assert np.all(table >= -1e-12)
-        inputs = circuit.BASIS_ZZ if basis == "ZZ" else circuit.BASIS_XX
+        inputs, _ = circuit.TRUTH_TABLE_BASES[basis]
         for label, p in zip(inputs, success_prob):
             state = circuit.coincidence_evolve(cnot, _input(label[0], label[1], m))
             assert p == state.success_prob
@@ -139,12 +139,21 @@ def test_distinguishable_vv_row_matches_assignment_oracle():
     assert table[3, 2] < 1.0  # flip probability degraded
 
 
+def _control_retarder(theta_deg):
+    # retarder diag(1, i) rotated by theta on the control path: a complex-valued element
+    th = np.deg2rad(theta_deg)
+    r = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+    m = np.eye(4, dtype=complex)
+    m[:2, :2] = r @ np.diag([1.0, 1.0j]) @ r.T
+    return circuit.LinearElement(f"retarder:control:{theta_deg:g}deg", m)
+
+
 @pytest.mark.parametrize("m", [0.0, 0.25, 0.6, 1.0])
 def test_evolve_matches_internal_label_oracle(rng, m):
     elements = [
-        circuit.waveplate("hwp", "target", 22.5),
+        circuit.waveplate("target", 22.5),
         circuit.ppbs_central(),
-        circuit.waveplate("qwp", "control", 30.0),
+        _control_retarder(30.0),
         circuit.ppbs_attenuator("control"),
         circuit.ppbs_attenuator("target"),
     ]
@@ -221,7 +230,7 @@ def test_basis_fidelity_values():
 
 
 def test_element_labels():
-    labels = circuit.elements_to_json(circuit.build_cnot())
+    labels = [e.label for e in circuit.build_cnot()]
     assert labels == [
         "hwp:target:22.5deg",
         "ppbs_central",
@@ -229,3 +238,12 @@ def test_element_labels():
         "ppbs_attenuator:target",
         "hwp:target:22.5deg",
     ]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: circuit.truth_table(circuit.build_cnot(), 1.0, "YY"),
+    lambda: circuit.basis_fidelity(np.eye(4), "YY"),
+], ids=["truth_table", "basis_fidelity"])
+def test_unknown_basis_raises_value_error(call):
+    with pytest.raises(ValueError, match="'YY'"):
+        call()

@@ -17,7 +17,7 @@ def test_basis_state_values():
 
 
 def test_basis_states_normalized():
-    for label in jones.LABELS:
+    for label in "HVDARL":
         v = jones.basis_state(label)
         assert np.vdot(v, v).real == pytest.approx(1.0, abs=1e-12)
 
@@ -41,25 +41,6 @@ def test_hwp_involution_and_unitary(theta):
     m = jones.hwp(theta)
     assert np.allclose(m @ m, np.eye(2), atol=1e-12)
     assert np.allclose(m.conj().T @ m, np.eye(2), atol=1e-12)
-
-
-def test_qwp_zero_angle_convention():
-    assert np.allclose(jones.qwp(0.0), np.diag([1.0, 1.0j]), atol=1e-12)
-
-
-def test_qwp_45_makes_circular():
-    out = jones.qwp(np.deg2rad(45.0)) @ jones.basis_state("H")
-    # compare projectors: phase-insensitive identification with R or L
-    pr = jones.projector(out)
-    targets = [jones.projector(jones.basis_state(l)) for l in ("R", "L")]
-    assert any(np.allclose(pr, t, atol=1e-12) for t in targets)
-
-
-@pytest.mark.parametrize("theta", np.linspace(0, np.pi, 7))
-def test_qwp_squared_is_hwp(theta):
-    q = jones.qwp(theta)
-    assert np.allclose(q @ q, jones.hwp(theta), atol=1e-12)
-    assert np.allclose(q.conj().T @ q, np.eye(2), atol=1e-12)
 
 
 def test_projector_values():

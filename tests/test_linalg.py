@@ -6,35 +6,14 @@ from lophoton.linalg import (
     NegativeEigenvalue,
     NotHermitian,
     hermitian_eigen,
-    kron,
     partial_trace,
     psd_sqrt,
 )
 
 from conftest import random_density_matrix
-from oracles import kron_oracle, partial_trace_oracle
+from oracles import partial_trace_oracle
 
-SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-
-
-def test_kron_identities():
-    assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-    assert np.allclose(kron(SIGMA_Z, np.eye(2)), np.diag([1, 1, -1, -1]), atol=1e-15)
-
-
-def test_kron_matches_index_oracle(rng):
-    for _ in range(10):
-        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        assert np.allclose(kron(a, b), kron_oracle(a, b), atol=1e-14)
-
-
-def test_kron_bilinear_and_associative(rng):
-    a, b, c = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(3))
-    assert np.allclose(kron(a + b, c), kron(a, c) + kron(b, c), atol=1e-12)
-    assert np.allclose(kron(a, b + c), kron(a, b) + kron(a, c), atol=1e-12)
-    assert np.allclose(kron(kron(a, b), c), kron(a, kron(b, c)), atol=1e-12)
 
 
 def test_eigen_diagonal():
@@ -96,7 +75,7 @@ def test_partial_trace_singlet():
 def test_partial_trace_product(rng):
     ra = random_density_matrix(rng, 2)
     rb = random_density_matrix(rng, 2)
-    rho = kron(ra, rb)
+    rho = np.kron(ra, rb)
     assert np.allclose(partial_trace(rho, "first"), ra, atol=1e-12)
     assert np.allclose(partial_trace(rho, "second"), rb, atol=1e-12)
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from lophoton import circuit, jones, tomo
-from lophoton.linalg import kron
 
 from conftest import random_density_matrix, write_records_csv
 from oracles import kron_oracle, linear_inversion_oracle, log_likelihood_oracle, trace_loop_probabilities
@@ -237,7 +236,7 @@ def test_fidelity_values(rng):
 
 def test_concurrence_values():
     assert tomo.concurrence(tomo.psi_minus()) == pytest.approx(1.0, abs=1e-12)
-    product = kron(np.diag([1.0, 0.0]), np.diag([0.3, 0.7]))
+    product = np.kron(np.diag([1.0, 0.0]), np.diag([0.3, 0.7]))
     assert tomo.concurrence(product) == pytest.approx(0.0, abs=1e-12)
     for p in (1 / 3, 2 / 3, 1.0):
         assert tomo.concurrence(tomo.werner(p)) == pytest.approx(
@@ -257,7 +256,7 @@ def test_entropies_values():
 def test_metric_local_unitary_invariance(rng):
     g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     q, _ = np.linalg.qr(g)
-    u = kron(q, q)
+    u = np.kron(q, q)
     rho = tomo.werner(0.8)
     target = tomo.psi_minus()
     rho_u = u @ rho @ u.conj().T

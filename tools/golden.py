@@ -181,6 +181,9 @@ def calls():
         ("truth-table-ZZ", ["truth-table", "--basis", "ZZ", "--overlap", "0.947"]),
         ("truth-table-XX", ["truth-table", "--basis", "XX", "--overlap", "0.947",
                             "--measured-fzz", "0.902", "--measured-fxx", "0.874"]),
+        # the two ends of the overlap: distinguishable photons only, and full interference
+        ("truth-table-ZZ-0.0", ["truth-table", "--basis", "ZZ", "--overlap", "0.0"]),
+        ("truth-table-XX-1.0", ["truth-table", "--basis", "XX", "--overlap", "1.0"]),
         ("visibility-vs_T", ["visibility", "--mode", "vs_T", "--grid", "4:40:25", "--delay-ns", "2.0",
                              "--params", "inputs/params.json"]),
         ("visibility-vs_T-cold", ["visibility", "--mode", "vs_T", "--grid", "0.1:4:20", "--log-grid",
