@@ -26,7 +26,7 @@ import numpy as np
 from . import circuit, counting, emitter, io, jones, tomo
 
 DEFAULT_SEED = 123456789
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -149,16 +149,30 @@ def _reconstruction_payload(records, target, args):
     result = tomo.mle_reconstruct(records)
     if not result.converged:
         raise tomo.NotConverged("maximum-likelihood reconstruction did not converge")
+    diagnostics = {
+        "mle": {
+            "iterations": result.n_iter,
+            "newton_decrement_sq": result.decrement_sq,
+            "log_likelihood_gain": result.log_likelihood_gain,
+        },
+    }
     payload = {
         "log_likelihood": result.log_likelihood,
         "rho_real": np.real(result.rho),
         "rho_imag": np.imag(result.rho),
         "metrics": asdict(tomo.state_metrics(result.rho, target)),
+        "diagnostics": diagnostics,
     }
     if args.resamples != 0:
         mc = asdict(tomo.monte_carlo_metrics(records, target, args.resamples, _seed(args)))
         payload["n_resamples"] = mc.pop("n_resamples")
         payload["n_not_converged"] = mc.pop("n_not_converged")
+        iterations = mc.pop("refit_iterations")
+        diagnostics["monte_carlo"] = {
+            "iterations_min": int(iterations.min()),
+            "iterations_median": float(np.median(iterations)),
+            "iterations_max": int(iterations.max()),
+        }
         payload["metrics_mc"] = mc
     return payload
 

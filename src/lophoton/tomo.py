@@ -10,22 +10,27 @@ Reconstruction is a two-step pipeline: a Stokes/Pauli linear inversion
 (Hermitian, unit trace, possibly indefinite) provides the starting point,
 projected onto the physical set, for a maximum-likelihood fit over the
 Cholesky-like parameterization rho = T^dag T / Tr(T^dag T) with T lower
-triangular (16 real parameters), which is physical by construction.  The
-likelihood is multinomial per setting; the four projectors of a setting sum
-to the identity, so the outcome probabilities normalize automatically.
+triangular (16 real parameters x), which is physical by construction
+(James et al., PRA 64, 052312, 2001).  The likelihood is multinomial per
+setting; the four projectors of a setting sum to the identity, so the
+outcome probabilities normalize automatically.  Each outcome trace is a
+quadratic form x @ _Q[k] @ x, so the fit is a damped Newton iteration with
+the exact Hessian, run on a whole stack of fits at once; it stops when the
+squared Newton decrement falls below a fixed tolerance.
 
 Each rule has one definition: outcome_labels fixes the outcome order,
-outcome_probabilities gives the (9, 4) probability table (the fit's
-objective takes the same traces of T^dag T through the flattened
-projectors), and _count_table checks records and gives their 36 counts.
+outcome_probabilities gives the (9, 4) probability table through the
+flattened projectors _PI_FLAT (from which the fit's forms _Q are built),
+and _count_table checks records and gives their 36 counts.
 
 Error bars come from Monte Carlo resampling: every outcome count is redrawn
 from a Poisson law at the observed value, the state is refit, and metric
 spreads are reported.  Resample seeds derive from the master seed through
 ``numpy.random.SeedSequence(seed).spawn``, one child stream per resample.
 The resamples run in stacks of up to 100: one array of counts, one linear
-inversion product, one stacked projection and one stacked evaluation of
-the metrics per stack; only the likelihood fit runs once per resample.
+inversion, one projection, one Newton fit and one evaluation of the metrics
+per stack, each computed fit by fit so that the results do not depend on
+the stack size.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from __future__ import annotations
 from dataclasses import astuple, dataclass, fields
 
 import numpy as np
-from scipy import optimize
+from scipy.linalg import lapack
 
 from . import io, jones
 from .linalg import dagger, hermitian_eigen, partial_trace, psd_sqrt
@@ -170,15 +175,24 @@ class StateMetrics:
 
 @dataclass(frozen=True)
 class MleResult:
+    """One maximum-likelihood fit, or arrays over a stack of them.
+
+    n_iter counts Newton steps, decrement_sq is the squared Newton decrement
+    at rho (nats), and log_likelihood_gain is log_likelihood minus that of
+    the start point.
+    """
+
     rho: np.ndarray
     log_likelihood: float
     converged: bool
     n_iter: int
+    decrement_sq: float
+    log_likelihood_gain: float
 
 
 def outcome_probabilities(rho: np.ndarray) -> np.ndarray:
     """(9, 4) outcome probabilities of rho in SETTINGS and outcome order; negative traces clip to 0."""
-    probs = np.clip(np.real(np.trace(rho @ PROJECTORS, axis1=-2, axis2=-1)), 0.0, None)
+    probs = np.clip((_PI_FLAT @ rho.T.reshape(16)).real, 0.0, None).reshape(9, 4)
     return probs / probs.sum(axis=-1, keepdims=True)
 
 
@@ -208,7 +222,7 @@ def _inversion(counts: np.ndarray) -> np.ndarray:
     """Linear inversion of (..., 36) counts in SETTINGS order to (..., 4, 4)."""
     per_setting = counts.reshape(counts.shape[:-1] + (9, 4))
     f = (per_setting / per_setting.sum(axis=-1, keepdims=True)).reshape(counts.shape)
-    rho = (f @ _INVERSION_MAP).reshape(counts.shape[:-1] + (4, 4))
+    rho = (f[..., None, :] @ _INVERSION_MAP).reshape(counts.shape[:-1] + (4, 4))
     rho[..., range(4), range(4)] += 0.25
     return rho
 
@@ -234,13 +248,9 @@ def project_to_physical(rho: np.ndarray, floor: float = 0.0) -> np.ndarray:
     return (v * w[..., None, :]) @ dagger(v)
 
 
-def _t_from_params(x: np.ndarray) -> np.ndarray:
-    return (_T_OF_X @ x).reshape(4, 4)
-
-
 def _lower_params(m: np.ndarray) -> np.ndarray:
     """The 16 reals of the diagonal (real part) and lower triangle of (..., 4, 4) m."""
-    return (m.reshape(m.shape[:-2] + (16,)) @ _X_OF_T).real
+    return (m.reshape(m.shape[:-2] + (1, 16)) @ _X_OF_T)[..., 0, :].real
 
 
 def _start_params(rho_pd: np.ndarray) -> np.ndarray:
@@ -252,12 +262,6 @@ def _start_params(rho_pd: np.ndarray) -> np.ndarray:
     return _lower_params(dagger(_FLIP @ chol @ _FLIP))
 
 
-def _rho_from_params(x: np.ndarray) -> np.ndarray:
-    t = _t_from_params(x)
-    a = t.conj().T @ t
-    return a / np.trace(a).real
-
-
 def log_likelihood(rho: np.ndarray, records) -> float:
     """Multinomial log-likelihood (natural log) under rho of records of any subset of the settings."""
     rows = [SETTINGS.index((r.basis1, r.basis2)) for r in records]
@@ -265,52 +269,161 @@ def log_likelihood(rho: np.ndarray, records) -> float:
     return float(np.sum(counts * np.log(np.clip(outcome_probabilities(rho)[rows], 1e-300, None))))
 
 
-#: L-BFGS-B limits of every fit, the Monte Carlo refits included
-_MLE_MAX_ITER = 10_000
-_MLE_LL_REL_TOL = 1e-10
+#: (36, 16, 16) real symmetric forms of the outcome traces: for T built from
+#: x through _T_OF_X, Tr(T^dag T Pi_k) = x @ _Q[k] @ x, and Tr(T^dag T) = |x|^2
+_Q = np.real(_T_OF_X.T @ np.kron(np.eye(4), _PI_FLAT.reshape(36, 4, 4)) @ _T_OF_X.conj())
+#: _Q laid out for one matrix-vector product per fit:
+#: (x @ _Q_ROWS)[16 k + i] = (_Q[k] @ x)[i] and _Q_SUM @ w = (sum_k w_k _Q[k]).reshape(256)
+_Q_ROWS = _Q.transpose(1, 0, 2).reshape(16, 576)
+_Q_SUM = np.ascontiguousarray(_Q.reshape(36, 256).T)
+
+#: limits of every maximum-likelihood fit, the Monte Carlo refits included.
+#: A fit has converged once its squared Newton decrement (in nats; half of
+#: it estimates the log-likelihood still to gain) is below
+#: _MLE_DECREMENT_TOL, within _MLE_MAX_ITER steps.  Every Hessian is shifted
+#: by _MLE_DAMPING times the total count, and a line search that has halved
+#: its step _MLE_MAX_HALVINGS times without a decrease fails.
+_MLE_DECREMENT_TOL = 1e-10
+_MLE_MAX_ITER = 100
+_MLE_DAMPING = 1e-12
+_MLE_MAX_HALVINGS = 50
 
 
 def mle_reconstruct(records) -> MleResult:
     """Maximum-likelihood state fit over the triangular parameterization.
 
-    Deterministic for given records; stops when the relative log-likelihood
-    change falls below _MLE_LL_REL_TOL or after _MLE_MAX_ITER iterations (the
-    best iterate is then returned with converged=False).
+    Deterministic for given records.  The damped Newton fit of _newton_fit
+    starts from the projected linear inversion; after _MLE_MAX_ITER steps,
+    or when a line search fails, the last iterate is returned with
+    converged=False.
     """
     n = _count_table(records)
-    return _mle_fit(n, _start_params(project_to_physical(_inversion(n), floor=1e-12)))
-
-
-def _mle_fit(n: np.ndarray, x0: np.ndarray) -> MleResult:
-    """L-BFGS-B fit of the 16 parameters to the 36 counts n, from x0."""
-    n_tot = n.sum()
-
-    def objective(x):
-        t = _t_from_params(x)
-        a = t.conj().T @ t
-        tr_a = a.trace().real
-        q = (_PI_FLAT @ a.T.reshape(16)).real  # Tr(A Pi_k) for all k
-        # floor keeps the n/q gradient finite when a line search probes the
-        # boundary of the physical set; the log barrier still rejects it
-        q = np.maximum(q, 1e-12)
-        f = -float((n * np.log(q)).sum()) + n_tot * np.log(tr_a)
-        # G = dF/dA (Hermitian); gradient wrt T entries is 2 (T G)
-        g = -(n / q) @ _PI_FLAT
-        g[_DIAG] += n_tot / tr_a
-        return f / n_tot, _lower_params(2.0 * (t @ g.reshape(4, 4))) / n_tot
-
-    res = optimize.minimize(
-        objective,
-        x0,
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": _MLE_MAX_ITER, "maxfun": 10 * _MLE_MAX_ITER, "ftol": _MLE_LL_REL_TOL,
-                 "gtol": 1e-12},
+    fit = _newton_fit(n[None], _start_params(project_to_physical(_inversion(n), floor=1e-12))[None])
+    return MleResult(
+        rho=fit.rho[0],
+        log_likelihood=float(fit.log_likelihood[0]),
+        converged=bool(fit.converged[0]),
+        n_iter=int(fit.n_iter[0]),
+        decrement_sq=float(fit.decrement_sq[0]),
+        log_likelihood_gain=float(fit.log_likelihood_gain[0]),
     )
-    rho = _rho_from_params(res.x)
-    rho = 0.5 * (rho + rho.conj().T)
-    converged = bool(res.success or "CONVERGENCE" in str(res.message).upper())
-    return MleResult(rho, -float(res.fun) * n_tot, converged, int(res.nit))
+
+
+# Every product below is taken per fit (a stacked matmul, an elementwise
+# operation or a sum along one fit's row), never as one matrix product over
+# the stack, so that a fit's arithmetic does not depend on which other fits
+# share its stack.
+
+def _q_vectors(x: np.ndarray) -> np.ndarray:
+    """(m, 36, 16) vectors _Q[k] @ x_r of (m, 16) parameters x."""
+    return (x[:, None, :] @ _Q_ROWS).reshape(len(x), 36, 16)
+
+
+def _row_dot(vectors: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(m, j) products vectors[r, j] @ x[r] of (m, j, 16) vectors and (m, 16) x."""
+    return (vectors @ x[:, :, None])[..., 0]
+
+
+def _log_likelihoods(n: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Multinomial log-likelihoods of (m, 36) counts n at (m, 16) parameters x."""
+    with np.errstate(divide="ignore"):
+        terms = np.where(n > 0, n * np.log(_row_dot(_q_vectors(x), x)), 0.0)
+    return terms.sum(axis=-1) - n.sum(axis=-1) * np.log((x * x).sum(axis=-1))
+
+
+def _newton_fit(n: np.ndarray, x: np.ndarray) -> MleResult:
+    """Damped Newton fits of (R, 36) counts n from (R, 16) start parameters x.
+
+    Returns one MleResult whose fields are arrays over the R fits.  Each fit
+    minimises f(x) = -sum_k n_k log q_k + N log |x|^2 with q_k = x @ _Q[k] @ x,
+    the negative log-likelihood of rho = T^dag T / |x|^2, which is constant
+    along x.  A fit leaves the stack once its squared Newton decrement is
+    below _MLE_DECREMENT_TOL (converged), or once it reaches _MLE_MAX_ITER
+    steps or its line search fails (not converged).
+    """
+    n = np.asarray(n, dtype=float)
+    total = n.sum(axis=-1)
+    x = x / np.linalg.norm(x, axis=-1, keepdims=True)
+    start_ll = _log_likelihoods(n, x)
+    converged = np.zeros(len(n), dtype=bool)
+    n_iter = np.zeros(len(n), dtype=int)
+    decrement_sq = np.full(len(n), np.inf)
+    active = np.arange(len(n))
+    while active.size:
+        q, step, decrement = _newton_step(n[active], total[active], x[active])
+        decrement_sq[active] = decrement
+        converged[active] = decrement < _MLE_DECREMENT_TOL
+        go = ~converged[active] & (n_iter[active] < _MLE_MAX_ITER)
+        active = active[go]
+        moved, x_new = _line_search(n[active], total[active], x[active], q[go], step[go])
+        active = active[moved]
+        x[active] = x_new / np.linalg.norm(x_new, axis=-1, keepdims=True)
+        n_iter[active] += 1
+    log_likelihood = _log_likelihoods(n, x)
+    t = (x[:, None, :] @ _T_OF_X.T).reshape(len(n), 4, 4)
+    rho = dagger(t) @ t
+    rho /= np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
+    rho = 0.5 * (rho + dagger(rho))
+    return MleResult(rho, log_likelihood, converged, n_iter, decrement_sq, log_likelihood - start_ll)
+
+
+def _newton_step(n: np.ndarray, total: np.ndarray, x: np.ndarray):
+    """(q, step, squared Newton decrement) of the fits at (m, 16) parameters x with |x| = 1.
+
+    The step solves (P H P + shift) d = -P g for the exact gradient g and
+    Hessian H of f and the projector P off x.  The shift is _MLE_DAMPING
+    times the total count; where that shifted matrix fails a Cholesky test,
+    the shift grows by -2 v, v the lowest (negative) eigenvalue of P H P.
+    """
+    eye = np.eye(16)
+    qx = _q_vectors(x)
+    q = _row_dot(qx, x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = np.where(n > 0, n / q, 0.0)
+        w2 = np.where(n > 0, w / q, 0.0)
+    # at |x| = 1 the N log |x|^2 term adds 2N x to g and 2N (I - 2 x x^T) to
+    # H, whose x x^T part the projection removes
+    grad = 2.0 * (total[:, None] * x - (w[:, None, :] @ qx)[:, 0])
+    hess = 4.0 * qx.swapaxes(1, 2) @ (w2[:, :, None] * qx) - 2.0 * (_Q_SUM @ w[:, :, None]).reshape(-1, 16, 16)
+    hess += 2.0 * total[:, None, None] * eye
+    proj = eye - x[:, :, None] * x[:, None, :]
+    grad = _row_dot(proj, grad)
+    hess = proj @ hess @ proj
+    damping = _MLE_DAMPING * total
+    hess = 0.5 * (hess + hess.swapaxes(1, 2)) + damping[:, None, None] * eye
+    bad = [i for i, h in enumerate(hess) if lapack.dpotrf(h, lower=True, clean=False)[1] != 0]
+    if bad:
+        lowest = np.linalg.eigvalsh(hess[bad])[:, 0]
+        hess[bad] += (2.0 * (damping[bad] - lowest))[:, None, None] * eye
+    step = -np.linalg.solve(hess, grad[:, :, None])[..., 0]
+    return q, step, -(grad * step).sum(axis=-1)
+
+
+def _line_search(n, total, x, q, step):
+    """(moved, x_new): x + 2^-j step for the least j at which f does not increase.
+
+    moved flags the fits that found such a j within _MLE_MAX_HALVINGS
+    halvings, and x_new holds their new points.  The change of f is summed
+    from the changes of q and of |x|^2 (taken as 1 before the step), each
+    computed without subtracting nearly equal numbers, so that decreases far
+    below the rounding of f itself are still seen.
+    """
+    x_new = np.full_like(x, np.nan)
+    pending = np.arange(len(x))
+    for halvings in range(_MLE_MAX_HALVINGS + 1):
+        s = 0.5 ** halvings * step[pending]
+        both = 2.0 * x[pending] + s
+        dq = _row_dot(_q_vectors(s), both)  # q(x + s) - q(x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.where(n[pending] > 0, n[pending] * np.log1p(dq / q[pending]), 0.0)
+        change = total[pending] * np.log1p((s * both).sum(axis=-1)) - terms.sum(axis=-1)
+        ok = change <= 0.0
+        x_new[pending[ok]] = x[pending[ok]] + s[ok]
+        pending = pending[~ok]
+        if not pending.size:
+            break
+    moved = ~np.isnan(x_new[:, 0])
+    return moved, x_new[moved]
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +521,8 @@ class MetricStat:
 
 @dataclass(frozen=True)
 class MonteCarloMetrics:
+    """Metric spreads over the converged refits; refit_iterations holds the Newton steps of every refit."""
+
     fidelity_to_target: MetricStat
     concurrence: MetricStat
     entropy_full_bits: MetricStat
@@ -415,6 +530,7 @@ class MonteCarloMetrics:
     purity: MetricStat
     n_resamples: int
     n_not_converged: int
+    refit_iterations: np.ndarray
 
 
 #: resamples drawn, refit and scored as one stack: large enough to amortise
@@ -438,9 +554,10 @@ def monte_carlo_metrics(records, target: np.ndarray, n_resamples: int, seed: int
     children = np.random.SeedSequence(seed).spawn(n_resamples)
     table = np.empty((n_resamples, len(fields(StateMetrics))))
     converged = np.empty(n_resamples, dtype=bool)
+    iterations = np.empty(n_resamples, dtype=int)
     for lo in range(0, n_resamples, _MC_BLOCK):
         block = slice(lo, lo + _MC_BLOCK)
-        table[block], converged[block] = _resample_block(observed, children[block], target)
+        table[block], converged[block], iterations[block] = _resample_block(observed, children[block], target)
     n_not_converged = int(n_resamples - converged.sum())
     if n_not_converged > MAX_NOT_CONVERGED_FRACTION * n_resamples:
         raise NotConverged(
@@ -450,18 +567,20 @@ def monte_carlo_metrics(records, target: np.ndarray, n_resamples: int, seed: int
     means = table[converged].mean(axis=0)
     stds = table[converged].std(axis=0, ddof=1)
     stats = [MetricStat(float(m), float(s)) for m, s in zip(means, stds)]
-    return MonteCarloMetrics(*stats, n_resamples=n_resamples, n_not_converged=n_not_converged)
+    return MonteCarloMetrics(
+        *stats, n_resamples=n_resamples, n_not_converged=n_not_converged, refit_iterations=iterations
+    )
 
 
 def _resample_block(observed: np.ndarray, children, target: np.ndarray):
-    """(metric rows, convergence flags) of the resamples drawn from the child seeds."""
+    """(metric rows, convergence flags, iterations) of the refits of the resamples drawn from the child seeds."""
     counts = np.array([np.random.default_rng(child).poisson(observed) for child in children])
     per_setting = counts.reshape(len(children), 9, 4)
     per_setting[per_setting.sum(axis=-1) == 0] += 1  # keep the setting usable at tiny totals
     x0 = _start_params(project_to_physical(_inversion(counts), floor=1e-12))
-    fits = [_mle_fit(n, x) for n, x in zip(counts, x0)]
-    metrics = state_metrics(np.array([fit.rho for fit in fits]), target)
-    return np.column_stack(astuple(metrics)), [fit.converged for fit in fits]
+    fits = _newton_fit(counts, x0)
+    metrics = state_metrics(fits.rho, target)
+    return np.column_stack(astuple(metrics)), fits.converged, fits.n_iter
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,15 @@
 
 Everything here deliberately avoids the code paths of the package: index
 loops instead of vectorized products, an enlarged-mode-space brute force
-instead of the convex-mixture shortcut, and fixed-grid trapezoid sums or
-adaptive quadrature instead of Gauss-Legendre rules.
+instead of the convex-mixture shortcut, fixed-grid trapezoid sums or
+adaptive quadrature instead of Gauss-Legendre rules, and scipy's L-BFGS-B
+instead of the package's Newton fits.
 """
 
 import math
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, optimize
 
 KB_OVER_HBAR = 0.13093
 
@@ -156,6 +157,65 @@ def log_likelihood_oracle(counts, probs):
         for n, p in zip(row_n, row_p)
         if n > 0
     )
+
+
+def _lower_triangular(params):
+    """4x4 lower-triangular T: params holds the diagonal, then (re, im) of each entry below it, row by row."""
+    t = np.zeros((4, 4), dtype=complex)
+    for i in range(4):
+        t[i, i] = params[i]
+    k = 4
+    for r in range(4):
+        for c in range(r):
+            t[r, c] = params[k] + 1j * params[k + 1]
+            k += 2
+    return t
+
+
+def _params_of(t):
+    out = [t[i, i].real for i in range(4)]
+    for r in range(4):
+        for c in range(r):
+            out += [t[r, c].real, t[r, c].imag]
+    return np.array(out)
+
+
+def lbfgsb_log_likelihood(counts, projectors, rho0, ftol, restarts=0):
+    """Largest multinomial log-likelihood found by scipy L-BFGS-B over rho = T^dag T / Tr(T^dag T).
+
+    counts are the 36 counts of the 36 projectors (9 settings of 4, each
+    four summing to the identity); the fit starts from the lower-triangular
+    T with T^dag T = rho0 (positive definite).  Each objective is divided by
+    the total count, with traces floored at 1e-12, and stops at the given
+    ftol with gtol 1e-12.  Up to `restarts` more runs start from the last
+    result, until one gains nothing.
+    """
+    counts = np.asarray(counts, dtype=float)
+    pis = np.asarray(projectors).reshape(36, 4, 4)
+    total = counts.sum()
+    flip = np.fliplr(np.eye(4))
+    start = _params_of((flip @ np.linalg.cholesky(flip @ rho0 @ flip) @ flip).conj().T)
+
+    def objective(params):
+        t = _lower_triangular(params)
+        a = t.conj().T @ t
+        tr_a = np.trace(a).real
+        q = np.maximum(np.array([np.trace(a @ pi).real for pi in pis]), 1e-12)
+        value = total * np.log(tr_a) - float(np.sum(counts * np.log(q)))
+        g = total / tr_a * np.eye(4) - np.sum((counts / q)[:, None, None] * pis, axis=0)
+        return value / total, _params_of(2.0 * (t @ g)) / total
+
+    def run(params):
+        return optimize.minimize(objective, params, jac=True, method="L-BFGS-B",
+                                 options={"maxiter": 10_000, "maxfun": 100_000, "ftol": ftol, "gtol": 1e-12})
+
+    best = run(start)
+    for _ in range(restarts):
+        again = run(best.x)
+        if not again.fun < best.fun:
+            break
+        best = again
+    return -float(best.fun) * total
 
 
 # ---------------------------------------------------------------------------

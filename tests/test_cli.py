@@ -1,7 +1,7 @@
 import csv
 import json
 import tempfile
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +37,7 @@ def test_truth_table_ideal(tmp_path):
     code, out = run(tmp_path, "truth-table", "--overlap", "1.0", "--basis", "ZZ")
     assert code == 0
     d = load(out)
-    assert d["schema_version"] == 2
+    assert d["schema_version"] == 3
     assert d["fidelity"] == pytest.approx(1.0, abs=1e-10)
     for v in d["success_prob"].values():
         assert v == pytest.approx(1 / 9, abs=1e-12)
@@ -293,20 +293,61 @@ def test_reconstruct_cli(tmp_path):
     assert d["n_resamples"] == 100 and d["n_not_converged"] == 0
 
 
+def _assert_mle_diagnostics(d):
+    mle = d["diagnostics"]["mle"]
+    assert set(mle) == {"iterations", "newton_decrement_sq", "log_likelihood_gain"}
+    assert type(mle["iterations"]) is int and mle["iterations"] >= 0
+    assert type(mle["newton_decrement_sq"]) is float and 0.0 <= mle["newton_decrement_sq"] < tomo._MLE_DECREMENT_TOL
+    assert type(mle["log_likelihood_gain"]) is float and mle["log_likelihood_gain"] >= 0.0
+
+
+def test_diagnostics_block_keys_and_types(tmp_path):
+    code, out = run(tmp_path, "bell", "--counts-per-setting", "20000", "--resamples", "100", "--seed", "5")
+    assert code == 0
+    d = load(out)
+    assert set(d["diagnostics"]) == {"mle", "monte_carlo"}
+    _assert_mle_diagnostics(d)
+    mc = d["diagnostics"]["monte_carlo"]
+    assert set(mc) == {"iterations_min", "iterations_median", "iterations_max"}
+    assert type(mc["iterations_min"]) is int and type(mc["iterations_max"]) is int
+    assert type(mc["iterations_median"]) is float
+    assert 0 <= mc["iterations_min"] <= mc["iterations_median"] <= mc["iterations_max"] <= tomo._MLE_MAX_ITER
+
+    path = tmp_path / "records.csv"
+    write_records_csv(path, tomo.simulate_counts(tomo.werner(0.9), 1000, seed=3))
+    code, out = run(tmp_path, "reconstruct", "--records", str(path))
+    assert code == 0
+    d = load(out)
+    assert set(d["diagnostics"]) == {"mle"}  # no Monte Carlo without --resamples
+    _assert_mle_diagnostics(d)
+
+
+def test_reconstruct_central_fit_non_convergence_exit_3(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "records.csv"
+    write_records_csv(path, tomo.simulate_counts(tomo.werner(0.9), 10_000, seed=3))
+    monkeypatch.setattr(tomo, "_MLE_MAX_ITER", 0)
+    code, out = run(tmp_path, "reconstruct", "--records", str(path))
+    assert code == 3
+    assert "maximum-likelihood reconstruction did not converge" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_reconstruct_monte_carlo_non_convergence_exit_3(tmp_path, monkeypatch, capsys):
     """More than 1% of Monte Carlo refits not converged: exit 3 and no output."""
     records = tomo.simulate_counts(tomo.werner(0.9), 10_000, seed=3)
     path = tmp_path / "records.csv"
     write_records_csv(path, records)
-    fit = tomo._mle_fit
-    calls = []
+    fit = tomo._newton_fit
+    seen = [0]
 
-    def every_tenth_refit_fails(*args, **kwargs):
-        res = fit(*args, **kwargs)
-        calls.append(None)
-        return res if len(calls) % 10 else tomo.MleResult(res.rho, res.log_likelihood, False, res.n_iter)
+    def every_tenth_fit_fails(n, x0):
+        # fits are counted over all solver calls: the central fit is the first
+        fits = fit(n, x0)
+        index = seen[0] + np.arange(1, len(n) + 1)
+        seen[0] += len(n)
+        return replace(fits, converged=fits.converged & (index % 10 != 0))
 
-    monkeypatch.setattr(tomo, "_mle_fit", every_tenth_refit_fails)
+    monkeypatch.setattr(tomo, "_newton_fit", every_tenth_fit_fails)
     code, out = run(tmp_path, "reconstruct", "--records", str(path), "--resamples", "100")
     assert code == 3
     assert "10 of 100 Monte Carlo refits did not converge" in capsys.readouterr().err

@@ -47,10 +47,13 @@ JONES = {
 OUTCOMES = {"Z": "HV", "X": "DA", "Y": "RL"}
 
 
-def records_csv(rng, p_singlet=0.9, n_per_setting=20_000):
-    """Multinomial counts of a Werner state for the nine tomography settings."""
+def werner(p_singlet):
     v = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
-    rho = p_singlet * np.outer(v, v) + (1.0 - p_singlet) * np.eye(4) / 4.0
+    return p_singlet * np.outer(v, v) + (1.0 - p_singlet) * np.eye(4) / 4.0
+
+
+def records_csv(rng, rho, n_per_setting=20_000):
+    """Multinomial counts of the state rho for the nine tomography settings."""
     lines = ["basis1,basis2,outcome1,outcome2,counts"]
     for b1 in "ZXY":
         for b2 in "ZXY":
@@ -128,8 +131,13 @@ def xy_csv(header, xs, ys):
 def write_inputs(inputs: Path):
     rng = np.random.default_rng(SEED)
     inputs.mkdir(parents=True)
-    records = records_csv(rng).splitlines()
+    records = records_csv(rng, werner(0.9)).splitlines()
     (inputs / "records.csv").write_text("\n".join(records) + "\n")
+    # |H> (x) |D> at 100 counts per setting: a pure product state, so that
+    # some outcomes count 0 and the likelihood peaks on the boundary
+    hd = np.kron(JONES["H"], JONES["D"])
+    (inputs / "records-product-low.csv").write_text(
+        records_csv(np.random.default_rng([SEED, 1]), np.outer(hd, hd), n_per_setting=100))
     records[5] = records[5].rsplit(",", 1)[0] + ",nan"
     (inputs / "bad-records.csv").write_text("\n".join(records) + "\n")
     for kind in ("g2", "hom"):
@@ -178,6 +186,8 @@ def calls():
                                         "--resamples", "100", "--seed", "42"]))
     out += [
         ("reconstruct", ["reconstruct", "--records", "inputs/records.csv", "--resamples", "100", "--seed", "7"]),
+        ("reconstruct-product-low", ["reconstruct", "--records", "inputs/records-product-low.csv",
+                                     "--resamples", "100", "--seed", "7"]),
         ("truth-table-ZZ", ["truth-table", "--basis", "ZZ", "--overlap", "0.947"]),
         ("truth-table-XX", ["truth-table", "--basis", "XX", "--overlap", "0.947",
                             "--measured-fzz", "0.902", "--measured-fxx", "0.874"]),
