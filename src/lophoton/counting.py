@@ -311,8 +311,7 @@ def hom_visibility(h: CoincidenceHistogram, window_ps: float):
 # ---------------------------------------------------------------------------
 
 def read_histogram_csv(csv_path, meta_path) -> CoincidenceHistogram:
-    rows = io.read_csv(csv_path, ("tau_ps", "counts"), lambda row: (io.finite(row[0]), io.count(row[1])))
-    taus, counts = np.asarray([r[0] for r in rows]), np.asarray([r[1] for r in rows], dtype=np.int64)
+    taus, counts = io.read_columns(csv_path, ("tau_ps", "counts"), (io.finite, io.count))
     if np.any(np.diff(taus) <= 0):
         raise ValueError(f"{csv_path}: tau_ps must be strictly increasing")
 

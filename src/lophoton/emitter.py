@@ -486,5 +486,4 @@ def fit_visibility_curve(
 
 def read_xy_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a two-column CSV of finite numbers with one header row."""
-    rows = io.read_csv(path, (None, None), lambda row: (io.finite(row[0]), io.finite(row[1])))
-    return np.asarray([r[0] for r in rows]), np.asarray([r[1] for r in rows])
+    return io.read_columns(path, (None, None), (io.finite, io.finite))

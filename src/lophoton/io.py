@@ -10,6 +10,16 @@ import csv
 import json
 import math
 import sys
+import warnings
+
+import numpy as np
+
+
+def _check_header(reader, header) -> None:
+    names = next((row for row in reader if row), [])
+    if len(names) != len(header) or any(h not in (None, n) for h, n in zip(header, names)):
+        expected = ",".join(h or "*" for h in header)
+        raise ValueError(f"expected header {expected}, got {','.join(names) or 'none'}")
 
 
 def read_csv(path, header, parse_row) -> list:
@@ -24,10 +34,7 @@ def read_csv(path, header, parse_row) -> list:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
-            names = next((row for row in reader if row), [])
-            if len(names) != len(header) or any(h not in (None, n) for h, n in zip(header, names)):
-                expected = ",".join(h or "*" for h in header)
-                raise ValueError(f"expected header {expected}, got {','.join(names) or 'none'}")
+            _check_header(reader, header)
             for row in reader:
                 if row:
                     if len(row) != len(header):
@@ -54,6 +61,55 @@ def count(text: str) -> int:
     if not 0 <= value < 2**63:
         raise ValueError(f"count {text!r} is not a non-negative 64-bit integer")
     return value
+
+
+#: numpy dtype and whole-column test of each field rule that read_columns applies;
+#: numpy refuses counts of 2**63 and above itself, as int64 overflow
+_COLUMN_RULES = {finite: (np.float64, np.isfinite), count: (np.int64, lambda column: column >= 0)}
+
+
+def read_columns(path, header, kinds) -> tuple[np.ndarray, ...]:
+    """One array per column of a headered CSV file of numbers.
+
+    kinds holds one field rule per column: finite (a float64 column) or
+    count (an int64 column).  The file is read as read_csv reads it with
+    parse_row = lambda row: tuple(kind(field) for kind, field in zip(kinds, row)),
+    and gives the same arrays and the same errors.  numpy's compiled parser
+    reads the data rows and the rules are applied to whole columns; on any
+    failure, the row loop of read_csv reads the file again and names the
+    fault.  numpy rejects some fields that float() and int() accept (such
+    as 1_000, quoted fields and Unicode digits); those files take the row
+    loop too.
+    """
+    dtype = np.dtype([(str(i), _COLUMN_RULES[kind][0]) for i, kind in enumerate(kinds)])
+    try:
+        with open(path, newline="") as fh, warnings.catch_warnings():
+            warnings.simplefilter("error")  # e.g. numpy's warning on a body with no data rows
+            _check_header(csv.reader(fh), header)
+            table = np.loadtxt(_body_lines(fh), dtype, delimiter=",", comments=None, ndmin=1)
+        columns = tuple(np.ascontiguousarray(table[name]) for name in dtype.names)
+        if all(_COLUMN_RULES[kind][1](column).all() for kind, column in zip(kinds, columns)):
+            return columns
+    except (csv.Error, ValueError, Warning):
+        pass
+    rows = read_csv(path, header, lambda row: tuple(kind(field) for kind, field in zip(kinds, row)))
+    return tuple(np.array(column, dtype[i]) for i, column in enumerate(zip(*rows)))
+
+
+def _body_lines(fh):
+    """The remaining lines of fh, failing on a batch that holds a line the row loop refuses but numpy may read.
+
+    Those are a line long enough to hold a field that the csv module refuses
+    as too large, and a line with any of \\x1c-\\x1f: numpy strips these as
+    whitespace around a number, float() and int() refuse them.  Lines come
+    in batches of about 64 KiB, so that both tests run at C speed.
+    """
+    limit = csv.field_size_limit()
+    while batch := fh.readlines(1 << 16):
+        text = "".join(batch)
+        if max(map(len, batch)) > limit or any(sep in text for sep in "\x1c\x1d\x1e\x1f"):
+            raise ValueError("a line the row loop refuses")
+        yield from batch
 
 
 def read_json_numbers(path, keys, nullable, build):

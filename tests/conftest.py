@@ -6,7 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lophoton import io
+
 sys.path.insert(0, str(Path(__file__).parent))  # make oracles importable
+
+#: (header, field rules) of the two readers built on io.read_columns
+HISTOGRAM_COLUMNS = (("tau_ps", "counts"), (io.finite, io.count))
+XY_COLUMNS = ((None, None), (io.finite, io.finite))
 
 
 @pytest.fixture
@@ -50,3 +56,23 @@ def write_histogram_csv(csv_path, meta_path, h):
     with open(meta_path, "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _outcome(read, *args):
+    """("ok", (dtype, bytes) of each array) or ("error", message) of read(*args)."""
+    try:
+        return "ok", [(a.dtype.str, a.tobytes()) for a in read(*args)]
+    except ValueError as e:
+        return "error", str(e)
+
+
+def row_loop_columns(path, header, kinds):
+    """The columns as the readers built them before read_columns: io.read_csv rows, then np.asarray per column."""
+    rows = io.read_csv(path, header, lambda row: tuple(kind(field) for kind, field in zip(kinds, row)))
+    return [np.asarray([r[i] for r in rows], dtype=np.int64 if kind is io.count else None)
+            for i, kind in enumerate(kinds)]
+
+
+def assert_columns_match_row_loop(path, header, kinds):
+    """io.read_columns gives the row loop's arrays (same dtype and bytes) or its ValueError message."""
+    assert _outcome(io.read_columns, path, header, kinds) == _outcome(row_loop_columns, path, header, kinds)

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from lophoton import cli, counting as ct, emitter as em, tomo
 from lophoton.cli import main
 
-from conftest import write_histogram_csv, write_records_csv
+from conftest import (HISTOGRAM_COLUMNS, XY_COLUMNS, assert_columns_match_row_loop, write_histogram_csv,
+                      write_records_csv)
 
 
 def run(tmp_path, *argv):
@@ -578,7 +579,9 @@ def test_default_seed_constant():
 
 
 # ---------------------------------------------------------------------------
-# fuzzed input files: every outcome is an exit code, never a traceback
+# fuzzed input files: every outcome is an exit code, never a traceback, and
+# every fuzzed histogram or xy file reads the same through io.read_columns
+# as through the row loop
 # ---------------------------------------------------------------------------
 
 FIELDS = st.one_of(
@@ -643,6 +646,8 @@ def test_fuzzed_inputs_give_an_exit_code(target, data):
         else:
             lines = _mutate_csv(data, csv_path.read_text().splitlines())
             csv_path.write_text("\n".join(lines) + "\n")
+        if target != "reconstruct":  # the two readers built on io.read_columns
+            assert_columns_match_row_loop(csv_path, *(XY_COLUMNS if target == "fit-trpl" else HISTOGRAM_COLUMNS))
         out = tmp / "out.json"
         code = main([*argv, "--out", str(out)])
         assert code in (0, 2, 3, 4)

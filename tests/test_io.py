@@ -1,0 +1,134 @@
+"""io.read_columns, numpy's parser with the row loop as its fallback, against the row loop alone."""
+
+import csv
+import json
+
+import numpy as np
+import pytest
+
+from lophoton import io
+from lophoton.cli import main
+
+from conftest import HISTOGRAM_COLUMNS, XY_COLUMNS, assert_columns_match_row_loop, row_loop_columns
+from test_cli import MALFORMED
+
+#: fields that float() and int() read differently from numpy, or that one of them refuses
+FIELDS = {
+    "underscore": "1_000", "padded": " 7", "plus": "+5", "plus-inf": "+inf", "nan": "nan", "overflow": "1e400",
+    "hex": "0x10", "exponent": "1e3", "decimal": "1.0", "negative": "-1", "minus-zero": "-0", "empty": "",
+    "int64-max": "9223372036854775807", "int64-max-plus-1": "9223372036854775808", "quoted": '"7"',
+    "arabic-digit": "٧", "fullwidth-digit": "７", "em-space": " 7", "nbsp": "7\xa0",
+    "next-line": "7\x85", "tab-vtab-formfeed": "\t7\x0b\x0c", "x1c": "\x1c7", "x1d": "7\x1d", "x1e": "\x1e7",
+    "x1f": "7\x1f", "nul": "7\x00", "inner-space": "7 7",
+    "over-field-limit": "0" * csv.field_size_limit() + "7",
+}
+#: whole files around a valid body, one line-level oddity each
+FILES = {
+    "whitespace-only-line": "tau_ps,counts\n-20.0,3\n   \n20.0,4\n",
+    "crlf": "tau_ps,counts\r\n-20.0,3\r\n0.0,5\r\n20.0,4\r\n",
+    "bare-cr": "tau_ps,counts\r-20.0,3\r0.0,5\r20.0,4\r",
+    "mixed-line-ends-and-blank-lines": "tau_ps,counts\r\n-20.0,3\n\r\n\r0.0,5\r20.0,4",
+    "trailing-comma": "tau_ps,counts\n-20.0,3,\n0.0,5\n",
+    "three-fields": "tau_ps,counts\n-20.0,3\n0.0,5,1\n",
+    "one-field": "tau_ps,counts\n-20.0,3\n0.0\n",
+    "blank-lines-before-header": "\n\n\r\ntau_ps,counts\n-20.0,3\n0.0,5\n",
+    "one-row": "tau_ps,counts\n0.0,5",
+    "header-only": "tau_ps,counts\n",
+    "header-and-blank-lines": "tau_ps,counts\n\n\r\n\n",
+    "empty-file": "",
+    "wrong-header": "tau,counts\n-20.0,3\n",
+    "quoted-header": '"tau_ps","counts"\n-20.0,3\n',
+    "quoted-field-over-two-lines": 'tau_ps,counts\n"-20.0\n",3\n0.0,5\n',
+    "comment-mark": "tau_ps,counts\n-20.0,3\n#0.0,5\n",
+    "x1c-line": "tau_ps,counts\n-20.0,3\n\x1c\n0.0,5\n",
+    "nul-line": "tau_ps,counts\n-20.0,3\n\x00\n0.0,5\n",
+    "undecodable-byte": "tau_ps,counts\n-20.0,3\n0.0,\udcff5\n",  # written as the byte 0xff
+}
+
+
+def _write(path, text):
+    with open(path, "w", newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        fh.write(text)
+    return path
+
+
+@pytest.mark.parametrize("field", FIELDS.values(), ids=FIELDS.keys())
+@pytest.mark.parametrize("column", ["count", "tau", "xy"])
+def test_odd_fields_read_like_the_row_loop(tmp_path, column, field):
+    rows = [["-20.0", "3"], ["0.0", "5"], ["20.0", "4"]]
+    rows[1][0 if column == "tau" else 1] = field
+    header, columns = XY_COLUMNS if column == "xy" else HISTOGRAM_COLUMNS
+    text = "tau_ps,counts\n" + "".join(",".join(row) + "\n" for row in rows)
+    assert_columns_match_row_loop(_write(tmp_path / "h.csv", text), header, columns)
+
+
+@pytest.mark.parametrize("text", FILES.values(), ids=FILES.keys())
+@pytest.mark.parametrize("columns", [HISTOGRAM_COLUMNS, XY_COLUMNS], ids=["histogram", "xy"])
+def test_odd_files_read_like_the_row_loop(tmp_path, text, columns):
+    assert_columns_match_row_loop(_write(tmp_path / "h.csv", text), *columns)
+
+
+CSV_FLAGS = {"--histogram": HISTOGRAM_COLUMNS, "--data": XY_COLUMNS}
+
+
+@pytest.mark.parametrize("make_argv", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_cases_read_like_the_row_loop(tmp_path, make_argv):
+    argv = make_argv(tmp_path)
+    for flag, columns in CSV_FLAGS.items():
+        if flag in argv:
+            assert_columns_match_row_loop(argv[argv.index(flag) + 1], *columns)
+
+
+def _large_histogram(tmp_path, rows=50_000):
+    """A g2 histogram of that many 4 ps bins around tau = 0: paths of its CSV and its sidecar JSON."""
+    rep_period_ps = 1e6 / 76.0
+    taus = (np.arange(rows) - (rows - 1) / 2.0) * 4.0
+    lam = 2.0 + 50.0 * sum(np.exp(-np.abs(taus - k * rep_period_ps) / 350.0) * (0.02 if k == 0 else 1.0)
+                           for k in (-1, 0, 1))
+    counts = np.random.default_rng(11).poisson(lam)
+    csv_path = _write(tmp_path / "large.csv", "tau_ps,counts\n" + "".join(
+        f"{t!r},{c}\n" for t, c in zip(taus.tolist(), counts.tolist())))
+    meta_path = tmp_path / "large.meta.json"
+    meta_path.write_text(json.dumps({"bin_width_ps": 4.0, "rep_period_ns": rep_period_ps / 1000.0}))
+    return csv_path, meta_path
+
+
+def test_plain_numeric_files_never_reach_the_row_loop(tmp_path, monkeypatch):
+    csv_path, _ = _large_histogram(tmp_path)
+    header, body = csv_path.read_text().split("\n", 1)
+    variants = {
+        "large": body,
+        "crlf": body.replace("\n", "\r\n"),
+        "signed-and-padded": body.replace(",", ", +"),
+        "blank-lines": body.replace("\n", "\n\n"),
+    }
+    paths = [_write(tmp_path / f"{name}.csv", f"{header}\n{text}") for name, text in variants.items()]
+    expected = [row_loop_columns(path, *HISTOGRAM_COLUMNS) for path in paths]
+
+    def refuse(*args):
+        raise AssertionError("the row loop ran")
+
+    monkeypatch.setattr(io, "read_csv", refuse)
+    for path, (taus, counts) in zip(paths, expected):
+        assert len(taus) == 50_000
+        got = io.read_columns(path, *HISTOGRAM_COLUMNS)
+        assert [(a.dtype, a.tobytes()) for a in got] == [(taus.dtype, taus.tobytes()), (counts.dtype, counts.tobytes())]
+
+
+@pytest.mark.parametrize("last_row, message", [
+    ("{tau},-1", "count '-1' is not a non-negative 64-bit integer"),
+    ("nan,7", "'nan' is not a finite number"),
+    ("{tau},7,1", "expected 2 fields, got 3"),
+])
+def test_fault_on_the_last_line_of_a_large_histogram_names_that_line(tmp_path, capsys, last_row, message):
+    csv_path, meta_path = _large_histogram(tmp_path)
+    out = tmp_path / "result.json"
+    argv = ["analyze", "--kind", "g2", "--histogram", str(csv_path), "--meta", str(meta_path), "--out", str(out)]
+    assert main(argv) == 0
+    out.unlink()
+    lines = csv_path.read_text().splitlines()
+    lines[-1] = last_row.format(tau=lines[-1].split(",")[0])
+    _write(csv_path, "\n".join(lines) + "\n")
+    assert main(argv) == 2
+    assert f"error: {csv_path}:50001: {message}" in capsys.readouterr().err
+    assert not out.exists()

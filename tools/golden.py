@@ -152,7 +152,19 @@ def write_inputs(inputs: Path):
     rows = [row.split(",") for row in text.splitlines()[1:]]
     (inputs / "bad-hom.csv").write_text("tau_ps,counts\n" + "".join(
         f"{float(tau) + 4 * REP_PERIOD_PS!r},{c}\n" for tau, c in rows))
-    (inputs / "decay.csv").write_text(decay_csv(rng))
+    # 55,922 rows, about the size of a measured histogram; its own generator
+    # leaves the inputs above and below unchanged
+    text, meta = histogram_csv(np.random.default_rng([SEED, 2]), "g2", total_counts=2_000_000,
+                               bin_width_ps=4.0, n_side=8)
+    (inputs / "g2-large.csv").write_text(text)
+    (inputs / "g2-large.meta.json").write_text(meta)
+    decay = decay_csv(rng)
+    (inputs / "decay.csv").write_text(decay)
+    # the same numbers padded, signed and with _ separators: float() reads
+    # them, numpy's parser does not
+    rows = [row.split(",") for row in decay.splitlines()[1:]]
+    (inputs / "decay-padded.csv").write_text(decay.splitlines()[0] + "\n" + "".join(
+        f" {float(t):+} , {int(c):_} \n" for t, c in rows))
     (inputs / "params.json").write_text(json.dumps(DEPHASING) + "\n")
     (inputs / "params-cold.json").write_text(json.dumps(COLD_DEPHASING) + "\n")
 
@@ -201,6 +213,7 @@ def calls():
         ("visibility-vs_dt", ["visibility", "--mode", "vs_dt", "--grid", "1:2000:25", "--log-grid",
                               "--temperature", "6.0", "--params", "inputs/params.json"]),
         ("fit-trpl", ["fit", "--kind", "trpl", "--data", "inputs/decay.csv", "--irf-width", "75"]),
+        ("fit-trpl-padded", ["fit", "--kind", "trpl", "--data", "inputs/decay-padded.csv", "--irf-width", "75"]),
         ("fit-vis_T", ["fit", "--kind", "vis_T", "--data", "inputs/vis_T.csv", "--init", "inputs/vis_T.init.json"]),
         ("fit-vis_dt", ["fit", "--kind", "vis_dt", "--data", "inputs/vis_dt.csv", "--init", "inputs/vis_dt.init.json",
                         "--params", "inputs/params.json", "--temperature", "6.0"]),
@@ -215,6 +228,8 @@ def calls():
                                   "--meta", "inputs/hom.meta.json", "--window", "1000"]),
         ("analyze-g2-gapped", ["analyze", "--kind", "g2", "--histogram", "inputs/g2-gapped.csv",
                                "--meta", "inputs/g2.meta.json"]),
+        ("analyze-g2-large", ["analyze", "--kind", "g2", "--histogram", "inputs/g2-large.csv",
+                              "--meta", "inputs/g2-large.meta.json"]),
         ("bad-records", ["reconstruct", "--records", "inputs/bad-records.csv", "--resamples", "100"]),
         ("bad-vis_T", ["fit", "--kind", "vis_T", "--data", "inputs/bad-vis_T.csv"]),
         ("bad-hom", ["analyze", "--kind", "hom", "--histogram", "inputs/bad-hom.csv",
