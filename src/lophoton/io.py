@@ -40,11 +40,31 @@ def read_csv(path, header, parse_row) -> list:
                     if len(row) != len(header):
                         raise ValueError(f"expected {len(header)} fields, got {len(row)}")
                     out.append(parse_row(row))
-        except (csv.Error, ValueError) as e:  # ValueError also covers undecodable bytes
+        except UnicodeDecodeError:
+            # the text layer decodes ahead of the csv reader, so reader.line_num
+            # may lie lines before the undecodable byte
+            line, e = _decode_error(path, fh.encoding)
+            raise ValueError(f"{path}:{line}: {e}") from None
+        except (csv.Error, ValueError) as e:
             raise ValueError(f"{path}:{reader.line_num}: {e}") from None
     if not out:
         raise ValueError(f"{path}: no data rows")
     return out
+
+
+def _decode_error(path, encoding) -> tuple[int, UnicodeDecodeError]:
+    """(line, error) of the first byte of the file that encoding cannot decode.
+
+    Lines end at \n, \r or \r\n, as the csv reader counts them.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        raw.decode(encoding)
+    except UnicodeDecodeError as e:
+        before = raw[: e.start].decode(encoding)
+        return before.count("\n") + before.count("\r") - before.count("\r\n") + 1, e
+    raise ValueError("the file changed while it was read")
 
 
 def finite(text: str) -> float:
@@ -97,18 +117,22 @@ def read_columns(path, header, kinds) -> tuple[np.ndarray, ...]:
 
 
 def _body_lines(fh):
-    """The remaining lines of fh, failing on a batch that holds a line the row loop refuses but numpy may read.
+    """The remaining lines of fh, failing on a batch that holds a line numpy must not parse.
 
     Those are a line long enough to hold a field that the csv module refuses
     as too large, and a line with any of \\x1c-\\x1f: numpy strips these as
-    whitespace around a number, float() and int() refuse them.  Lines come
-    in batches of about 64 KiB, so that both tests run at C speed.
+    whitespace around a number, float() and int() refuse them.  They are
+    also a line with any non-ASCII character: numpy's integer parser can
+    read out of bounds on one (a count field holding U+325A2 killed the
+    process with SIGBUS in about half of 300 reads, numpy 2.4), and the row
+    loop reads the others anyway.  Lines come in batches of about 64 KiB,
+    so that the tests run at C speed.
     """
     limit = csv.field_size_limit()
     while batch := fh.readlines(1 << 16):
         text = "".join(batch)
-        if max(map(len, batch)) > limit or any(sep in text for sep in "\x1c\x1d\x1e\x1f"):
-            raise ValueError("a line the row loop refuses")
+        if max(map(len, batch)) > limit or not text.isascii() or any(sep in text for sep in "\x1c\x1d\x1e\x1f"):
+            raise ValueError("a line for the row loop")
         yield from batch
 
 

@@ -8,19 +8,31 @@ R = (1, -i)/sqrt(2) the +1 eigenstate of the Y Pauli operator is L.
 
 Reconstruction is a two-step pipeline: a Stokes/Pauli linear inversion
 (Hermitian, unit trace, possibly indefinite) provides the starting point,
-projected onto the physical set, for a maximum-likelihood fit over the
-Cholesky-like parameterization rho = T^dag T / Tr(T^dag T) with T lower
-triangular (16 real parameters x), which is physical by construction
-(James et al., PRA 64, 052312, 2001).  The likelihood is multinomial per
-setting; the four projectors of a setting sum to the identity, so the
-outcome probabilities normalize automatically.  Each outcome trace is a
-quadratic form x @ _Q[k] @ x, so the fit is a damped Newton iteration with
-the exact Hessian, run on a whole stack of fits at once; it stops when the
-squared Newton decrement falls below a fixed tolerance.
+projected onto the physical set with a small eigenvalue floor, for a
+maximum-likelihood fit over the Cholesky-like parameterization
+rho = T^dag T / Tr(T^dag T) with T lower triangular (16 real parameters x),
+which is physical by construction (James et al., PRA 64, 052312, 2001).
+The likelihood is multinomial per setting; the four projectors of a
+setting sum to the identity, so the outcome probabilities normalize
+automatically.  Each outcome trace is a quadratic form x @ Q_k @ x, so the
+fit is a damped Newton iteration with the exact Hessian, run on a whole
+stack of fits at once; it stops when the squared Newton decrement falls
+below a fixed tolerance.
+
+In a fixed basis order, T_33 is the first Cholesky pivot, and where
+rho_33 vanishes (the singlet) the map from T to rho is singular exactly
+where the fit lands.  So each fit takes its own basis order: the greedy
+(LAPACK ?pstrf) pivot order of its start state, largest diagonal of the
+remaining Schur complement first (Higham, 1990), fit as the last index of
+T.  Fits are stacked by order, with forms Q_k built once per order (at most
+24).  A fit still running after 20 steps starts again from its current
+state, in that state's pivot order.  On Monte Carlo refits of the singlet
+at 10^6 counts per setting this takes every fit to the optimum in 3
+steps, against a median of 10 (up to 20) in the fixed order.
 
 Each rule has one definition: outcome_labels fixes the outcome order,
 outcome_probabilities gives the (9, 4) probability table through the
-flattened projectors _PI_FLAT (from which the fit's forms _Q are built),
+flattened projectors _PI_FLAT (from which the fit's forms are built),
 and _count_table checks records and gives their 36 counts.
 
 Error bars come from Monte Carlo resampling: every outcome count is redrawn
@@ -28,14 +40,16 @@ from a Poisson law at the observed value, the state is refit, and metric
 spreads are reported.  Resample seeds derive from the master seed through
 ``numpy.random.SeedSequence(seed).spawn``, one child stream per resample.
 The resamples run in stacks of up to 100: one array of counts, one linear
-inversion, one projection, one Newton fit and one evaluation of the metrics
-per stack, each computed fit by fit so that the results do not depend on
-the stack size.
+inversion, one projection, one Newton fit per basis order and one
+evaluation of the metrics per stack, each computed fit by fit so that the
+results do not depend on the stack size.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import astuple, dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import lapack
@@ -269,13 +283,31 @@ def log_likelihood(rho: np.ndarray, records) -> float:
     return float(np.sum(counts * np.log(np.clip(outcome_probabilities(rho)[rows], 1e-300, None))))
 
 
-#: (36, 16, 16) real symmetric forms of the outcome traces: for T built from
-#: x through _T_OF_X, Tr(T^dag T Pi_k) = x @ _Q[k] @ x, and Tr(T^dag T) = |x|^2
-_Q = np.real(_T_OF_X.T @ np.kron(np.eye(4), _PI_FLAT.reshape(36, 4, 4)) @ _T_OF_X.conj())
-#: _Q laid out for one matrix-vector product per fit:
-#: (x @ _Q_ROWS)[16 k + i] = (_Q[k] @ x)[i] and _Q_SUM @ w = (sum_k w_k _Q[k]).reshape(256)
-_Q_ROWS = _Q.transpose(1, 0, 2).reshape(16, 576)
-_Q_SUM = np.ascontiguousarray(_Q.reshape(36, 256).T)
+class _Forms(NamedTuple):
+    """The outcome-trace forms of the fit in one basis order.
+
+    For x the parameters of T (through _T_OF_X) and rho[order][:, order] =
+    T^dag T, Tr(rho Pi_k) = x @ Q_k @ x and Tr(rho) = |x|^2.  The 36 real
+    symmetric (16, 16) forms Q_k are laid out for one matrix-vector product
+    per fit: (x @ rows)[16 k + i] = (Q_k @ x)[i] and
+    sums @ w = (sum_k w_k Q_k).reshape(256).  inverse undoes the order.
+    """
+
+    rows: np.ndarray
+    sums: np.ndarray
+    inverse: np.ndarray
+
+
+@functools.cache  # at most 4! = 24 orders, about 150 KB each
+def _forms(order: tuple) -> _Forms:
+    order = list(order)
+    pi = _PI_FLAT.reshape(36, 4, 4)[:, order][:, :, order]
+    q = np.real(_T_OF_X.T @ np.kron(np.eye(4), pi) @ _T_OF_X.conj())
+    forms = _Forms(q.transpose(1, 0, 2).reshape(16, 576), np.ascontiguousarray(q.reshape(36, 256).T), np.argsort(order))
+    for array in forms:  # shared by every caller
+        array.setflags(write=False)
+    return forms
+
 
 #: limits of every maximum-likelihood fit, the Monte Carlo refits included.
 #: A fit has converged once its squared Newton decrement (in nats; half of
@@ -287,18 +319,23 @@ _MLE_DECREMENT_TOL = 1e-10
 _MLE_MAX_ITER = 100
 _MLE_DAMPING = 1e-12
 _MLE_MAX_HALVINGS = 50
+#: eigenvalue floor of every start state.  An eigenvalue e enters T as a row
+#: of size sqrt(e), and the gradient along that row scales with it, so from
+#: e = 1e-12 a fit can pass the decrement test with e far below its optimum.
+_MLE_START_FLOOR = 1e-6
+#: steps after which a fit still running starts again from its current state
+_MLE_REPIVOT_STEPS = 20
 
 
 def mle_reconstruct(records) -> MleResult:
     """Maximum-likelihood state fit over the triangular parameterization.
 
-    Deterministic for given records.  The damped Newton fit of _newton_fit
-    starts from the projected linear inversion; after _MLE_MAX_ITER steps,
-    or when a line search fails, the last iterate is returned with
+    Deterministic for given records.  The damped Newton fit of _mle_fits
+    starts from the projected linear inversion; after _MLE_MAX_ITER steps
+    in all, or when a line search fails, the last iterate is returned with
     converged=False.
     """
-    n = _count_table(records)
-    fit = _newton_fit(n[None], _start_params(project_to_physical(_inversion(n), floor=1e-12))[None])
+    fit = _mle_fits(_count_table(records)[None])
     return MleResult(
         rho=fit.rho[0],
         log_likelihood=float(fit.log_likelihood[0]),
@@ -309,14 +346,85 @@ def mle_reconstruct(records) -> MleResult:
     )
 
 
+def _pivot_orders(rho: np.ndarray) -> np.ndarray:
+    """(m, 4) greedy Cholesky pivots of (m, 4, 4) positive semidefinite rho.
+
+    Step j takes the largest diagonal entry of the Schur complement that the
+    steps before it leave, the first of equal ones, as LAPACK's pivoted
+    Cholesky ?pstrf does (Higham, 1990).
+    """
+    rows = np.arange(len(rho))
+    pivots = np.empty((len(rho), 4), dtype=int)
+    taken = np.zeros((len(rho), 4), dtype=bool)
+    s = rho
+    for j in range(4):
+        d = np.where(taken, -np.inf, s[:, range(4), range(4)].real)
+        k = pivots[:, j] = d.argmax(axis=-1)
+        taken[rows, k] = True
+        col = s[rows, :, k]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = s - col[:, :, None] * (col.conj() / d[rows, k, None])[:, None, :]
+    return pivots
+
+
+def _mle_fits(n: np.ndarray) -> MleResult:
+    """Maximum-likelihood fits of (R, 36) counts n; one MleResult of arrays over the R fits.
+
+    Each fit starts from its linear inversion, projected with the eigenvalue
+    floor _MLE_START_FLOOR, and runs in the pivot order of that state (see
+    _pivoted_fits).  A fit still running after _MLE_REPIVOT_STEPS steps
+    starts again from its current state, floored the same way, in the pivot
+    order of that state, and so on until it stops or has taken
+    _MLE_MAX_ITER steps in all.  A fit's course depends on its own counts
+    alone.
+    """
+    n = np.asarray(n, dtype=float)
+    steps = min(_MLE_REPIVOT_STEPS, _MLE_MAX_ITER)
+    fit = _pivoted_fits(n, project_to_physical(_inversion(n), floor=_MLE_START_FLOOR), steps)
+    out = {f.name: getattr(fit, f.name) for f in fields(MleResult)}
+    start_ll = fit.log_likelihood - fit.log_likelihood_gain
+    todo = np.flatnonzero(~fit.converged & (fit.n_iter == steps))
+    while todo.size and steps < _MLE_MAX_ITER:
+        budget = min(_MLE_REPIVOT_STEPS, _MLE_MAX_ITER - steps)
+        fit = _pivoted_fits(n[todo], project_to_physical(out["rho"][todo], floor=_MLE_START_FLOOR), budget)
+        for name, value in out.items():
+            value[todo] = getattr(fit, name)
+        out["n_iter"][todo] += steps
+        out["log_likelihood_gain"][todo] = fit.log_likelihood - start_ll[todo]
+        steps += budget
+        todo = todo[~fit.converged & (fit.n_iter == budget)]
+    return MleResult(**out)
+
+
+def _pivoted_fits(n: np.ndarray, rho0: np.ndarray, max_iter: int) -> MleResult:
+    """_newton_fit of (R, 36) counts n from the positive definite (R, 4, 4) states rho0, each in its own basis order.
+
+    A fit's order is the Cholesky pivot order of its rho0, last index first,
+    so that the first entry of T to fit is the largest diagonal of rho0
+    rather than a fixed one that may vanish (rho_33 of the singlet), where
+    the map from T to rho is singular.  The fits of each order run as one
+    stack.
+    """
+    orders = _pivot_orders(rho0)[:, ::-1]
+    keys = orders @ (64, 16, 4, 1)
+    indices, fits = [], []
+    for key in np.unique(keys):
+        i = np.flatnonzero(keys == key)
+        order = orders[i[0]]
+        indices.append(i)
+        fits.append(_newton_fit(n[i], _start_params(rho0[i][:, order][:, :, order]), _forms(tuple(order)), max_iter))
+    back = np.argsort(np.concatenate(indices))
+    return MleResult(*(np.concatenate([getattr(fit, f.name) for fit in fits])[back] for f in fields(MleResult)))
+
+
 # Every product below is taken per fit (a stacked matmul, an elementwise
 # operation or a sum along one fit's row), never as one matrix product over
 # the stack, so that a fit's arithmetic does not depend on which other fits
 # share its stack.
 
-def _q_vectors(x: np.ndarray) -> np.ndarray:
-    """(m, 36, 16) vectors _Q[k] @ x_r of (m, 16) parameters x."""
-    return (x[:, None, :] @ _Q_ROWS).reshape(len(x), 36, 16)
+def _q_vectors(x: np.ndarray, forms: _Forms) -> np.ndarray:
+    """(m, 36, 16) vectors Q_k @ x_r of (m, 16) parameters x."""
+    return (x[:, None, :] @ forms.rows).reshape(len(x), 36, 16)
 
 
 def _row_dot(vectors: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -324,50 +432,51 @@ def _row_dot(vectors: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (vectors @ x[:, :, None])[..., 0]
 
 
-def _log_likelihoods(n: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _log_likelihoods(n: np.ndarray, x: np.ndarray, forms: _Forms) -> np.ndarray:
     """Multinomial log-likelihoods of (m, 36) counts n at (m, 16) parameters x."""
     with np.errstate(divide="ignore"):
-        terms = np.where(n > 0, n * np.log(_row_dot(_q_vectors(x), x)), 0.0)
+        terms = np.where(n > 0, n * np.log(_row_dot(_q_vectors(x, forms), x)), 0.0)
     return terms.sum(axis=-1) - n.sum(axis=-1) * np.log((x * x).sum(axis=-1))
 
 
-def _newton_fit(n: np.ndarray, x: np.ndarray) -> MleResult:
-    """Damped Newton fits of (R, 36) counts n from (R, 16) start parameters x.
+def _newton_fit(n: np.ndarray, x: np.ndarray, forms: _Forms, max_iter: int) -> MleResult:
+    """Damped Newton fits of (R, 36) counts n from (R, 16) start parameters x, in the basis order of forms.
 
-    Returns one MleResult whose fields are arrays over the R fits.  Each fit
-    minimises f(x) = -sum_k n_k log q_k + N log |x|^2 with q_k = x @ _Q[k] @ x,
-    the negative log-likelihood of rho = T^dag T / |x|^2, which is constant
+    Returns one MleResult whose fields are arrays over the R fits, with rho
+    in the original basis order.  Each fit minimises
+    f(x) = -sum_k n_k log q_k + N log |x|^2 with q_k = x @ Q_k @ x, the
+    negative log-likelihood of rho = T^dag T / |x|^2, which is constant
     along x.  A fit leaves the stack once its squared Newton decrement is
-    below _MLE_DECREMENT_TOL (converged), or once it reaches _MLE_MAX_ITER
-    steps or its line search fails (not converged).
+    below _MLE_DECREMENT_TOL (converged), or once it reaches max_iter steps
+    or its line search fails (not converged).
     """
-    n = np.asarray(n, dtype=float)
     total = n.sum(axis=-1)
     x = x / np.linalg.norm(x, axis=-1, keepdims=True)
-    start_ll = _log_likelihoods(n, x)
+    start_ll = _log_likelihoods(n, x, forms)
     converged = np.zeros(len(n), dtype=bool)
     n_iter = np.zeros(len(n), dtype=int)
     decrement_sq = np.full(len(n), np.inf)
     active = np.arange(len(n))
     while active.size:
-        q, step, decrement = _newton_step(n[active], total[active], x[active])
+        q, step, decrement = _newton_step(n[active], total[active], x[active], forms)
         decrement_sq[active] = decrement
         converged[active] = decrement < _MLE_DECREMENT_TOL
-        go = ~converged[active] & (n_iter[active] < _MLE_MAX_ITER)
+        go = ~converged[active] & (n_iter[active] < max_iter)
         active = active[go]
-        moved, x_new = _line_search(n[active], total[active], x[active], q[go], step[go])
+        moved, x_new = _line_search(n[active], total[active], x[active], q[go], step[go], forms)
         active = active[moved]
         x[active] = x_new / np.linalg.norm(x_new, axis=-1, keepdims=True)
         n_iter[active] += 1
-    log_likelihood = _log_likelihoods(n, x)
+    log_likelihood = _log_likelihoods(n, x, forms)
     t = (x[:, None, :] @ _T_OF_X.T).reshape(len(n), 4, 4)
     rho = dagger(t) @ t
     rho /= np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
     rho = 0.5 * (rho + dagger(rho))
+    rho = rho[:, forms.inverse][:, :, forms.inverse]
     return MleResult(rho, log_likelihood, converged, n_iter, decrement_sq, log_likelihood - start_ll)
 
 
-def _newton_step(n: np.ndarray, total: np.ndarray, x: np.ndarray):
+def _newton_step(n: np.ndarray, total: np.ndarray, x: np.ndarray, forms: _Forms):
     """(q, step, squared Newton decrement) of the fits at (m, 16) parameters x with |x| = 1.
 
     The step solves (P H P + shift) d = -P g for the exact gradient g and
@@ -376,7 +485,7 @@ def _newton_step(n: np.ndarray, total: np.ndarray, x: np.ndarray):
     the shift grows by -2 v, v the lowest (negative) eigenvalue of P H P.
     """
     eye = np.eye(16)
-    qx = _q_vectors(x)
+    qx = _q_vectors(x, forms)
     q = _row_dot(qx, x)
     with np.errstate(divide="ignore", invalid="ignore"):
         w = np.where(n > 0, n / q, 0.0)
@@ -384,7 +493,7 @@ def _newton_step(n: np.ndarray, total: np.ndarray, x: np.ndarray):
     # at |x| = 1 the N log |x|^2 term adds 2N x to g and 2N (I - 2 x x^T) to
     # H, whose x x^T part the projection removes
     grad = 2.0 * (total[:, None] * x - (w[:, None, :] @ qx)[:, 0])
-    hess = 4.0 * qx.swapaxes(1, 2) @ (w2[:, :, None] * qx) - 2.0 * (_Q_SUM @ w[:, :, None]).reshape(-1, 16, 16)
+    hess = 4.0 * qx.swapaxes(1, 2) @ (w2[:, :, None] * qx) - 2.0 * (forms.sums @ w[:, :, None]).reshape(-1, 16, 16)
     hess += 2.0 * total[:, None, None] * eye
     proj = eye - x[:, :, None] * x[:, None, :]
     grad = _row_dot(proj, grad)
@@ -399,7 +508,7 @@ def _newton_step(n: np.ndarray, total: np.ndarray, x: np.ndarray):
     return q, step, -(grad * step).sum(axis=-1)
 
 
-def _line_search(n, total, x, q, step):
+def _line_search(n, total, x, q, step, forms):
     """(moved, x_new): x + 2^-j step for the least j at which f does not increase.
 
     moved flags the fits that found such a j within _MLE_MAX_HALVINGS
@@ -413,7 +522,7 @@ def _line_search(n, total, x, q, step):
     for halvings in range(_MLE_MAX_HALVINGS + 1):
         s = 0.5 ** halvings * step[pending]
         both = 2.0 * x[pending] + s
-        dq = _row_dot(_q_vectors(s), both)  # q(x + s) - q(x)
+        dq = _row_dot(_q_vectors(s, forms), both)  # q(x + s) - q(x)
         with np.errstate(divide="ignore", invalid="ignore"):
             terms = np.where(n[pending] > 0, n[pending] * np.log1p(dq / q[pending]), 0.0)
         change = total[pending] * np.log1p((s * both).sum(axis=-1)) - terms.sum(axis=-1)
@@ -577,8 +686,7 @@ def _resample_block(observed: np.ndarray, children, target: np.ndarray):
     counts = np.array([np.random.default_rng(child).poisson(observed) for child in children])
     per_setting = counts.reshape(len(children), 9, 4)
     per_setting[per_setting.sum(axis=-1) == 0] += 1  # keep the setting usable at tiny totals
-    x0 = _start_params(project_to_physical(_inversion(counts), floor=1e-12))
-    fits = _newton_fit(counts, x0)
+    fits = _mle_fits(counts)
     metrics = state_metrics(fits.rho, target)
     return np.column_stack(astuple(metrics)), fits.converged, fits.n_iter
 

@@ -3,14 +3,16 @@
 Everything here deliberately avoids the code paths of the package: index
 loops instead of vectorized products, an enlarged-mode-space brute force
 instead of the convex-mixture shortcut, fixed-grid trapezoid sums or
-adaptive quadrature instead of Gauss-Legendre rules, and scipy's L-BFGS-B
-instead of the package's Newton fits.
+adaptive quadrature instead of Gauss-Legendre rules, scipy's L-BFGS-B
+instead of the package's Newton fits, and LAPACK's pivoted Cholesky
+instead of the package's stacked pivot search.
 """
 
 import math
 
 import numpy as np
 from scipy import integrate, optimize
+from scipy.linalg import lapack
 
 KB_OVER_HBAR = 0.13093
 
@@ -216,6 +218,29 @@ def lbfgsb_log_likelihood(counts, projectors, rho0, ftol, restarts=0):
             break
         best = again
     return -float(best.fun) * total
+
+
+def ordered_params(rho, order):
+    """Parameters (as _lower_triangular reads them) of the lower-triangular T with T^dag T = rho[order][:, order].
+
+    rho must be positive definite.  T is found column by column from the
+    last one: (T^dag T)[j, i] = sum over k >= j of conj(T[k, j]) T[k, i] for
+    i <= j, with T[j, j] real and positive.
+    """
+    a = np.array([[rho[r, c] for c in order] for r in order])
+    t = np.zeros((4, 4), dtype=complex)
+    for j in range(3, -1, -1):
+        t[j, j] = math.sqrt((a[j, j] - sum(abs(t[k, j]) ** 2 for k in range(j + 1, 4))).real)
+        for i in range(j):
+            t[j, i] = (a[j, i] - sum(t[k, j].conjugate() * t[k, i] for k in range(j + 1, 4))) / t[j, j]
+    return _params_of(t)
+
+
+def lapack_pivots(rho):
+    """(0-based pivot order, rank) of LAPACK's pivoted Cholesky zpstrf of a Hermitian PSD matrix, at its default tolerance."""
+    _, piv, rank, info = lapack.zpstrf(rho, lower=1)
+    assert info >= 0
+    return piv - 1, rank
 
 
 # ---------------------------------------------------------------------------

@@ -294,6 +294,18 @@ def test_reconstruct_cli(tmp_path):
     assert d["n_resamples"] == 100 and d["n_not_converged"] == 0
 
 
+def test_reconstruct_rank_deficient_mixed_state_refits_converge(tmp_path):
+    """|H><H| (x) I/2 at 1000 counts per setting: in a fixed basis order several refits hit the step cap (exit 3)."""
+    rho = np.kron(np.diag([1.0, 0.0]), np.eye(2) / 2.0).astype(complex)
+    path = tmp_path / "records.csv"
+    write_records_csv(path, tomo.simulate_counts(rho, 1000, seed=3))
+    code, out = run(tmp_path, "reconstruct", "--records", str(path), "--resamples", "100", "--seed", "7")
+    assert code == 0
+    d = load(out)
+    assert d["n_resamples"] == 100 and d["n_not_converged"] == 0
+    assert d["diagnostics"]["monte_carlo"]["iterations_max"] < tomo._MLE_MAX_ITER
+
+
 def _assert_mle_diagnostics(d):
     mle = d["diagnostics"]["mle"]
     assert set(mle) == {"iterations", "newton_decrement_sq", "log_likelihood_gain"}
@@ -338,17 +350,17 @@ def test_reconstruct_monte_carlo_non_convergence_exit_3(tmp_path, monkeypatch, c
     records = tomo.simulate_counts(tomo.werner(0.9), 10_000, seed=3)
     path = tmp_path / "records.csv"
     write_records_csv(path, records)
-    fit = tomo._newton_fit
+    fit = tomo._mle_fits
     seen = [0]
 
-    def every_tenth_fit_fails(n, x0):
+    def every_tenth_fit_fails(n):
         # fits are counted over all solver calls: the central fit is the first
-        fits = fit(n, x0)
+        fits = fit(n)
         index = seen[0] + np.arange(1, len(n) + 1)
         seen[0] += len(n)
         return replace(fits, converged=fits.converged & (index % 10 != 0))
 
-    monkeypatch.setattr(tomo, "_newton_fit", every_tenth_fit_fails)
+    monkeypatch.setattr(tomo, "_mle_fits", every_tenth_fit_fails)
     code, out = run(tmp_path, "reconstruct", "--records", str(path), "--resamples", "100")
     assert code == 3
     assert "10 of 100 Monte Carlo refits did not converge" in capsys.readouterr().err

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -132,3 +133,30 @@ def test_fault_on_the_last_line_of_a_large_histogram_names_that_line(tmp_path, c
     assert main(argv) == 2
     assert f"error: {csv_path}:50001: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("lines, bad_line", [(5001, 3001), (4, 3), (3, 1), (40, 40)])
+@pytest.mark.parametrize("line_end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_undecodable_byte_names_its_line(tmp_path, lines, bad_line, line_end):
+    """Both the row loop and read_columns (through its fallback) name the line that holds the byte."""
+    rows = ["tau_ps,counts"] + [f"{20.0 * i!r},{i % 7}" for i in range(1, lines)]
+    rows[bad_line - 1] = rows[bad_line - 1][:-1] + "\udcff" + rows[bad_line - 1][-1]  # written as the byte 0xff
+    path = _write(tmp_path / "h.csv", line_end.join(rows) + line_end)
+    message = f"{path}:{bad_line}: 'utf-8' codec can't decode byte 0xff in position "
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        row_loop_columns(path, *HISTOGRAM_COLUMNS)
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        io.read_columns(path, *HISTOGRAM_COLUMNS)
+
+
+@pytest.mark.parametrize("field", ["\U000325a2", "٧", "7\xa0", "é"], ids=["astral-plane", "arabic-digit", "nbsp", "latin"])
+def test_non_ascii_lines_never_reach_numpy(tmp_path, monkeypatch, field):
+    """numpy's integer parser can crash the process on a non-ASCII field, so only the row loop may read one."""
+    path = _write(tmp_path / "h.csv", f"tau_ps,counts\n-20.0,3\n0.0,{field}\n20.0,4\n")
+
+    def refuse_non_ascii(lines, *args, **kwargs):
+        lines = list(lines)  # the guard raises here
+        raise AssertionError(f"numpy got {lines!r}")
+
+    monkeypatch.setattr(np, "loadtxt", refuse_non_ascii)
+    assert_columns_match_row_loop(path, *HISTOGRAM_COLUMNS)

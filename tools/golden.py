@@ -138,6 +138,11 @@ def write_inputs(inputs: Path):
     hd = np.kron(JONES["H"], JONES["D"])
     (inputs / "records-product-low.csv").write_text(
         records_csv(np.random.default_rng([SEED, 1]), np.outer(hd, hd), n_per_setting=100))
+    # |H><H| (x) I/2 at 1000 counts per setting: rank 2, with the zero
+    # diagonal entries of |V> on the first qubit; its own generator leaves
+    # the other inputs unchanged
+    (inputs / "records-h-mixed.csv").write_text(records_csv(
+        np.random.default_rng([SEED, 3]), np.kron(np.diag([1.0, 0.0]), np.eye(2) / 2.0), n_per_setting=1000))
     records[5] = records[5].rsplit(",", 1)[0] + ",nan"
     (inputs / "bad-records.csv").write_text("\n".join(records) + "\n")
     for kind in ("g2", "hom"):
@@ -200,6 +205,8 @@ def calls():
         ("reconstruct", ["reconstruct", "--records", "inputs/records.csv", "--resamples", "100", "--seed", "7"]),
         ("reconstruct-product-low", ["reconstruct", "--records", "inputs/records-product-low.csv",
                                      "--resamples", "100", "--seed", "7"]),
+        ("reconstruct-h-mixed", ["reconstruct", "--records", "inputs/records-h-mixed.csv",
+                                 "--resamples", "100", "--seed", "7"]),
         ("truth-table-ZZ", ["truth-table", "--basis", "ZZ", "--overlap", "0.947"]),
         ("truth-table-XX", ["truth-table", "--basis", "XX", "--overlap", "0.947",
                             "--measured-fzz", "0.902", "--measured-fxx", "0.874"]),
