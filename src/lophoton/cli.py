@@ -41,6 +41,10 @@ _DEPHASING_KEYS = tuple(f.name for f in fields(emitter.DephasingParams))
 #: analyze's integration half-window when --window is not given
 _ANALYZE_WINDOW_PS = {"g2": 2000.0, "hom": 600.0}
 
+#: most points of a visibility --grid; the curve's arrays and CSV text grow
+#: with it (10^7 points write about 400 MB)
+_MAX_GRID_POINTS = 10**7
+
 
 class CliError(ValueError):
     """Invalid arguments (exit 2)."""
@@ -96,6 +100,8 @@ def _parse_grid(text, log):
         raise ValueError(f"grid must be start:stop:num, got {text!r}") from None
     if num < 1 or stop < start:
         raise ValueError(f"bad grid {text!r}")
+    if num > _MAX_GRID_POINTS:
+        raise ValueError(f"--grid {text!r} has {num} points, at most {_MAX_GRID_POINTS} are allowed")
     if log:
         if start <= 0:
             raise ValueError("log grid needs a positive start")

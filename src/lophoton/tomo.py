@@ -39,10 +39,11 @@ Error bars come from Monte Carlo resampling: every outcome count is redrawn
 from a Poisson law at the observed value, the state is refit, and metric
 spreads are reported.  Resample seeds derive from the master seed through
 ``numpy.random.SeedSequence(seed).spawn``, one child stream per resample.
-The resamples run in stacks of up to 100: one array of counts, one linear
-inversion, one projection, one Newton fit per basis order and one
-evaluation of the metrics per stack, each computed fit by fit so that the
-results do not depend on the stack size.
+The resamples are drawn and scored 1000 at a time: one array of counts,
+one linear inversion, one projection and one evaluation of the metrics per
+block, whose fits run in stacks of at most 100 fits of one basis order.
+Every product is computed fit by fit, so that the results depend on
+neither the block nor the stack size.
 """
 
 from __future__ import annotations
@@ -325,6 +326,10 @@ _MLE_MAX_HALVINGS = 50
 _MLE_START_FLOOR = 1e-6
 #: steps after which a fit still running starts again from its current state
 _MLE_REPIVOT_STEPS = 20
+#: most fits of one basis order in one _newton_fit stack: enough to amortise
+#: the numpy calls of a Newton step, few enough to bound its (m, 36, 16) and
+#: (m, 16, 16) temporaries
+_FIT_STACK = 100
 
 
 def mle_reconstruct(records) -> MleResult:
@@ -402,17 +407,20 @@ def _pivoted_fits(n: np.ndarray, rho0: np.ndarray, max_iter: int) -> MleResult:
     A fit's order is the Cholesky pivot order of its rho0, last index first,
     so that the first entry of T to fit is the largest diagonal of rho0
     rather than a fixed one that may vanish (rho_33 of the singlet), where
-    the map from T to rho is singular.  The fits of each order run as one
-    stack.
+    the map from T to rho is singular.  The fits of each order run in
+    stacks of at most _FIT_STACK.
     """
     orders = _pivot_orders(rho0)[:, ::-1]
     keys = orders @ (64, 16, 4, 1)
     indices, fits = [], []
     for key in np.unique(keys):
-        i = np.flatnonzero(keys == key)
-        order = orders[i[0]]
-        indices.append(i)
-        fits.append(_newton_fit(n[i], _start_params(rho0[i][:, order][:, :, order]), _forms(tuple(order)), max_iter))
+        same = np.flatnonzero(keys == key)
+        order = orders[same[0]]
+        forms = _forms(tuple(order))
+        for lo in range(0, len(same), _FIT_STACK):
+            i = same[lo:lo + _FIT_STACK]
+            indices.append(i)
+            fits.append(_newton_fit(n[i], _start_params(rho0[i][:, order][:, :, order]), forms, max_iter))
     back = np.argsort(np.concatenate(indices))
     return MleResult(*(np.concatenate([getattr(fit, f.name) for fit in fits])[back] for f in fields(MleResult)))
 
@@ -642,10 +650,10 @@ class MonteCarloMetrics:
     refit_iterations: np.ndarray
 
 
-#: resamples drawn, refit and scored as one stack: large enough to amortise
-#: the numpy calls, small enough that memory does not grow with the number
-#: of resamples
-_MC_BLOCK = 100
+#: resamples drawn, refit and scored as one block: large enough that most
+#: basis orders fill a stack of _FIT_STACK fits, small enough that memory
+#: does not grow with the number of resamples
+_MC_BLOCK = 1000
 
 
 def monte_carlo_metrics(records, target: np.ndarray, n_resamples: int, seed: int) -> MonteCarloMetrics:

@@ -513,6 +513,7 @@ MALFORMED = {
                                                "--temperature", "nan"],
     "visibility-grid-nan": lambda tmp: ["visibility", "--mode", "vs_T", "--grid", "nan:40:3"],
     "visibility-grid-overflow": lambda tmp: ["visibility", "--mode", "vs_T", "--grid", "4:1e300:3"],
+    "visibility-grid-too-many-points": lambda tmp: ["visibility", "--mode", "vs_T", "--grid", f"4:40:{10**15}"],
     "trpl-huge-intensity": _trace_with_huge_intensity,
     "vis_T-huge-visibility": _curve_with_huge_visibility("vis_T"),
     "vis_dt-huge-visibility": _curve_with_huge_visibility("vis_dt"),
@@ -537,6 +538,8 @@ def test_malformed_input_exit_2_without_output(tmp_path, make_argv):
     ("visibility-temperature-nan", "temperature must be >= 0 K, got nan"),
     ("visibility-grid-nan", "temperature must be >= 0 K, got nan"),
     ("visibility-grid-overflow", "the visibility model is not finite at T = 5e+299 K"),
+    ("visibility-grid-too-many-points",
+     "--grid '4:40:1000000000000000' has 1000000000000000 points, at most 10000000 are allowed"),
     ("trpl-huge-intensity", "intensity 1e+300 at t = "),
     ("vis_T-huge-visibility", "visibility 1e+300 at T = 18.4 K"),
     ("vis_dt-huge-visibility", "visibility 1e+300 at delay = 18.4 ns"),

@@ -512,6 +512,12 @@ def test_monte_carlo_refuses_more_than_one_percent_non_converged(monkeypatch):
         tomo.monte_carlo_metrics(records, tomo.psi_minus(), 100, seed=3)
 
 
+#: (_MC_BLOCK, _FIT_STACK) pairs that must give the same bytes: every
+#: block size against every stack cap, one resample per block, and the
+#: default pair again last
+_STACK_SIZES = [(1, 100), *itertools.product((100, 1000), (1, 7, 100, 1000)), (1000, 100)]
+
+
 def test_monte_carlo_identical_for_every_stack_size(monkeypatch):
     # a nearly pure low-count state: refits take from a few to tens of
     # steps, so the active set of a stack shrinks unevenly, and the fits of
@@ -520,30 +526,62 @@ def test_monte_carlo_identical_for_every_stack_size(monkeypatch):
     newton_fit, orders = tomo._newton_fit, []
 
     def recording(n, x, forms, max_iter):
-        orders.append((block, forms.inverse.tobytes()))
+        orders.append((sizes, forms.inverse.tobytes()))
         return newton_fit(n, x, forms, max_iter)
 
     monkeypatch.setattr(tomo, "_newton_fit", recording)
     results = []
-    for block in (1, 100, 1000, 100):
-        monkeypatch.setattr(tomo, "_MC_BLOCK", block)
+    for sizes in _STACK_SIZES:
+        monkeypatch.setattr(tomo, "_MC_BLOCK", sizes[0])
+        monkeypatch.setattr(tomo, "_FIT_STACK", sizes[1])
         mc = tomo.monte_carlo_metrics(records, tomo.psi_minus(), 250, seed=42)
         stats = np.array([[getattr(mc, name).mean, getattr(mc, name).std] for name in _METRICS])
         results.append((stats.tobytes(), mc.refit_iterations.tobytes(), mc.n_not_converged))
     assert len(np.unique(np.frombuffer(results[0][1], dtype=int))) > 3
-    assert len({order for b, order in orders if b == 1000}) >= 2  # one stack of 250 refits, several orders
+    # one block of 250 refits in stacks of 1000: several orders
+    assert len({order for s, order in orders if s == (1000, 1000)}) >= 2
     assert all(r == results[0] for r in results[1:])
 
 
 def test_bell_output_identical_for_every_stack_size(monkeypatch, tmp_path):
     args = ["bell", "--overlap", "1.0", "--resamples", "1000", "--seed", "43"]
     outputs = []
-    for i, block in enumerate((1, 100, 1000, 100)):
+    for i, (block, stack) in enumerate(_STACK_SIZES):
         monkeypatch.setattr(tomo, "_MC_BLOCK", block)
+        monkeypatch.setattr(tomo, "_FIT_STACK", stack)
         out = tmp_path / f"bell-{i}.json"
         assert cli.main([*args, "--out", str(out)]) == 0
         outputs.append(out.read_bytes())
     assert all(o == outputs[0] for o in outputs[1:])
+
+
+def test_bell_fits_run_in_full_stacks_of_one_order(monkeypatch, tmp_path):
+    pivoted_fits, newton_fit, passes = tomo._pivoted_fits, tomo._newton_fit, []
+
+    def recording_pass(n, rho0, max_iter):
+        orders = tomo._pivot_orders(rho0)[:, ::-1]
+        passes.append(([(tuple(order), row.tobytes()) for order, row in zip(orders.tolist(), n)], []))
+        return pivoted_fits(n, rho0, max_iter)
+
+    def recording_stack(n, x, forms, max_iter):
+        passes[-1][1].append((tuple(np.argsort(forms.inverse).tolist()), [row.tobytes() for row in n]))
+        return newton_fit(n, x, forms, max_iter)
+
+    monkeypatch.setattr(tomo, "_pivoted_fits", recording_pass)
+    monkeypatch.setattr(tomo, "_newton_fit", recording_stack)
+    out = tmp_path / "bell.json"
+    assert cli.main(["bell", "--overlap", "1.0", "--resamples", "1000", "--seed", "11", "--out", str(out)]) == 0
+    stacks = [stack for _, pass_stacks in passes for stack in pass_stacks]
+    for fits, pass_stacks in passes:
+        # each stack holds fits of its own order, and every fit of the pass is in one stack
+        assert sorted((order, row) for order, rows in pass_stacks for row in rows) == sorted(fits)
+        assert all(len(rows) <= tomo._FIT_STACK for _, rows in pass_stacks)
+        partial = [order for order, rows in pass_stacks if len(rows) < tomo._FIT_STACK]
+        assert len(partial) == len(set(partial))  # at most one partial stack per order
+    # the 1001 fits (the central one and 1000 refits) fill 17 stacks at this
+    # seed; blocks of 100 resamples would split them into 59
+    assert sum(len(rows) for _, rows in stacks) == 1001
+    assert len(stacks) <= 25
 
 
 def test_monte_carlo_requires_enough_resamples():

@@ -143,6 +143,11 @@ def write_inputs(inputs: Path):
     # the other inputs unchanged
     (inputs / "records-h-mixed.csv").write_text(records_csv(
         np.random.default_rng([SEED, 3]), np.kron(np.diag([1.0, 0.0]), np.eye(2) / 2.0), n_per_setting=1000))
+    # Werner 0.77 (the paper's fidelity) at 200 counts per setting: its
+    # refits fall into many basis orders; its own generator leaves the other
+    # inputs unchanged
+    (inputs / "records-werner-low.csv").write_text(
+        records_csv(np.random.default_rng([SEED, 4]), werner(0.77), n_per_setting=200))
     records[5] = records[5].rsplit(",", 1)[0] + ",nan"
     (inputs / "bad-records.csv").write_text("\n".join(records) + "\n")
     for kind in ("g2", "hom"):
@@ -195,6 +200,11 @@ def calls():
             out.append((f"bell-{overlap}-threads{threads}",
                         ["bell", "--overlap", overlap, "--counts-per-setting", "1000000",
                          "--resamples", "100", "--seed", "42", "--threads", threads]))
+    # 1000 resamples: more than one stack of fits per basis order
+    for overlap in ("1.0", "0.9"):
+        out.append((f"bell-{overlap}-resamples1000",
+                    ["bell", "--overlap", overlap, "--counts-per-setting", "1000000",
+                     "--resamples", "1000", "--seed", "42"]))
     # at 0.947 outcome probabilities that move in the last bits (as they do
     # when taken through the flattened projectors) draw different counts for
     # this seed, which 1.0 and 0.9 do not show; 0.0 is the unentangled end
@@ -207,6 +217,8 @@ def calls():
                                      "--resamples", "100", "--seed", "7"]),
         ("reconstruct-h-mixed", ["reconstruct", "--records", "inputs/records-h-mixed.csv",
                                  "--resamples", "100", "--seed", "7"]),
+        ("reconstruct-werner-low", ["reconstruct", "--records", "inputs/records-werner-low.csv",
+                                    "--resamples", "300", "--seed", "7"]),
         ("truth-table-ZZ", ["truth-table", "--basis", "ZZ", "--overlap", "0.947"]),
         ("truth-table-XX", ["truth-table", "--basis", "XX", "--overlap", "0.947",
                             "--measured-fzz", "0.902", "--measured-fxx", "0.874"]),
