@@ -94,17 +94,23 @@ def _load_dephasing_params(path):
 
 def _parse_grid(text, log):
     try:
-        start, stop, num = text.split(":")
-        start, stop, num = float(start), float(stop), int(num)
+        start, stop, count = text.split(":")
+        start, stop = float(start), float(stop)
     except ValueError:
-        raise ValueError(f"grid must be start:stop:num, got {text!r}") from None
-    if num < 1 or stop < start:
-        raise ValueError(f"bad grid {text!r}")
+        raise ValueError(f"--grid must be start:stop:num, got {text!r}") from None
+    try:
+        num = int(count)
+    except ValueError:
+        num = None
+    if num is None or num < 1:
+        raise ValueError(f"--grid {text!r}: the number of points {count!r} is not a positive integer")
+    if stop < start:
+        raise ValueError(f"--grid {text!r}: stop {stop} is below start {start}")
     if num > _MAX_GRID_POINTS:
         raise ValueError(f"--grid {text!r} has {num} points, at most {_MAX_GRID_POINTS} are allowed")
     if log:
         if start <= 0:
-            raise ValueError("log grid needs a positive start")
+            raise ValueError(f"--grid {text!r}: a --log-grid start must be positive, got {start}")
         return np.geomspace(start, stop, num)
     return np.linspace(start, stop, num)
 

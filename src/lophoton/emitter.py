@@ -14,12 +14,17 @@ filtered zero-phonon-line weight [B^2 / (B^2 + F (1 - B^2))]^2, where B is
 the Franck-Condon factor of a super-ohmic phonon coupling with Gaussian
 cutoff.  The virtual-phonon integrand uses the squared cutoff
 exp(-2 v^2 / v_c^2), as required by its (v^5)^2 matrix-element structure.
-tpi_visibility is the one evaluator of this model: it takes scalars or
-arrays, which broadcast.  The two phonon integrals are fixed Gauss-Legendre
-sums, with nodes built once per process, evaluated over blocks of up to 64
+tpi_visibility evaluates this model for scalars or arrays, which
+broadcast.  The two phonon integrals are fixed Gauss-Legendre sums, with
+nodes built once per process, evaluated over blocks of up to 64
 temperatures at a time: 64 nodes for the thermal part of the Franck-Condon
 exponent (its vacuum part is closed-form) and 128 for the virtual-phonon
-rate, both on ranges capped at 80 kT.
+rate, both on ranges capped at 80 kT.  The curve fits use the exact
+Jacobian of these sums: the vs_temperature fit computes the sums and their
+v_c derivatives in one pass over the same blocks, and the vs_delay fit
+evaluates the two phonon factors once, since they do not depend on its
+free parameters.  tpi_visibility and both fits share one private
+evaluator, _visibility.
 """
 
 from __future__ import annotations
@@ -291,23 +296,81 @@ def _thermal_energy(temperature_K) -> np.ndarray:
     return KB_OVER_HBAR * t
 
 
-def _thermal_sum(n_nodes, kt, reach, integrand):
+def _thermal_sum(n_nodes, kt, reach, integrand, dlog_reach):
     """Int_0^min(reach, 80 kT) integrand(v, n(v)) dv by n_nodes-point Gauss-Legendre.
 
     The nodes v run along a trailing axis, and n(v) = 1 / (e^(v/kT) - 1) is
     the Bose occupation.  It is taken from the nodes in units of kT,
     u = v / kT <= 80, whose span min(reach / kT, 80) stays finite at kT = 0,
     where the sum is 0.
+
+    With dlog_reach None, integrand(v, n, None, None) gives the terms and the
+    sum is returned.  Otherwise dlog_reach is d ln(reach) / d v_c, and the
+    exact v_c derivative of the sum comes with it.  Where reach is below
+    80 kT, span = reach / kT, so the nodes move with v_c: d ln v = d ln(span)
+    and d ln n = -(n + 1) u d ln(span); at the cap they stay put.
+    integrand(v, n, d ln v, d ln n) gives the terms and their total
+    logarithmic v_c derivatives, the explicit v_c included.
     """
     nodes, weights = _gauss_legendre(n_nodes)
     span = reach / np.maximum(kt, reach / _KT_REACH)
     u = span[..., None] * nodes
+    v, n = kt[..., None] * u, 1.0 / np.expm1(u)
     # a sum per row, not a matrix product, so a row does not depend on the block around it
-    return kt * span * np.sum(integrand(kt[..., None] * u, 1.0 / np.expm1(u)) * weights, axis=-1)
+    if dlog_reach is None:
+        return kt * span * np.sum(integrand(v, n, None, None) * weights, axis=-1)
+    dlog_span = np.where(kt >= reach / _KT_REACH, dlog_reach, 0.0)[..., None]
+    terms, dlog_terms = integrand(v, n, dlog_span, -(n + 1.0) * u * dlog_span)
+    length = kt * span
+    return (length * np.sum(terms * weights, axis=-1),
+            length * np.sum(terms * (dlog_span + dlog_terms) * weights, axis=-1))
 
 
 def _float_if_scalar(a):
     return float(a) if np.ndim(a) == 0 else a
+
+
+def _franck_condon(kt, p, partials):
+    """B per element of kt; with partials, (B, d ln B / d (alpha, v_c)) on a trailing axis."""
+    vc = p.v_c_inv_ps
+
+    def integrand(v, n, dlog_v, dlog_n):
+        r2 = (v / vc) ** 2
+        terms = 2.0 * v * n * np.exp(-r2)
+        if dlog_v is None:
+            return terms
+        return terms, dlog_v + dlog_n - 2.0 * r2 * (dlog_v - 1.0 / vc)
+
+    thermal = _thermal_sum(_FC_NODES, kt, 8.0 * vc, integrand, 1.0 / vc if partials else None)
+    if not partials:
+        return np.exp(-0.5 * p.alpha_ps2 * (0.5 * vc ** 2 + thermal))
+    thermal, d_thermal = thermal
+    exponent = 0.5 * vc ** 2 + thermal
+    d_log_b = np.stack([-0.5 * exponent, -0.5 * p.alpha_ps2 * (vc + d_thermal)], axis=-1)
+    return np.exp(-0.5 * p.alpha_ps2 * exponent), d_log_b
+
+
+def _virtual_phonon(kt, p, partials):
+    """g_vp per element of kt; with partials, (g_vp, d g_vp / d (alpha, v_c, mu)) on a trailing axis."""
+    vc = p.v_c_inv_ps
+
+    def integrand(v, n, dlog_v, dlog_n):
+        r2 = (v / vc) ** 2
+        terms = v ** 10 * np.exp(-2.0 * r2) * n * (n + 1.0)
+        if dlog_v is None:
+            return terms
+        return terms, 10.0 * dlog_v + dlog_n * (2.0 * n + 1.0) / (n + 1.0) - 4.0 * r2 * (dlog_v - 1.0 / vc)
+
+    # above kT = v_c the reach is 8 sqrt(kT v_c), so d ln(reach) / d v_c halves
+    reach = 8.0 * vc * np.maximum(1.0, np.sqrt(kt / vc))
+    val = _thermal_sum(_VP_NODES, kt, reach, integrand, np.where(kt > vc, 0.5, 1.0) / vc if partials else None)
+    coupling = p.alpha_ps2 ** 2 * p.mu_ps2 / vc ** 4
+    if not partials:
+        return coupling * val
+    val, d_val = val
+    d_rate = [2.0 * p.alpha_ps2 * p.mu_ps2 / vc ** 4 * val, coupling * (d_val - 4.0 * val / vc),
+              p.alpha_ps2 ** 2 / vc ** 4 * val]
+    return coupling * val, np.stack(d_rate, axis=-1)
 
 
 def franck_condon_factor(temperature_K, p: DephasingParams):
@@ -319,10 +382,7 @@ def franck_condon_factor(temperature_K, p: DephasingParams):
     2 v n(v) exp(-(v/v_c)^2), which vanishes at T = 0, is a 64-node
     Gauss-Legendre sum on [0, min(8 v_c, 80 kT)].  Scalar input gives a float.
     """
-    kt = _thermal_energy(temperature_K)
-    vc = p.v_c_inv_ps
-    thermal = _thermal_sum(_FC_NODES, kt, 8.0 * vc, lambda v, n: 2.0 * v * n * np.exp(-((v / vc) ** 2)))
-    return _float_if_scalar(np.exp(-0.5 * p.alpha_ps2 * (0.5 * vc ** 2 + thermal)))
+    return _float_if_scalar(_franck_condon(_thermal_energy(temperature_K), p, False))
 
 
 def virtual_phonon_rate(temperature_K, p: DephasingParams):
@@ -335,11 +395,7 @@ def virtual_phonon_rate(temperature_K, p: DephasingParams):
     covered, and the 80 kT cap keeps the nodes on the spike about kT wide
     at v = 0 that the integrand becomes at low T.  Scalar input gives a float.
     """
-    kt = _thermal_energy(temperature_K)
-    vc = p.v_c_inv_ps
-    reach = 8.0 * vc * np.maximum(1.0, np.sqrt(kt / vc))
-    val = _thermal_sum(_VP_NODES, kt, reach, lambda v, n: v ** 10 * np.exp(-2.0 * (v / vc) ** 2) * n * (n + 1.0))
-    return _float_if_scalar(p.alpha_ps2 ** 2 * p.mu_ps2 / vc ** 4 * val)
+    return _float_if_scalar(_virtual_phonon(_thermal_energy(temperature_K), p, False))
 
 
 def spectral_diffusion_rate(delay_ns, p: DephasingParams):
@@ -355,6 +411,74 @@ def spectral_diffusion_rate(delay_ns, p: DephasingParams):
     return p.Gamma_sd_inv_ps * (1.0 - np.exp(-((d / p.tau_c_ns) ** 2)))
 
 
+def _phonon_factors(temps, p, partials):
+    """[g_vp, S]: the virtual-phonon rate and the sideband factor
+    S = [B^2 / (B^2 + F (1 - B^2))]^2 per element of the array temps.
+
+    franck_condon_factor and virtual_phonon_rate run once per block of
+    _BLOCK temperatures.  S is exactly 1 at F = 0, also where B^2 underflows
+    to 0.  With partials the sums run with their v_c derivatives, over the
+    same blocks, and the list also holds the partials of g_vp and of S in
+    _VS_T_FREE, on a trailing axis.  At F = 0 the F partial of S is the
+    limit -2 (1 - B^2) / B^2, kept finite where B^2 underflows.
+    """
+    flat = temps.ravel()
+    g_vp, side = np.empty_like(flat), np.empty_like(flat)
+    if partials:
+        d_vp, d_side = np.zeros((flat.size, 4)), np.zeros((flat.size, 4))
+    with np.errstate(all="ignore"):  # non-finite results raise in _visibility
+        for lo in range(0, flat.size, _BLOCK):
+            block = slice(lo, lo + _BLOCK)
+            if partials:
+                kt = _thermal_energy(flat[block])
+                g_vp[block], d_vp[block, :3] = _virtual_phonon(kt, p, True)
+                b, d_log_b = _franck_condon(kt, p, True)
+            else:
+                g_vp[block] = virtual_phonon_rate(flat[block], p)
+                b = franck_condon_factor(flat[block], p)
+            b2 = b ** 2
+            if p.F == 0:
+                side[block] = 1.0
+                if partials:
+                    d_side[block, 3] = -2.0 * (1.0 - b2) / np.maximum(b2, np.finfo(float).tiny)
+                continue
+            d = b2 + p.F * (1.0 - b2)
+            side[block] = (b2 / d) ** 2
+            if partials:
+                d_side[block, :2] = (4.0 * p.F * side[block] / d)[:, None] * d_log_b
+                d_side[block, 3] = -2.0 * side[block] * (1.0 - b2) / d
+    out = [g_vp, side, d_vp, d_side] if partials else [g_vp, side]
+    return [a.reshape(temps.shape + a.shape[1:]) for a in out]
+
+
+def _visibility(temps, phonons, delay_ns, p, free):
+    """The model (Gamma/2) / (Gamma/2 + g_vp + g_sd) S at temps and delay_ns,
+    which broadcast, from phonons = _phonon_factors(temps, p, ...).
+
+    free = () gives the visibility.  free = _VS_T_FREE, with phonons that
+    carry partials, or _VS_DT_FREE gives (visibility, partials in free on a
+    trailing axis); those in (Gamma_sd, tau_c) are closed-form, since
+    g_sd = Gamma_sd (1 - e^(-x^2)) with x = delay / tau_c.  Raises
+    ValueError, naming the temperature, where the visibility is not finite.
+    """
+    g_sd = spectral_diffusion_rate(delay_ns, p)
+    gamma_half = 0.5 / p.T1_ps
+    with np.errstate(all="ignore"):  # non-finite results raise below
+        rate = gamma_half + phonons[0] + g_sd
+        v = gamma_half / rate * phonons[1]
+    bad = ~np.isfinite(v)
+    if bad.any():
+        raise ValueError(f"the visibility model is not finite at T = {np.broadcast_to(temps, v.shape)[bad].flat[0]} K")
+    if not free:
+        return _float_if_scalar(v)
+    slope = (v / rate)[..., None]  # -dv / d(g_vp + g_sd)
+    if free == _VS_T_FREE:
+        return v, (gamma_half / rate)[..., None] * phonons[3] - slope * phonons[2]
+    x2 = (np.asarray(delay_ns, dtype=float) / p.tau_c_ns) ** 2
+    decay = np.exp(-x2)
+    return v, slope * np.stack([decay - 1.0, 2.0 * p.Gamma_sd_inv_ps * x2 * decay / p.tau_c_ns], axis=-1)
+
+
 def tpi_visibility(temperature_K, delay_ns, p: DephasingParams):
     """Two-photon interference visibility at a temperature and pulse delay.
 
@@ -366,23 +490,8 @@ def tpi_visibility(temperature_K, delay_ns, p: DephasingParams):
     temperature_K.  Scalar arguments give a float.  Raises ValueError,
     naming the temperature, where the model is not finite.
     """
-    g_sd = spectral_diffusion_rate(delay_ns, p)
     temps = np.asarray(temperature_K, dtype=float)
-    flat = temps.ravel()
-    g_vp = np.empty_like(flat)
-    side = np.empty_like(flat)
-    with np.errstate(all="ignore"):  # non-finite results raise below
-        for lo in range(0, flat.size, _BLOCK):
-            block = slice(lo, lo + _BLOCK)
-            g_vp[block] = virtual_phonon_rate(flat[block], p)
-            b2 = franck_condon_factor(flat[block], p) ** 2
-            side[block] = 1.0 if p.F == 0 else (b2 / (b2 + p.F * (1.0 - b2))) ** 2
-        gamma_half = 0.5 / p.T1_ps
-        v = gamma_half / (gamma_half + g_vp.reshape(temps.shape) + g_sd) * side.reshape(temps.shape)
-    bad = ~np.isfinite(v)
-    if bad.any():
-        raise ValueError(f"the visibility model is not finite at T = {np.broadcast_to(temps, v.shape)[bad].flat[0]} K")
-    return _float_if_scalar(v)
+    return _visibility(temps, _phonon_factors(temps, p, False), delay_ns, p, ())
 
 
 def solve_sd_ceiling(v_long: float, delay_ns: float, temperature_K: float, p: DephasingParams) -> float:
@@ -443,6 +552,13 @@ def fit_visibility_curve(
     off (fast-delay regime).  which = "vs_delay": x is the pulse separation
     in ns at fixed temperature_K, and (Gamma_sd, tau_c) float.  Starting
     values come from init or from the corresponding fields of `fixed`.
+
+    least_squares gets the exact Jacobian of the model's fixed sums.  A
+    vs_temperature residual evaluation computes the visibility and its
+    partials in one phonon pass, and the Jacobian at the same point reuses
+    it.  A vs_delay fit evaluates virtual_phonon_rate and
+    franck_condon_factor once, at temperature_K, and forms every residual
+    and the closed-form (Gamma_sd, tau_c) columns from those two values.
     """
     xs = np.asarray(x, dtype=float)
     vs = np.asarray(visibility, dtype=float)
@@ -470,11 +586,28 @@ def fit_visibility_curve(
     def params_for(vec):
         return fixed.replace(**dict(zip(free, vec)))
 
-    def residuals(vec):
-        return tpi_visibility(temps, delays, params_for(vec)) - vs
+    temps = np.asarray(temps, dtype=float)
+    if which == "vs_delay":  # the phonon factors do not depend on (Gamma_sd, tau_c)
+        fixed_phonons = _phonon_factors(temps, fixed, False)
+
+    def evaluate(vec):
+        p = params_for(vec)
+        phonons = _phonon_factors(temps, p, True) if which == "vs_temperature" else fixed_phonons
+        return _visibility(temps, phonons, delays, p, free)
+
+    # least_squares asks for the Jacobian at the point it evaluated last
+    memo = {}
+
+    def model(vec):
+        key = vec.tobytes()
+        if key not in memo:
+            memo.clear()
+            memo[key] = evaluate(vec)
+        return memo[key]
 
     best, rms = _least_squares(
-        residuals, np.array(x0, dtype=float), xs, vs, point,
+        lambda vec: model(vec)[0] - vs, np.array(x0, dtype=float), xs, vs, point,
+        jac=lambda vec: model(vec)[1],
         bounds=(lo, hi), x_scale=[max(abs(v), 1e-6) for v in x0], max_nfev=5000,
     )
     return VisibilityFit(params_for(best), rms)

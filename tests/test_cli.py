@@ -514,6 +514,10 @@ MALFORMED = {
     "visibility-grid-nan": lambda tmp: ["visibility", "--mode", "vs_T", "--grid", "nan:40:3"],
     "visibility-grid-overflow": lambda tmp: ["visibility", "--mode", "vs_T", "--grid", "4:1e300:3"],
     "visibility-grid-too-many-points": lambda tmp: ["visibility", "--mode", "vs_T", "--grid", f"4:40:{10**15}"],
+    "visibility-grid-no-points": lambda tmp: ["visibility", "--mode", "vs_T", "--grid", "4:40:0"],
+    "visibility-grid-fractional-count": lambda tmp: ["visibility", "--mode", "vs_T", "--grid", "4:40:1e3"],
+    "visibility-grid-reversed": lambda tmp: ["visibility", "--mode", "vs_T", "--grid", "40:4:3"],
+    "visibility-log-grid-zero-start": lambda tmp: ["visibility", "--mode", "vs_dt", "--grid", "0:2000:3", "--log-grid"],
     "trpl-huge-intensity": _trace_with_huge_intensity,
     "vis_T-huge-visibility": _curve_with_huge_visibility("vis_T"),
     "vis_dt-huge-visibility": _curve_with_huge_visibility("vis_dt"),
@@ -540,6 +544,10 @@ def test_malformed_input_exit_2_without_output(tmp_path, make_argv):
     ("visibility-grid-overflow", "the visibility model is not finite at T = 5e+299 K"),
     ("visibility-grid-too-many-points",
      "--grid '4:40:1000000000000000' has 1000000000000000 points, at most 10000000 are allowed"),
+    ("visibility-grid-no-points", "--grid '4:40:0': the number of points '0' is not a positive integer"),
+    ("visibility-grid-fractional-count", "--grid '4:40:1e3': the number of points '1e3' is not a positive integer"),
+    ("visibility-grid-reversed", "--grid '40:4:3': stop 4.0 is below start 40.0"),
+    ("visibility-log-grid-zero-start", "--grid '0:2000:3': a --log-grid start must be positive, got 0.0"),
     ("trpl-huge-intensity", "intensity 1e+300 at t = "),
     ("vis_T-huge-visibility", "visibility 1e+300 at T = 18.4 K"),
     ("vis_dt-huge-visibility", "visibility 1e+300 at delay = 18.4 ns"),
@@ -576,6 +584,50 @@ def test_visibility_curve_runs_quadratures_once_per_block(tmp_path, monkeypatch)
         sizes.clear()
     assert run(tmp_path, "visibility", "--mode", "vs_dt", "--grid", "1:2000:30")[0] == 0
     assert calls == {"virtual_phonon_rate": [1], "franck_condon_factor": [1]}
+
+
+def test_vis_dt_fit_runs_each_phonon_sum_once(tmp_path, monkeypatch):
+    truth = em.DephasingParams(Gamma_sd_inv_ps=5e-4)
+    delays = np.geomspace(1.0, 2000.0, 12)
+    data = tmp_path / "vdt.csv"
+    write_xy_csv(data, ("delay_ns", "visibility"), delays, em.tpi_visibility(6.0, delays, truth))
+    init = _json_file(tmp_path, json.dumps({"Gamma_sd_inv_ps": 6e-4, "tau_c_ns": 280.0}))
+    calls = {"virtual_phonon_rate": [], "franck_condon_factor": []}
+    for name in calls:
+        def counted(temperature_K, p, _fn=getattr(em, name), _name=name):
+            calls[_name].append(np.size(temperature_K))
+            return _fn(temperature_K, p)
+        monkeypatch.setattr(em, name, counted)
+    code, _ = run(tmp_path, "fit", "--kind", "vis_dt", "--data", str(data), "--init", init, "--temperature", "6.0")
+    assert code == 0
+    assert calls == {"virtual_phonon_rate": [1], "franck_condon_factor": [1]}
+
+
+def test_vis_T_fit_makes_one_phonon_pass_per_evaluation(tmp_path, monkeypatch):
+    truth = em.DephasingParams()
+    temps = np.linspace(4.0, 40.0, 12)
+    data = tmp_path / "vis.csv"
+    write_xy_csv(data, ("temperature_K", "visibility"), temps, em.tpi_visibility(temps, 0.0, truth))
+    init = _json_file(tmp_path, json.dumps({"alpha_ps2": 0.0057, "v_c_inv_ps": 4.75, "mu_ps2": 2.27e-3, "F": 0.29}))
+    passes, solves = [], []
+
+    def counted(temps, p, partials, _fn=em._phonon_factors):
+        passes.append(partials)
+        return _fn(temps, p, partials)
+
+    def recorded(fun, x0, _fn=em.optimize.least_squares, **options):
+        res = _fn(fun, x0, **options)
+        solves.append((options.get("jac"), res.nfev))
+        return res
+
+    monkeypatch.setattr(em, "_phonon_factors", counted)
+    monkeypatch.setattr(em.optimize, "least_squares", recorded)
+    code, _ = run(tmp_path, "fit", "--kind", "vis_T", "--data", str(data), "--init", init)
+    assert code == 0
+    [(jac, nfev)] = solves
+    # an exact Jacobian, and every pass carries the partials: none is a finite difference
+    assert callable(jac)
+    assert all(passes) and 0 < len(passes) <= nfev
 
 
 def test_env_seed_matches_flag(tmp_path, monkeypatch):

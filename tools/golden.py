@@ -178,18 +178,34 @@ def write_inputs(inputs: Path):
     (inputs / "params.json").write_text(json.dumps(DEPHASING) + "\n")
     (inputs / "params-cold.json").write_text(json.dumps(COLD_DEPHASING) + "\n")
 
+    curves = fit_curves()
+    for name, (header, xs, ys, start) in curves.items():
+        (inputs / f"{name}.csv").write_text(xy_csv(header, xs, ys))
+        (inputs / f"{name}.init.json").write_text(json.dumps(start) + "\n")
+    header, temps, vis_T, _ = curves["vis_T"]
+    (inputs / "bad-vis_T.csv").write_text(xy_csv(header, temps, vis_T[:3] + [float("nan")] + vis_T[4:]))
+
+
+def fit_curves():
+    """{name: (CSV header, x, visibility, start values)} of the curves that
+    the fit-vis_* calls read from inputs/<name>.csv and inputs/<name>.init.json."""
     no_sd = {**DEPHASING, "Gamma_sd_inv_ps": 0.0}
     temps = np.linspace(4.0, 40.0, 12).tolist()
-    vis_T = [visibility(t, 0.0, no_sd) for t in temps]
-    (inputs / "vis_T.csv").write_text(xy_csv("temperature_K,visibility", temps, vis_T))
-    (inputs / "bad-vis_T.csv").write_text(xy_csv("temperature_K,visibility", temps,
-                                                 vis_T[:3] + [float("nan")] + vis_T[4:]))
-    (inputs / "vis_T.init.json").write_text(json.dumps(
-        {"alpha_ps2": 0.0055 * 1.03, "v_c_inv_ps": 4.9 * 0.97, "mu_ps2": 2.2e-3 * 1.03, "F": 0.3 * 0.97}) + "\n")
     delays = np.geomspace(1.0, 2000.0, 12).tolist()
-    (inputs / "vis_dt.csv").write_text(xy_csv("delay_ns,visibility", delays,
-                                              [visibility(6.0, d, DEPHASING) for d in delays]))
-    (inputs / "vis_dt.init.json").write_text(json.dumps({"Gamma_sd_inv_ps": 6e-4, "tau_c_ns": 280.0}) + "\n")
+    # 0.1-4 K, where both phonon sums stop at 80 kT; the finer trapezoid grid
+    # resolves the integrands about kT wide at v = 0
+    cold_temps = np.geomspace(0.1, 4.0, 20).tolist()
+    cold = {**COLD_DEPHASING, "Gamma_sd_inv_ps": 0.0}
+    return {
+        "vis_T": ("temperature_K,visibility", temps, [visibility(t, 0.0, no_sd) for t in temps],
+                  {"alpha_ps2": 0.0055 * 1.03, "v_c_inv_ps": 4.9 * 0.97, "mu_ps2": 2.2e-3 * 1.03, "F": 0.3 * 0.97}),
+        "vis_dt": ("delay_ns,visibility", delays, [visibility(6.0, d, DEPHASING) for d in delays],
+                   {"Gamma_sd_inv_ps": 6e-4, "tau_c_ns": 280.0}),
+        "vis_T-cold": ("temperature_K,visibility", cold_temps,
+                       [visibility(t, 0.0, cold, n=1_000_001) for t in cold_temps],
+                       {"alpha_ps2": cold["alpha_ps2"] * 1.03, "v_c_inv_ps": cold["v_c_inv_ps"] * 0.97,
+                        "mu_ps2": cold["mu_ps2"] * 1.03, "F": cold["F"] * 0.97}),
+    }
 
 
 def calls():
@@ -234,6 +250,9 @@ def calls():
         ("fit-trpl", ["fit", "--kind", "trpl", "--data", "inputs/decay.csv", "--irf-width", "75"]),
         ("fit-trpl-padded", ["fit", "--kind", "trpl", "--data", "inputs/decay-padded.csv", "--irf-width", "75"]),
         ("fit-vis_T", ["fit", "--kind", "vis_T", "--data", "inputs/vis_T.csv", "--init", "inputs/vis_T.init.json"]),
+        # the capped branch of the v_c partials: both phonon sums stop at 80 kT at every temperature
+        ("fit-vis_T-cold", ["fit", "--kind", "vis_T", "--data", "inputs/vis_T-cold.csv",
+                            "--init", "inputs/vis_T-cold.init.json", "--params", "inputs/params-cold.json"]),
         ("fit-vis_dt", ["fit", "--kind", "vis_dt", "--data", "inputs/vis_dt.csv", "--init", "inputs/vis_dt.init.json",
                         "--params", "inputs/params.json", "--temperature", "6.0"]),
         ("analyze-g2", ["analyze", "--kind", "g2", "--histogram", "inputs/g2.csv", "--meta", "inputs/g2.meta.json"]),
