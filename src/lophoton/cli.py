@@ -8,7 +8,8 @@ environment variable, else DEFAULT_SEED.  Results are written atomically
 
 Exit codes: 0 success, 2 invalid arguments or malformed input files,
 3 state reconstruction failure, 4 model fit divergence.  main is the one
-place where an exception becomes an exit code.
+place where an exception becomes an exit code.  It builds the argument
+parser on its first call and reuses it on every later call in the process.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import os
 import sys
 import tempfile
 from dataclasses import asdict, fields, replace
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -79,11 +80,10 @@ def _emit_json(out_path, payload):
     _write_text(out_path, json.dumps(payload, default=_json_default, indent=2, sort_keys=True) + "\n")
 
 
-def _emit_csv(out_path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(float(v)) for v in row))
-    _write_text(out_path, "\n".join(lines) + "\n")
+def _emit_csv(out_path, header, x, y):
+    """Two float64 columns, each value written as repr(float(value))."""
+    rows = "".join([f"{a!r},{b!r}\n" for a, b in zip(x.tolist(), y.tolist())])
+    _write_text(out_path, ",".join(header) + "\n" + rows)
 
 
 def _load_dephasing_params(path):
@@ -223,7 +223,7 @@ def cmd_visibility(args):
     else:
         header = ("delay_ns", "visibility")
         values = emitter.tpi_visibility(args.temperature, grid, params)
-    _emit_csv(args.out, header, zip(grid, values))
+    _emit_csv(args.out, header, grid, values)
     return EXIT_OK
 
 
@@ -321,14 +321,12 @@ def build_parser():
     p.add_argument("--basis", choices=list(circuit.TRUTH_TABLE_BASES), default="ZZ")
     p.add_argument("--measured-fzz", type=float, default=None, help="externally measured ZZ fidelity")
     p.add_argument("--measured-fxx", type=float, default=None, help="externally measured XX fidelity")
-    p.set_defaults(func=cmd_truth_table)
 
     p = sub.add_parser("bell", help="prepare, measure and reconstruct the entangled pair")
     add_common(p)
     p.add_argument("--overlap", type=float, default=1.0)
     p.add_argument("--counts-per-setting", type=int, default=1_000_000)
     p.add_argument("--resamples", type=int, default=1000)
-    p.set_defaults(func=cmd_bell)
 
     p = sub.add_parser("visibility", help="interference visibility curve to CSV")
     add_common(p)
@@ -338,7 +336,6 @@ def build_parser():
     p.add_argument("--log-grid", action="store_true")
     p.add_argument("--delay-ns", type=float, default=2.0, dest="delay_ns", help="pulse delay for vs_T")
     p.add_argument("--temperature", type=float, default=4.0, help="temperature for vs_dt")
-    p.set_defaults(func=cmd_visibility)
 
     p = sub.add_parser("fit", help="least-squares model fits")
     add_common(p)
@@ -348,7 +345,6 @@ def build_parser():
     p.add_argument("--params", default=None, help="fixed dephasing parameters JSON")
     p.add_argument("--irf-width", type=float, default=75.0, help="IRF FWHM in ps (trpl)")
     p.add_argument("--temperature", type=float, default=4.0, help="temperature for vis_dt")
-    p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("analyze", help="histogram statistics: g2 or interference visibility")
     add_common(p)
@@ -357,25 +353,28 @@ def build_parser():
     p.add_argument("--meta", required=True, help="metadata sidecar JSON")
     p.add_argument("--window", type=float,
                    help="integration half-window in ps (default: 2000 for g2, 600 for hom)")
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("reconstruct", help="tomography from a measurement record CSV")
     add_common(p)
     p.add_argument("--records", required=True)
     p.add_argument("--resamples", type=int, default=0)
     p.add_argument("--target", choices=["psi-minus", "maximally-mixed"], default="psi-minus")
-    p.set_defaults(func=cmd_reconstruct)
 
     return parser
 
 
+@cache
+def _parser():
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.seed is None:
             args.seed = _env_seed()
-        return args.func(args)
+        # looked up at call time, so a wrapped or patched cmd_* is the one called
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except tomo.NotConverged as e:
         return _fail(e, EXIT_RECONSTRUCTION)
     except emitter.FitDiverged as e:

@@ -11,6 +11,7 @@ import json
 import math
 import sys
 import warnings
+from io import StringIO
 
 import numpy as np
 
@@ -95,18 +96,22 @@ def read_columns(path, header, kinds) -> tuple[np.ndarray, ...]:
     count (an int64 column).  The file is read as read_csv reads it with
     parse_row = lambda row: tuple(kind(field) for kind, field in zip(kinds, row)),
     and gives the same arrays and the same errors.  numpy's compiled parser
-    reads the data rows and the rules are applied to whole columns; on any
-    failure, the row loop of read_csv reads the file again and names the
-    fault.  numpy rejects some fields that float() and int() accept (such
-    as 1_000, quoted fields and Unicode digits); those files take the row
-    loop too.
+    reads the whole body in one call and the rules are applied to whole
+    columns; on any failure, the row loop of read_csv reads the file again
+    and names the fault.  numpy rejects some fields that float() and int()
+    accept (such as 1_000, quoted fields and Unicode digits); those files
+    take the row loop too, as does every body that _for_row_loop names.
     """
     dtype = np.dtype([(str(i), _COLUMN_RULES[kind][0]) for i, kind in enumerate(kinds)])
     try:
         with open(path, newline="") as fh, warnings.catch_warnings():
             warnings.simplefilter("error")  # e.g. numpy's warning on a body with no data rows
             _check_header(csv.reader(fh), header)
-            table = np.loadtxt(_body_lines(fh), dtype, delimiter=",", comments=None, ndmin=1)
+            body = fh.read()
+            if _for_row_loop(body):
+                raise ValueError("a body for the row loop")
+            # newline="" hands numpy the file's own line ends, untranslated
+            table = np.loadtxt(StringIO(body, newline=""), dtype, delimiter=",", comments=None, ndmin=1)
         columns = tuple(np.ascontiguousarray(table[name]) for name in dtype.names)
         if all(_COLUMN_RULES[kind][1](column).all() for kind, column in zip(kinds, columns)):
             return columns
@@ -116,8 +121,8 @@ def read_columns(path, header, kinds) -> tuple[np.ndarray, ...]:
     return tuple(np.array(column, dtype[i]) for i, column in enumerate(zip(*rows)))
 
 
-def _body_lines(fh):
-    """The remaining lines of fh, failing on a batch that holds a line numpy must not parse.
+def _for_row_loop(text) -> bool:
+    """Whether text holds a line that numpy must not parse.
 
     Those are a line long enough to hold a field that the csv module refuses
     as too large, and a line with any of \\x1c-\\x1f: numpy strips these as
@@ -125,15 +130,19 @@ def _body_lines(fh):
     also a line with any non-ASCII character: numpy's integer parser can
     read out of bounds on one (a count field holding U+325A2 killed the
     process with SIGBUS in about half of 300 reads, numpy 2.4), and the row
-    loop reads the others anyway.  Lines come in batches of about 64 KiB,
-    so that the tests run at C speed.
+    loop reads the others anyway.  Each test runs over the whole text at C
+    speed.
     """
+    if not text.isascii() or any(sep in text for sep in "\x1c\x1d\x1e\x1f"):
+        return True
     limit = csv.field_size_limit()
-    while batch := fh.readlines(1 << 16):
-        text = "".join(batch)
-        if max(map(len, batch)) > limit or not text.isascii() or any(sep in text for sep in "\x1c\x1d\x1e\x1f"):
-            raise ValueError("a line for the row loop")
-        yield from batch
+    if len(text) <= limit:
+        return False
+    # lines end at \n, \r or \r\n, as the csv reader splits them
+    chars = np.frombuffer(text.encode("ascii"), np.uint8)
+    ends = np.flatnonzero((chars == ord("\n")) | (chars == ord("\r")))
+    line_lengths = np.diff(ends, prepend=-1, append=len(chars)) - 1
+    return bool(line_lengths.max() > limit)
 
 
 def read_json_numbers(path, keys, nullable, build):

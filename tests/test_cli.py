@@ -646,6 +646,63 @@ def test_default_seed_constant():
 
 
 # ---------------------------------------------------------------------------
+# one parser per process: no call leaves state behind for the next one
+# ---------------------------------------------------------------------------
+
+def _flag_pairs(tmp):
+    """{case: (argv with a flag, the same argv without it)}; the two give different outputs."""
+    (tmp / "analyze").mkdir()
+    (tmp / "fit").mkdir()
+    analyze, _, _ = _valid_inputs("analyze-g2", tmp / "analyze")
+    fit, _, _ = _valid_inputs("fit-trpl", tmp / "fit")
+    assert fit[-2] == "--init"
+    records = ["reconstruct", "--records", str(_records_file(tmp))]
+    return {
+        "analyze-window": ([*analyze, "--window", "1500"], analyze),
+        "truth-table-measured": (["truth-table", "--measured-fzz", "0.9", "--measured-fxx", "0.8"], ["truth-table"]),
+        "fit-init": (fit, fit[:-2]),
+        "reconstruct-target": ([*records, "--target", "maximally-mixed"], records),
+        "seed-flag-then-env": ([*records, "--resamples", "100", "--seed", "777"], [*records, "--resamples", "100"]),
+    }
+
+
+@pytest.mark.parametrize("case", ["analyze-window", "truth-table-measured", "fit-init", "reconstruct-target",
+                                  "seed-flag-then-env"])
+def test_a_flag_of_one_call_does_not_reach_the_next(tmp_path, monkeypatch, case):
+    monkeypatch.setenv("LOPHOTON_SEED", "5")
+    flagged, plain = _flag_pairs(tmp_path)[case]
+
+    def output(argv):
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    first = {}
+    for argv in (flagged, plain):
+        cli._parser.cache_clear()  # each reference output comes from the first call of a new parser
+        first[tuple(argv)] = output(argv)
+    assert first[tuple(flagged)] != first[tuple(plain)]
+    for argv in (flagged, plain, flagged, plain):
+        assert output(argv) == first[tuple(argv)]
+
+
+def test_a_patched_subcommand_is_called_after_the_first_call(tmp_path, monkeypatch):
+    assert main(["truth-table", "--out", str(tmp_path / "out")]) == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_truth_table", lambda args: seen.append(args.overlap) or 0)
+    assert main(["truth-table", "--overlap", "0.5"]) == 0
+    assert seen == [0.5]
+
+
+def test_an_unknown_flag_exits_2_through_argparse_every_time(capsys):
+    for _ in range(2):
+        with pytest.raises(SystemExit) as e:
+            main(["truth-table", "--no-such-flag"])
+        assert e.value.code == 2
+        assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
 # fuzzed input files: every outcome is an exit code, never a traceback, and
 # every fuzzed histogram or xy file reads the same through io.read_columns
 # as through the row loop

@@ -100,6 +100,7 @@ def test_plain_numeric_files_never_reach_the_row_loop(tmp_path, monkeypatch):
     variants = {
         "large": body,
         "crlf": body.replace("\n", "\r\n"),
+        "cr": body.replace("\n", "\r"),
         "signed-and-padded": body.replace(",", ", +"),
         "blank-lines": body.replace("\n", "\n\n"),
     }
@@ -109,11 +110,55 @@ def test_plain_numeric_files_never_reach_the_row_loop(tmp_path, monkeypatch):
     def refuse(*args):
         raise AssertionError("the row loop ran")
 
+    loadtxt, loadtxt_calls = np.loadtxt, []
+
+    def counted_loadtxt(*args, **kwargs):
+        loadtxt_calls.append(args[0])
+        return loadtxt(*args, **kwargs)
+
     monkeypatch.setattr(io, "read_csv", refuse)
+    monkeypatch.setattr(np, "loadtxt", counted_loadtxt)
     for path, (taus, counts) in zip(paths, expected):
         assert len(taus) == 50_000
+        loadtxt_calls.clear()
         got = io.read_columns(path, *HISTOGRAM_COLUMNS)
         assert [(a.dtype, a.tobytes()) for a in got] == [(taus.dtype, taus.tobytes()), (counts.dtype, counts.tobytes())]
+        assert len(loadtxt_calls) == 1  # the whole body in one compiled parse
+
+
+def _long_field_past_64_kib(text):
+    lines = text.split("\n")
+    lines[10_000] = lines[10_000].split(",")[0] + "," + "0" * csv.field_size_limit() + "7"
+    return "\n".join(lines), 10_001
+
+
+def _x1c_on_the_last_line(text):
+    lines = text.rstrip("\n").split("\n")
+    lines[-1] = lines[-1].split(",")[0] + ",\x1c7"
+    return "\n".join(lines) + "\n", len(lines)
+
+
+def _header_and_blank_lines(text):
+    return "tau_ps,counts\n" + "\r\n\n" * 30_000, None
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_long_field_past_64_kib, "field larger than field limit ({limit})"),
+    (_x1c_on_the_last_line, "invalid literal for int() with base 10: '\\x1c7'"),
+    (_header_and_blank_lines, "no data rows"),
+], ids=["long-field-past-64-kib", "x1c-on-the-last-line", "header-and-blank-lines"])
+def test_faults_of_large_files_give_the_row_loop_message_and_line(tmp_path, edit, message):
+    """Files of over 64 KiB whose fault numpy would not see, or would report without the line."""
+    csv_path, _ = _large_histogram(tmp_path)
+    text, line = edit(csv_path.read_text())
+    path = _write(tmp_path / "h.csv", text)
+    assert path.stat().st_size > 1 << 16
+    where = f"{path}:{line}" if line else f"{path}"
+    expected = f"{where}: {message.format(limit=csv.field_size_limit())}"
+    assert_columns_match_row_loop(path, *HISTOGRAM_COLUMNS)
+    with pytest.raises(ValueError) as e:
+        io.read_columns(path, *HISTOGRAM_COLUMNS)
+    assert str(e.value) == expected
 
 
 @pytest.mark.parametrize("last_row, message", [
@@ -154,9 +199,8 @@ def test_non_ascii_lines_never_reach_numpy(tmp_path, monkeypatch, field):
     """numpy's integer parser can crash the process on a non-ASCII field, so only the row loop may read one."""
     path = _write(tmp_path / "h.csv", f"tau_ps,counts\n-20.0,3\n0.0,{field}\n20.0,4\n")
 
-    def refuse_non_ascii(lines, *args, **kwargs):
-        lines = list(lines)  # the guard raises here
-        raise AssertionError(f"numpy got {lines!r}")
+    def refuse_non_ascii(body, *args, **kwargs):
+        raise AssertionError(f"numpy got {body.read()!r}")
 
     monkeypatch.setattr(np, "loadtxt", refuse_non_ascii)
     assert_columns_match_row_loop(path, *HISTOGRAM_COLUMNS)
