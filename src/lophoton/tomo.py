@@ -26,9 +26,10 @@ where the fit lands.  So each fit takes its own basis order: the greedy
 remaining Schur complement first (Higham, 1990), fit as the last index of
 T.  Fits are stacked by order, with forms Q_k built once per order (at most
 24).  A fit still running after 20 steps starts again from its current
-state, in that state's pivot order.  On Monte Carlo refits of the singlet
-at 10^6 counts per setting this takes every fit to the optimum in 3
-steps, against a median of 10 (up to 20) in the fixed order.
+state, in that state's pivot order.  On Poisson redraws of the singlet
+at 10^6 counts per setting, fit from their linear inversion, this takes
+every fit to the optimum in 3 steps, against a median of 10 (up to 20) in
+the fixed order.
 
 Each rule has one definition: outcome_labels fixes the outcome order,
 outcome_probabilities gives the (9, 4) probability table through the
@@ -39,11 +40,19 @@ Error bars come from Monte Carlo resampling: every outcome count is redrawn
 from a Poisson law at the observed value, the state is refit, and metric
 spreads are reported.  Resample seeds derive from the master seed through
 ``numpy.random.SeedSequence(seed).spawn``, one child stream per resample.
-The resamples are drawn and scored 1000 at a time: one array of counts,
-one linear inversion, one projection and one evaluation of the metrics per
-block, whose fits run in stacks of at most 100 fits of one basis order.
-Every product is computed fit by fit, so that the results depend on
-neither the block nor the stack size.
+The resamples are drawn and scored 1000 at a time, their child seeds
+spawned block by block: one array of counts and one evaluation of the
+metrics per block.  Each refit starts one Newton step from the central
+fit, which the call fits once (Le Cam's one-step estimator): at the
+central optimum, floored like every start, the gradient is linear in the
+counts, so a start costs one vector-matrix product with a (36, 16) matrix
+built from the central Hessian.  From there a Poisson redraw of the
+observed counts is inside the region where Newton converges
+quadratically; at the singlet with 10^6 counts per setting every refit
+takes 1 step.  The first pass of a block runs in the central fit's basis
+order, in stacks of at most 100 fits; a refit still running after 20
+steps repivots like any fit.  Every product is computed fit by fit, so
+that the results depend on neither the block nor the stack size.
 """
 
 from __future__ import annotations
@@ -372,20 +381,24 @@ def _pivot_orders(rho: np.ndarray) -> np.ndarray:
     return pivots
 
 
-def _mle_fits(n: np.ndarray) -> MleResult:
+def _mle_fits(n: np.ndarray, predictor: _Predictor | None = None) -> MleResult:
     """Maximum-likelihood fits of (R, 36) counts n; one MleResult of arrays over the R fits.
 
     Each fit starts from its linear inversion, projected with the eigenvalue
     floor _MLE_START_FLOOR, and runs in the pivot order of that state (see
-    _pivoted_fits).  A fit still running after _MLE_REPIVOT_STEPS steps
-    starts again from its current state, floored the same way, in the pivot
-    order of that state, and so on until it stops or has taken
-    _MLE_MAX_ITER steps in all.  A fit's course depends on its own counts
-    alone.
+    _pivoted_fits); given a predictor, each fit starts instead from
+    predictor.starts(n), all in predictor.order.  A fit still running after
+    _MLE_REPIVOT_STEPS steps starts again from its current state, floored
+    the same way, in the pivot order of that state, and so on until it
+    stops or has taken _MLE_MAX_ITER steps in all.  A fit's course depends
+    on its own counts (and the predictor) alone.
     """
     n = np.asarray(n, dtype=float)
     steps = min(_MLE_REPIVOT_STEPS, _MLE_MAX_ITER)
-    fit = _pivoted_fits(n, project_to_physical(_inversion(n), floor=_MLE_START_FLOOR), steps)
+    if predictor is None:
+        fit = _pivoted_fits(n, project_to_physical(_inversion(n), floor=_MLE_START_FLOOR), steps)
+    else:
+        fit = _stacked_fits(n, predictor.starts(n), predictor.order, steps)
     out = {f.name: getattr(fit, f.name) for f in fields(MleResult)}
     start_ll = fit.log_likelihood - fit.log_likelihood_gain
     todo = np.flatnonzero(~fit.converged & (fit.n_iter == steps))
@@ -407,8 +420,7 @@ def _pivoted_fits(n: np.ndarray, rho0: np.ndarray, max_iter: int) -> MleResult:
     A fit's order is the Cholesky pivot order of its rho0, last index first,
     so that the first entry of T to fit is the largest diagonal of rho0
     rather than a fixed one that may vanish (rho_33 of the singlet), where
-    the map from T to rho is singular.  The fits of each order run in
-    stacks of at most _FIT_STACK.
+    the map from T to rho is singular.
     """
     orders = _pivot_orders(rho0)[:, ::-1]
     keys = orders @ (64, 16, 4, 1)
@@ -416,13 +428,60 @@ def _pivoted_fits(n: np.ndarray, rho0: np.ndarray, max_iter: int) -> MleResult:
     for key in np.unique(keys):
         same = np.flatnonzero(keys == key)
         order = orders[same[0]]
-        forms = _forms(tuple(order))
-        for lo in range(0, len(same), _FIT_STACK):
-            i = same[lo:lo + _FIT_STACK]
-            indices.append(i)
-            fits.append(_newton_fit(n[i], _start_params(rho0[i][:, order][:, :, order]), forms, max_iter))
+        indices.append(same)
+        fits.append(_stacked_fits(n[same], _start_params(rho0[same][:, order][:, :, order]), order, max_iter))
     back = np.argsort(np.concatenate(indices))
     return MleResult(*(np.concatenate([getattr(fit, f.name) for fit in fits])[back] for f in fields(MleResult)))
+
+
+def _stacked_fits(n: np.ndarray, x: np.ndarray, order: np.ndarray, max_iter: int) -> MleResult:
+    """_newton_fit of (R, 36) counts n from (R, 16) parameters x, all in one basis order, in stacks of at most _FIT_STACK."""
+    forms = _forms(tuple(order))
+    fits = [_newton_fit(n[lo:lo + _FIT_STACK], x[lo:lo + _FIT_STACK], forms, max_iter)
+            for lo in range(0, len(n), _FIT_STACK)]
+    return MleResult(*(np.concatenate([getattr(fit, f.name) for fit in fits]) for f in fields(MleResult)))
+
+
+class _Predictor(NamedTuple):
+    """Start parameters for refits of counts near the observed ones: one Newton step from the central fit.
+
+    At the central parameters x (|x| = 1, in the basis order held in order)
+    the projected gradient of f is linear in the counts, g(n) = n @ a, so
+    the Newton step -H^-1 g(n) with the central Hessian H is n @ gain for
+    gain = -a H^-1 (Le Cam's one-step estimator, 1956).
+    """
+
+    order: np.ndarray
+    x: np.ndarray
+    gain: np.ndarray
+
+    def starts(self, n: np.ndarray) -> np.ndarray:
+        """(R, 16) start parameters of (R, 36) counts n, each from a vector-matrix product of its own."""
+        return self.x + (n[:, None, :] @ self.gain)[:, 0]
+
+
+def _one_step_predictor(observed: np.ndarray) -> _Predictor:
+    """The _Predictor of the 36 observed counts.
+
+    The central point is the fit of the observed counts, floored at
+    _MLE_START_FLOOR like every start, in its pivot order; H is the Hessian
+    of _derivatives there, for the observed counts.
+    """
+    n = np.asarray(observed, dtype=float)[None]
+    rho = project_to_physical(_mle_fits(n).rho, floor=_MLE_START_FLOOR)
+    order = _pivot_orders(rho)[0, ::-1]
+    forms = _forms(tuple(order))
+    x = _start_params(rho[:, order][:, :, order])
+    x /= np.linalg.norm(x, axis=-1, keepdims=True)
+    q, _, hess = _derivatives(n, n.sum(axis=-1), x, forms)
+    # row k: the gradient of one count of outcome k, that outcome's term in
+    # _derivatives' gradient, orthogonal to x
+    a = 2.0 * (x - _q_vectors(x, forms)[0] / q[0, :, None])
+    x = x[0]
+    # along x, H is the damping shift alone, so the solve scales the
+    # rounding of a along x by 1 / shift; f is constant along x, so that
+    # part of the step is dropped
+    return _Predictor(order, x, -np.linalg.solve(hess[0], a.T).T @ (np.eye(16) - np.outer(x, x)))
 
 
 # Every product below is taken per fit (a stacked matmul, an elementwise
@@ -487,10 +546,20 @@ def _newton_fit(n: np.ndarray, x: np.ndarray, forms: _Forms, max_iter: int) -> M
 def _newton_step(n: np.ndarray, total: np.ndarray, x: np.ndarray, forms: _Forms):
     """(q, step, squared Newton decrement) of the fits at (m, 16) parameters x with |x| = 1.
 
-    The step solves (P H P + shift) d = -P g for the exact gradient g and
-    Hessian H of f and the projector P off x.  The shift is _MLE_DAMPING
-    times the total count; where that shifted matrix fails a Cholesky test,
-    the shift grows by -2 v, v the lowest (negative) eigenvalue of P H P.
+    The step solves H d = -g for the g and H of _derivatives.
+    """
+    q, grad, hess = _derivatives(n, total, x, forms)
+    step = -np.linalg.solve(hess, grad[:, :, None])[..., 0]
+    return q, step, -(grad * step).sum(axis=-1)
+
+
+def _derivatives(n: np.ndarray, total: np.ndarray, x: np.ndarray, forms: _Forms):
+    """(q, P g, P H P + shift) of the fits at (m, 16) parameters x with |x| = 1.
+
+    q holds the outcome traces, g and H are the exact gradient and Hessian
+    of f and P is the projector off x.  The shift is _MLE_DAMPING times the
+    total count; where that shifted matrix fails a Cholesky test, the shift
+    grows by -2 v, v the lowest (negative) eigenvalue of P H P.
     """
     eye = np.eye(16)
     qx = _q_vectors(x, forms)
@@ -512,8 +581,7 @@ def _newton_step(n: np.ndarray, total: np.ndarray, x: np.ndarray, forms: _Forms)
     if bad:
         lowest = np.linalg.eigvalsh(hess[bad])[:, 0]
         hess[bad] += (2.0 * (damping[bad] - lowest))[:, None, None] * eye
-    step = -np.linalg.solve(hess, grad[:, :, None])[..., 0]
-    return q, step, -(grad * step).sum(axis=-1)
+    return q, grad, hess
 
 
 def _line_search(n, total, x, q, step, forms):
@@ -638,7 +706,7 @@ class MetricStat:
 
 @dataclass(frozen=True)
 class MonteCarloMetrics:
-    """Metric spreads over the converged refits; refit_iterations holds the Newton steps of every refit."""
+    """Metric spreads over the converged refits; refit_iterations holds the Newton steps of every refit after its predicted start."""
 
     fidelity_to_target: MetricStat
     concurrence: MetricStat
@@ -660,21 +728,26 @@ def monte_carlo_metrics(records, target: np.ndarray, n_resamples: int, seed: int
     """Poisson-resampled reconstruction spread of every state metric.
 
     Each resample redraws all 36 outcome counts ~ Poisson(observed), refits
-    by maximum likelihood and recomputes the metrics; means and sample
-    standard deviations over the resamples whose fit converged are
-    reported.  Raises NotConverged when more than
+    by maximum likelihood from one Newton step off the fit of the observed
+    counts (see _one_step_predictor) and recomputes the metrics; means and
+    sample standard deviations over the resamples whose fit converged are
+    reported, and refit_iterations counts each refit's Newton steps after
+    that predicted start.  Raises NotConverged when more than
     MAX_NOT_CONVERGED_FRACTION of the fits did not converge.
     """
     if n_resamples < 100:
         raise ValueError(f"n_resamples must be at least 100 for a usable spread, got {n_resamples}")
     observed = _count_table(records)
-    children = np.random.SeedSequence(seed).spawn(n_resamples)
+    predictor = _one_step_predictor(observed)
+    seeds = np.random.SeedSequence(seed)
     table = np.empty((n_resamples, len(fields(StateMetrics))))
     converged = np.empty(n_resamples, dtype=bool)
     iterations = np.empty(n_resamples, dtype=int)
     for lo in range(0, n_resamples, _MC_BLOCK):
+        # spawn continues the children's numbering from call to call
+        children = seeds.spawn(min(_MC_BLOCK, n_resamples - lo))
         block = slice(lo, lo + _MC_BLOCK)
-        table[block], converged[block], iterations[block] = _resample_block(observed, children[block], target)
+        table[block], converged[block], iterations[block] = _resample_block(observed, children, target, predictor)
     n_not_converged = int(n_resamples - converged.sum())
     if n_not_converged > MAX_NOT_CONVERGED_FRACTION * n_resamples:
         raise NotConverged(
@@ -689,12 +762,12 @@ def monte_carlo_metrics(records, target: np.ndarray, n_resamples: int, seed: int
     )
 
 
-def _resample_block(observed: np.ndarray, children, target: np.ndarray):
+def _resample_block(observed: np.ndarray, children, target: np.ndarray, predictor: _Predictor):
     """(metric rows, convergence flags, iterations) of the refits of the resamples drawn from the child seeds."""
     counts = np.array([np.random.default_rng(child).poisson(observed) for child in children])
     per_setting = counts.reshape(len(children), 9, 4)
     per_setting[per_setting.sum(axis=-1) == 0] += 1  # keep the setting usable at tiny totals
-    fits = _mle_fits(counts)
+    fits = _mle_fits(counts, predictor)
     metrics = state_metrics(fits.rho, target)
     return np.column_stack(astuple(metrics)), fits.converged, fits.n_iter
 

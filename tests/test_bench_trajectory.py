@@ -7,9 +7,9 @@ from pathlib import Path
 import pytest
 
 
-def _tool():
-    path = Path(__file__).resolve().parents[1] / "tools" / "bench_trajectory.py"
-    spec = importlib.util.spec_from_file_location("bench_trajectory", path)
+def _tool(name="bench_trajectory"):
+    path = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -66,3 +66,25 @@ def test_a_file_not_named_bench_n_is_refused(tmp_path):
     path.write_text(json.dumps(_record("aaa", {})))
     with pytest.raises(ValueError, match="not a BENCH_<n>.json file"):
         _tool().load([path])
+
+
+def test_a_fixed_work_probe_is_printed_where_a_file_has_one(tmp_path):
+    tool = _tool()
+    runs = {("w", "parent"): [(1.0, 0.2)], ("w", "change"): [(0.5, 0.2)]}
+    # BENCH_16 keeps a setup_s median per workload under host_probe
+    old = {**_record("aaa", runs), "host_probe": {"metric": "setup_s", "value": {"w": 0.2}}}
+    new = {**_record("bbb", runs), "host_probe": {"tool": "tools/host_probe.py", "unit": "s", "value": 0.0375}}
+    for name, record in (("BENCH_16.json", old), ("BENCH_17.json", new)):
+        (tmp_path / name).write_text(json.dumps(record))
+    rows = tool.trajectory(tool.load([tmp_path / "BENCH_16.json", tmp_path / "BENCH_17.json"]))[("w", "round_s")]
+    assert [r["host_probe_fixed_s"] for r in rows] == [None, 0.0375]
+    assert [r["host_probe_setup_s"] for r in rows] == [0.2, 0.2]
+    lines = tool.format_rows({("w", "round_s"): rows}).splitlines()
+    assert lines[2].endswith("0.2000 (setup_s)") and lines[3].endswith("0.0375 (fixed work)")
+
+
+def test_the_host_probe_times_fixed_work_without_lophoton():
+    probe = _tool("host_probe")
+    imports = [line for line in Path(probe.__file__).read_text().splitlines() if line.startswith(("import ", "from "))]
+    assert imports and not [line for line in imports if "lophoton" in line]
+    assert 0.0 < probe.probe() < 60.0

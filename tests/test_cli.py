@@ -353,9 +353,10 @@ def test_reconstruct_monte_carlo_non_convergence_exit_3(tmp_path, monkeypatch, c
     fit = tomo._mle_fits
     seen = [0]
 
-    def every_tenth_fit_fails(n):
-        # fits are counted over all solver calls: the central fit is the first
-        fits = fit(n)
+    def every_tenth_fit_fails(n, predictor=None):
+        # fits are counted over all solver calls: the central fit and the
+        # central fit of the refits' predictor are the first two
+        fits = fit(n, predictor)
         index = seen[0] + np.arange(1, len(n) + 1)
         seen[0] += len(n)
         return replace(fits, converged=fits.converged & (index % 10 != 0))

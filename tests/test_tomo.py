@@ -279,6 +279,14 @@ def _hh_vv_mixture():
     return np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
 
 
+def _named_state(name):
+    """psi-minus, werner-<p>, H-D (|H> (x) |D>), H-mixed or HH-VV."""
+    if name.startswith("werner-"):
+        return tomo.werner(float(name.removeprefix("werner-")))
+    return {"psi-minus": tomo.psi_minus(), "H-D": _product_state("H", "D"), "H-mixed": _mixed_product_state(),
+            "HH-VV": _hh_vv_mixture()}[name]
+
+
 @pytest.mark.parametrize("state, n_per_setting", [
     *[(state, n) for state in ("psi-minus", "werner-0.9", "H-D") for n in (100, 2000, 1_000_000)],
     ("werner-0.99", 10_000),
@@ -296,9 +304,7 @@ def test_newton_fits_reach_the_lbfgsb_reference(state, n_per_setting):
     |H><H| (x) I/2 and (|HH><HH| + |VV><VV|)/2 are rank-2 states whose
     refits did not converge in that order.
     """
-    rho = {"psi-minus": tomo.psi_minus(), "werner-0.9": tomo.werner(0.9), "werner-0.99": tomo.werner(0.99),
-           "H-D": _product_state("H", "D"), "H-mixed": _mixed_product_state(), "HH-VV": _hh_vv_mixture()}[state]
-    observed = tomo._count_table(tomo.simulate_counts(rho, n_per_setting, seed=61))
+    observed = tomo._count_table(tomo.simulate_counts(_named_state(state), n_per_setting, seed=61))
     counts = np.random.default_rng(62).poisson(observed, size=(5, 36)).astype(float)
     per_setting = counts.reshape(5, 9, 4)
     per_setting[per_setting.sum(axis=-1) == 0] += 1
@@ -429,8 +435,9 @@ _METRICS = ("fidelity_to_target", "concurrence", "entropy_full_bits", "entropy_r
 
 
 def _serial_monte_carlo(records, target, n_resamples, seed):
-    """Reference loop: per-setting Poisson redraws, public MLE and metrics per resample."""
+    """Reference loop: per-setting Poisson redraws, one fit at a time from its predicted start, metrics per resample."""
     base = {(r.basis1, r.basis2): r for r in records}
+    predictor = tomo._one_step_predictor(tomo._count_table(records))
     rows = []
     for child in np.random.SeedSequence(seed).spawn(n_resamples):
         rng = np.random.default_rng(child)
@@ -440,9 +447,9 @@ def _serial_monte_carlo(records, target, n_resamples, seed):
             if counts.sum() == 0:
                 counts = counts + 1
             resampled.append(tomo.MeasurementRecord(b1, b2, counts))
-        fit = tomo.mle_reconstruct(resampled)
-        if fit.converged:
-            m = tomo.state_metrics(fit.rho, target)
+        fit = tomo._mle_fits(tomo._count_table(resampled)[None], predictor)
+        if fit.converged[0]:
+            m = tomo.state_metrics(fit.rho[0], target)
             rows.append([getattr(m, f) for f in _METRICS])
     arr = np.array(rows)
     return arr.mean(axis=0), arr.std(axis=0, ddof=1), n_resamples - len(rows)
@@ -476,15 +483,18 @@ def test_stacked_metrics_equal_serial_metrics(rng):
 
 
 def _flag_fits_not_converged(monkeypatch, flagged):
-    """Flag the solver's fits with the given indices, counted over all its calls, as not converged.
+    """Flag the refits with the given indices, counted over all solver calls, as not converged.
 
-    Returns the rhos of the fits left converged.
+    The central fit of the refits' predictor is passed through uncounted.
+    Returns the rhos of the refits left converged.
     """
     fit = tomo._mle_fits
     seen, kept = [0], []
 
-    def patched(n):
-        fits = fit(n)
+    def patched(n, predictor=None):
+        fits = fit(n, predictor)
+        if predictor is None:
+            return fits
         index = seen[0] + np.arange(len(n))
         seen[0] += len(n)
         converged = fits.converged & ~np.isin(index, list(flagged))
@@ -556,32 +566,96 @@ def test_bell_output_identical_for_every_stack_size(monkeypatch, tmp_path):
 
 
 def test_bell_fits_run_in_full_stacks_of_one_order(monkeypatch, tmp_path):
-    pivoted_fits, newton_fit, passes = tomo._pivoted_fits, tomo._newton_fit, []
-
-    def recording_pass(n, rho0, max_iter):
-        orders = tomo._pivot_orders(rho0)[:, ::-1]
-        passes.append(([(tuple(order), row.tobytes()) for order, row in zip(orders.tolist(), n)], []))
-        return pivoted_fits(n, rho0, max_iter)
+    newton_fit, one_step_predictor, stacks, predictors = tomo._newton_fit, tomo._one_step_predictor, [], []
 
     def recording_stack(n, x, forms, max_iter):
-        passes[-1][1].append((tuple(np.argsort(forms.inverse).tolist()), [row.tobytes() for row in n]))
+        stacks.append((tuple(np.argsort(forms.inverse).tolist()), [row.tobytes() for row in n]))
         return newton_fit(n, x, forms, max_iter)
 
-    monkeypatch.setattr(tomo, "_pivoted_fits", recording_pass)
+    def recording_predictor(observed):
+        predictors.append(one_step_predictor(observed))
+        return predictors[-1]
+
     monkeypatch.setattr(tomo, "_newton_fit", recording_stack)
+    monkeypatch.setattr(tomo, "_one_step_predictor", recording_predictor)
     out = tmp_path / "bell.json"
     assert cli.main(["bell", "--overlap", "1.0", "--resamples", "1000", "--seed", "11", "--out", str(out)]) == 0
-    stacks = [stack for _, pass_stacks in passes for stack in pass_stacks]
-    for fits, pass_stacks in passes:
-        # each stack holds fits of its own order, and every fit of the pass is in one stack
-        assert sorted((order, row) for order, rows in pass_stacks for row in rows) == sorted(fits)
-        assert all(len(rows) <= tomo._FIT_STACK for _, rows in pass_stacks)
-        partial = [order for order, rows in pass_stacks if len(rows) < tomo._FIT_STACK]
-        assert len(partial) == len(set(partial))  # at most one partial stack per order
-    # the 1001 fits (the central one and 1000 refits) fill 17 stacks at this
-    # seed; blocks of 100 resamples would split them into 59
-    assert sum(len(rows) for _, rows in stacks) == 1001
-    assert len(stacks) <= 25
+    # the central fit, then monte_carlo_metrics' 1001 fits: the central fit
+    # of its predictor, on the same counts, and the 1000 refits in stacks of
+    # the predictor's order, every one of them full
+    (_, central), *mc = stacks
+    assert len(central) == 1 and mc[0][1] == central
+    order = tuple(predictors[0].order.tolist())
+    assert [(o, len(rows)) for o, rows in mc[1:]] == [(order, tomo._FIT_STACK)] * 10
+    assert sum(len(rows) for _, rows in mc) == 1001 and len(mc) <= 11
+
+
+def test_child_seeds_are_spawned_block_by_block(monkeypatch):
+    requests = []
+
+    class RecordingSeedSequence(np.random.SeedSequence):
+        def spawn(self, n_children):
+            requests.append(n_children)
+            return super().spawn(n_children)
+
+    records = tomo.simulate_counts(tomo.werner(0.9), 1000, seed=5)
+    monkeypatch.setattr(tomo, "_MC_BLOCK", 100)
+    monkeypatch.setattr(np.random, "SeedSequence", RecordingSeedSequence)
+    tomo.monte_carlo_metrics(records, tomo.psi_minus(), 250, seed=6)
+    assert requests == [100, 100, 50]
+
+
+#: (state, counts per setting) of the refit gate sweep
+_REFIT_CASES = [
+    ("psi-minus", 1_000_000), ("werner-0.9", 100), ("werner-0.9", 2000), ("H-D", 100), ("H-D", 2000),
+    ("werner-0.6", 3), ("HH-VV", 10_000), ("H-mixed", 10_000),
+]
+
+
+def _refit_case_counts(state, n_per_setting):
+    return tomo._count_table(tomo.simulate_counts(_named_state(state), n_per_setting, seed=71))
+
+
+@pytest.mark.parametrize("state, n_per_setting", _REFIT_CASES)
+def test_refits_from_the_predicted_start_reach_the_linear_inversion_start_fit(state, n_per_setting):
+    """Every refit converges within the step cap, and never ends below the public fit of its counts.
+
+    The public fit starts from the counts' own linear inversion.  The bound
+    is _MLE_DECREMENT_TOL plus 64 eps |log-likelihood|: a fit that passes
+    the decrement test is about half its squared decrement short of its
+    optimum, and the log-likelihood sums 36 terms whose sizes add up to
+    about |log-likelihood|.
+    """
+    observed = _refit_case_counts(state, n_per_setting)
+    predictor = tomo._one_step_predictor(observed)
+    counts = np.random.default_rng(72).poisson(observed, size=(100, 36)).astype(float)
+    per_setting = counts.reshape(100, 9, 4)
+    per_setting[per_setting.sum(axis=-1) == 0] += 1
+    fits = tomo._mle_fits(counts, predictor)
+    assert fits.converged.all() and fits.n_iter.max() < tomo._MLE_MAX_ITER
+    for n, ll in zip(counts, fits.log_likelihood):
+        public = tomo.mle_reconstruct([tomo.MeasurementRecord(*s, c) for s, c in zip(tomo.SETTINGS, n.reshape(9, 4))])
+        bound = tomo._MLE_DECREMENT_TOL + 64 * np.finfo(float).eps * abs(public.log_likelihood)
+        assert ll >= public.log_likelihood - bound
+
+
+@pytest.mark.parametrize("state, n_per_setting", [("psi-minus", 1_000_000), ("werner-0.9", 2000), ("werner-0.6", 3)])
+def test_the_observed_counts_start_one_newton_step_from_the_floored_central_fit(state, n_per_setting):
+    observed = _refit_case_counts(state, n_per_setting)
+    predictor = tomo._one_step_predictor(observed)
+    # the predictor's centre is the central fit, floored like every start
+    central = tomo.project_to_physical(tomo._mle_fits(observed[None]).rho[0], floor=tomo._MLE_START_FLOOR)
+    t = (tomo._T_OF_X @ predictor.x).reshape(4, 4)
+    inverse = np.argsort(predictor.order)
+    assert np.allclose((t.conj().T @ t)[inverse][:, inverse], central, rtol=0, atol=1e-14)
+    n = observed[None].astype(float)
+    forms = tomo._forms(tuple(predictor.order))
+    _, step, _ = tomo._newton_step(n, n.sum(axis=-1), predictor.x[None], forms)
+    # f is constant along x, where the Newton step holds only rounding
+    # scaled by 1 / (the damping shift) and the predicted step nothing
+    along_x = np.outer(predictor.x, predictor.x)
+    assert abs(predictor.x @ (predictor.starts(n)[0] - predictor.x)) <= 1e-15
+    assert np.max(np.abs((np.eye(16) - along_x) @ (predictor.starts(n)[0] - predictor.x - step[0]))) <= 1e-12
 
 
 def test_monte_carlo_requires_enough_resamples():
