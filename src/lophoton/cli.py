@@ -176,7 +176,7 @@ def _reconstruction_payload(records, target, args):
         "diagnostics": diagnostics,
     }
     if args.resamples != 0:
-        mc = asdict(tomo.monte_carlo_metrics(records, target, args.resamples, _seed(args)))
+        mc = asdict(tomo.monte_carlo_metrics(records, result, target, args.resamples, _seed(args)))
         payload["n_resamples"] = mc.pop("n_resamples")
         payload["n_not_converged"] = mc.pop("n_not_converged")
         iterations = mc.pop("refit_iterations")

@@ -61,6 +61,10 @@ class CoincidenceHistogram:
         counts = np.asarray(self.counts)
         if self.bin_width_ps <= 0:
             raise ValueError("bin_width_ps must be positive")
+        if not self.rep_period_ns > 0:
+            raise ValueError(f"rep_period_ns must be positive, got {self.rep_period_ns}")
+        if self.pulse_pair_sep_ns is not None and not self.pulse_pair_sep_ns > 0:
+            raise ValueError(f"pulse_pair_sep_ns must be positive, got {self.pulse_pair_sep_ns}")
         if taus.shape != counts.shape or taus.ndim != 1:
             raise ValueError("taus and counts must be equal-length 1-D arrays")
         if not np.all(np.isfinite(taus)):

@@ -24,12 +24,12 @@ rho_33 vanishes (the singlet) the map from T to rho is singular exactly
 where the fit lands.  So each fit takes its own basis order: the greedy
 (LAPACK ?pstrf) pivot order of its start state, largest diagonal of the
 remaining Schur complement first (Higham, 1990), fit as the last index of
-T.  Fits are stacked by order, with forms Q_k built once per order (at most
-24).  A fit still running after 20 steps starts again from its current
-state, in that state's pivot order.  On Poisson redraws of the singlet
-at 10^6 counts per setting, fit from their linear inversion, this takes
-every fit to the optimum in 3 steps, against a median of 10 (up to 20) in
-the fixed order.
+T (_pivoted_starts), and _fits stacks fits by order, with forms Q_k built
+once per order (at most 24).  A fit still running after 20 steps starts
+again from its current state, in that state's pivot order.  On Poisson
+redraws of the singlet at 10^6 counts per setting, fit from their linear
+inversion, this takes every fit to the optimum in 3 steps, against a
+median of 10 (up to 20) in the fixed order.
 
 Each rule has one definition: outcome_labels fixes the outcome order,
 outcome_probabilities gives the (9, 4) probability table through the
@@ -43,7 +43,7 @@ spreads are reported.  Resample seeds derive from the master seed through
 The resamples are drawn and scored 1000 at a time, their child seeds
 spawned block by block: one array of counts and one evaluation of the
 metrics per block.  Each refit starts one Newton step from the central
-fit, which the call fits once (Le Cam's one-step estimator): at the
+fit, which the caller passes in (Le Cam's one-step estimator): at the
 central optimum, floored like every start, the gradient is linear in the
 counts, so a start costs one vector-matrix product with a (36, 16) matrix
 built from the central Hessian.  From there a Poisson redraw of the
@@ -272,20 +272,6 @@ def project_to_physical(rho: np.ndarray, floor: float = 0.0) -> np.ndarray:
     return (v * w[..., None, :]) @ dagger(v)
 
 
-def _lower_params(m: np.ndarray) -> np.ndarray:
-    """The 16 reals of the diagonal (real part) and lower triangle of (..., 4, 4) m."""
-    return (m.reshape(m.shape[:-2] + (1, 16)) @ _X_OF_T)[..., 0, :].real
-
-
-def _start_params(rho_pd: np.ndarray) -> np.ndarray:
-    """Parameters of the lower-triangular T with T^dag T = rho, for (..., 4, 4) rho.
-
-    Flip, Cholesky, flip back; rho must be positive definite.
-    """
-    chol = np.linalg.cholesky(_FLIP @ rho_pd @ _FLIP)
-    return _lower_params(dagger(_FLIP @ chol @ _FLIP))
-
-
 def log_likelihood(rho: np.ndarray, records) -> float:
     """Multinomial log-likelihood (natural log) under rho of records of any subset of the settings."""
     rows = [SETTINGS.index((r.basis1, r.basis2)) for r in records]
@@ -345,11 +331,12 @@ def mle_reconstruct(records) -> MleResult:
     """Maximum-likelihood state fit over the triangular parameterization.
 
     Deterministic for given records.  The damped Newton fit of _mle_fits
-    starts from the projected linear inversion; after _MLE_MAX_ITER steps
-    in all, or when a line search fails, the last iterate is returned with
-    converged=False.
+    starts from the linear inversion (see _pivoted_starts); after
+    _MLE_MAX_ITER steps in all, or when a line search fails, the last
+    iterate is returned with converged=False.
     """
-    fit = _mle_fits(_count_table(records)[None])
+    n = _count_table(records)[None]
+    fit = _mle_fits(n, *_pivoted_starts(_inversion(n)))
     return MleResult(
         rho=fit.rho[0],
         log_likelihood=float(fit.log_likelihood[0]),
@@ -381,30 +368,43 @@ def _pivot_orders(rho: np.ndarray) -> np.ndarray:
     return pivots
 
 
-def _mle_fits(n: np.ndarray, predictor: _Predictor | None = None) -> MleResult:
+def _pivoted_starts(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(orders, x): the (R, 4) basis orders and (R, 16) start parameters of fits from (R, 4, 4) Hermitian rho.
+
+    Each state is projected with the eigenvalue floor _MLE_START_FLOOR.  A
+    fit's order is the Cholesky pivot order of that state, last index first,
+    so that the first entry of T to fit is the largest diagonal of the state
+    rather than a fixed one that may vanish (rho_33 of the singlet), where
+    the map from T to rho is singular; x holds the parameters of the
+    lower-triangular T with T^dag T = the state in that order (flip,
+    Cholesky, flip back).
+    """
+    rho = project_to_physical(rho, floor=_MLE_START_FLOOR)
+    orders = _pivot_orders(rho)[:, ::-1]
+    rows = np.arange(len(rho))[:, None, None]
+    chol = np.linalg.cholesky(_FLIP @ rho[rows, orders[:, :, None], orders[:, None, :]] @ _FLIP)
+    t = dagger(_FLIP @ chol @ _FLIP)
+    return orders, (t.reshape(-1, 1, 16) @ _X_OF_T)[:, 0].real
+
+
+def _mle_fits(n: np.ndarray, orders: np.ndarray, x: np.ndarray) -> MleResult:
     """Maximum-likelihood fits of (R, 36) counts n; one MleResult of arrays over the R fits.
 
-    Each fit starts from its linear inversion, projected with the eigenvalue
-    floor _MLE_START_FLOOR, and runs in the pivot order of that state (see
-    _pivoted_fits); given a predictor, each fit starts instead from
-    predictor.starts(n), all in predictor.order.  A fit still running after
-    _MLE_REPIVOT_STEPS steps starts again from its current state, floored
-    the same way, in the pivot order of that state, and so on until it
-    stops or has taken _MLE_MAX_ITER steps in all.  A fit's course depends
-    on its own counts (and the predictor) alone.
+    Fit r starts from the parameters x[r] in the basis order orders[r].  A
+    fit still running after _MLE_REPIVOT_STEPS steps starts again from its
+    current state through _pivoted_starts, and so on until it stops or has
+    taken _MLE_MAX_ITER steps in all.  A fit's course depends on its own
+    counts and start alone.
     """
     n = np.asarray(n, dtype=float)
     steps = min(_MLE_REPIVOT_STEPS, _MLE_MAX_ITER)
-    if predictor is None:
-        fit = _pivoted_fits(n, project_to_physical(_inversion(n), floor=_MLE_START_FLOOR), steps)
-    else:
-        fit = _stacked_fits(n, predictor.starts(n), predictor.order, steps)
+    fit = _fits(n, orders, x, steps)
     out = {f.name: getattr(fit, f.name) for f in fields(MleResult)}
     start_ll = fit.log_likelihood - fit.log_likelihood_gain
     todo = np.flatnonzero(~fit.converged & (fit.n_iter == steps))
     while todo.size and steps < _MLE_MAX_ITER:
         budget = min(_MLE_REPIVOT_STEPS, _MLE_MAX_ITER - steps)
-        fit = _pivoted_fits(n[todo], project_to_physical(out["rho"][todo], floor=_MLE_START_FLOOR), budget)
+        fit = _fits(n[todo], *_pivoted_starts(out["rho"][todo]), budget)
         for name, value in out.items():
             value[todo] = getattr(fit, name)
         out["n_iter"][todo] += steps
@@ -414,32 +414,22 @@ def _mle_fits(n: np.ndarray, predictor: _Predictor | None = None) -> MleResult:
     return MleResult(**out)
 
 
-def _pivoted_fits(n: np.ndarray, rho0: np.ndarray, max_iter: int) -> MleResult:
-    """_newton_fit of (R, 36) counts n from the positive definite (R, 4, 4) states rho0, each in its own basis order.
+def _fits(n: np.ndarray, orders: np.ndarray, x: np.ndarray, max_iter: int) -> MleResult:
+    """_newton_fit of (R, 36) counts n from (R, 16) parameters x in the (R, 4) basis orders, results in input order.
 
-    A fit's order is the Cholesky pivot order of its rho0, last index first,
-    so that the first entry of T to fit is the largest diagonal of rho0
-    rather than a fixed one that may vanish (rho_33 of the singlet), where
-    the map from T to rho is singular.
+    The fits are grouped by order and run in stacks of at most _FIT_STACK.
     """
-    orders = _pivot_orders(rho0)[:, ::-1]
     keys = orders @ (64, 16, 4, 1)
     indices, fits = [], []
     for key in np.unique(keys):
         same = np.flatnonzero(keys == key)
-        order = orders[same[0]]
-        indices.append(same)
-        fits.append(_stacked_fits(n[same], _start_params(rho0[same][:, order][:, :, order]), order, max_iter))
+        forms = _forms(tuple(orders[same[0]]))
+        for lo in range(0, len(same), _FIT_STACK):
+            stack = same[lo:lo + _FIT_STACK]
+            indices.append(stack)
+            fits.append(_newton_fit(n[stack], x[stack], forms, max_iter))
     back = np.argsort(np.concatenate(indices))
     return MleResult(*(np.concatenate([getattr(fit, f.name) for fit in fits])[back] for f in fields(MleResult)))
-
-
-def _stacked_fits(n: np.ndarray, x: np.ndarray, order: np.ndarray, max_iter: int) -> MleResult:
-    """_newton_fit of (R, 36) counts n from (R, 16) parameters x, all in one basis order, in stacks of at most _FIT_STACK."""
-    forms = _forms(tuple(order))
-    fits = [_newton_fit(n[lo:lo + _FIT_STACK], x[lo:lo + _FIT_STACK], forms, max_iter)
-            for lo in range(0, len(n), _FIT_STACK)]
-    return MleResult(*(np.concatenate([getattr(fit, f.name) for fit in fits]) for f in fields(MleResult)))
 
 
 class _Predictor(NamedTuple):
@@ -455,23 +445,21 @@ class _Predictor(NamedTuple):
     x: np.ndarray
     gain: np.ndarray
 
-    def starts(self, n: np.ndarray) -> np.ndarray:
-        """(R, 16) start parameters of (R, 36) counts n, each from a vector-matrix product of its own."""
-        return self.x + (n[:, None, :] @ self.gain)[:, 0]
+    def starts(self, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(orders, x) of (R, 36) counts n: all in order, x from a vector-matrix product per fit."""
+        return np.broadcast_to(self.order, (len(n), 4)), self.x + (n[:, None, :] @ self.gain)[:, 0]
 
 
-def _one_step_predictor(observed: np.ndarray) -> _Predictor:
-    """The _Predictor of the 36 observed counts.
+def _one_step_predictor(observed: np.ndarray, rho: np.ndarray) -> _Predictor:
+    """The _Predictor of the 36 observed counts, whose fit is rho.
 
-    The central point is the fit of the observed counts, floored at
-    _MLE_START_FLOOR like every start, in its pivot order; H is the Hessian
-    of _derivatives there, for the observed counts.
+    The central point is the start of _pivoted_starts at rho: rho floored
+    at _MLE_START_FLOOR like every start, in its pivot order; H is the
+    Hessian of _derivatives there, for the observed counts.
     """
     n = np.asarray(observed, dtype=float)[None]
-    rho = project_to_physical(_mle_fits(n).rho, floor=_MLE_START_FLOOR)
-    order = _pivot_orders(rho)[0, ::-1]
+    (order,), x = _pivoted_starts(rho[None])
     forms = _forms(tuple(order))
-    x = _start_params(rho[:, order][:, :, order])
     x /= np.linalg.norm(x, axis=-1, keepdims=True)
     q, _, hess = _derivatives(n, n.sum(axis=-1), x, forms)
     # row k: the gradient of one count of outcome k, that outcome's term in
@@ -718,19 +706,20 @@ class MonteCarloMetrics:
     refit_iterations: np.ndarray
 
 
-#: resamples drawn, refit and scored as one block: large enough that most
-#: basis orders fill a stack of _FIT_STACK fits, small enough that memory
-#: does not grow with the number of resamples
+#: resamples drawn, refit and scored as one block: large enough to spread
+#: the numpy calls of drawing and scoring over many resamples, small enough
+#: that memory does not grow with the number of resamples
 _MC_BLOCK = 1000
 
 
-def monte_carlo_metrics(records, target: np.ndarray, n_resamples: int, seed: int) -> MonteCarloMetrics:
+def monte_carlo_metrics(records, central: MleResult, target: np.ndarray, n_resamples: int, seed: int) -> MonteCarloMetrics:
     """Poisson-resampled reconstruction spread of every state metric.
 
-    Each resample redraws all 36 outcome counts ~ Poisson(observed), refits
-    by maximum likelihood from one Newton step off the fit of the observed
-    counts (see _one_step_predictor) and recomputes the metrics; means and
-    sample standard deviations over the resamples whose fit converged are
+    central is the caller's mle_reconstruct(records).  Each resample
+    redraws all 36 outcome counts ~ Poisson(observed), refits by maximum
+    likelihood from one Newton step off central.rho (see
+    _one_step_predictor) and recomputes the metrics; means and sample
+    standard deviations over the resamples whose fit converged are
     reported, and refit_iterations counts each refit's Newton steps after
     that predicted start.  Raises NotConverged when more than
     MAX_NOT_CONVERGED_FRACTION of the fits did not converge.
@@ -738,7 +727,7 @@ def monte_carlo_metrics(records, target: np.ndarray, n_resamples: int, seed: int
     if n_resamples < 100:
         raise ValueError(f"n_resamples must be at least 100 for a usable spread, got {n_resamples}")
     observed = _count_table(records)
-    predictor = _one_step_predictor(observed)
+    predictor = _one_step_predictor(observed, central.rho)
     seeds = np.random.SeedSequence(seed)
     table = np.empty((n_resamples, len(fields(StateMetrics))))
     converged = np.empty(n_resamples, dtype=bool)
@@ -767,7 +756,7 @@ def _resample_block(observed: np.ndarray, children, target: np.ndarray, predicto
     counts = np.array([np.random.default_rng(child).poisson(observed) for child in children])
     per_setting = counts.reshape(len(children), 9, 4)
     per_setting[per_setting.sum(axis=-1) == 0] += 1  # keep the setting usable at tiny totals
-    fits = _mle_fits(counts, predictor)
+    fits = _mle_fits(counts, *predictor.starts(counts))
     metrics = state_metrics(fits.rho, target)
     return np.column_stack(astuple(metrics)), fits.converged, fits.n_iter
 

@@ -353,10 +353,9 @@ def test_reconstruct_monte_carlo_non_convergence_exit_3(tmp_path, monkeypatch, c
     fit = tomo._mle_fits
     seen = [0]
 
-    def every_tenth_fit_fails(n, predictor=None):
-        # fits are counted over all solver calls: the central fit and the
-        # central fit of the refits' predictor are the first two
-        fits = fit(n, predictor)
+    def every_tenth_fit_fails(n, orders, x):
+        # fits are counted over all solver calls: the central fit is the first
+        fits = fit(n, orders, x)
         index = seen[0] + np.arange(1, len(n) + 1)
         seen[0] += len(n)
         return replace(fits, converged=fits.converged & (index % 10 != 0))
@@ -455,6 +454,15 @@ def _histogram_with_meta(tmp_path, meta_text):
     return [*_g2_histogram(tmp_path), "--meta", _json_file(tmp_path, meta_text)]
 
 
+def _histogram_with_meta_value(key, value):
+    """analyze g2 on a valid histogram whose --meta holds value under key."""
+    def make_argv(tmp_path):
+        argv = _g2_histogram(tmp_path)
+        meta = json.loads((tmp_path / "h.meta.json").read_text())
+        return [*argv, "--meta", _json_file(tmp_path, json.dumps({**meta, key: value}))]
+    return make_argv
+
+
 def _records_with_fractional_count(tmp_path):
     path = _records_file(tmp_path)
     lines = path.read_text().splitlines()
@@ -528,6 +536,8 @@ MALFORMED = {
     "trpl-irf-negative": lambda tmp: _fit_argv(tmp, "trpl", "--irf-width", "-75"),
     "analyze-window-nan": lambda tmp: [*_g2_histogram(tmp), "--meta", str(tmp / "h.meta.json"), "--window", "nan"],
     "g2-flat-histogram": _flat_g2_histogram,
+    "analyze-meta-rep-period-zero": _histogram_with_meta_value("rep_period_ns", 0),
+    "analyze-meta-pulse-sep-negative": _histogram_with_meta_value("pulse_pair_sep_ns", -1.0),
 }
 
 
@@ -557,6 +567,8 @@ def test_malformed_input_exit_2_without_output(tmp_path, make_argv):
     ("trpl-irf-negative", "--irf-width must be finite and >= 0, got -75.0"),
     ("analyze-window-nan", "window_ps must be positive, got nan"),
     ("g2-flat-histogram", "side-peak area is zero; cannot form g2"),
+    ("analyze-meta-rep-period-zero", "rep_period_ns must be positive, got 0"),
+    ("analyze-meta-pulse-sep-negative", "pulse_pair_sep_ns must be positive, got -1.0"),
 ])
 def test_malformed_input_message_names_the_value(tmp_path, capsys, name, expected):
     argv = MALFORMED[name](tmp_path)

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -309,12 +310,33 @@ def test_newton_fits_reach_the_lbfgsb_reference(state, n_per_setting):
     per_setting = counts.reshape(5, 9, 4)
     per_setting[per_setting.sum(axis=-1) == 0] += 1
     starts = tomo.project_to_physical(tomo._inversion(counts), floor=1e-12)
-    fits = tomo._mle_fits(counts)
+    fits = _inversion_start_fits(counts)
     assert fits.converged.all()
     for n, rho0, ll in zip(counts, starts, fits.log_likelihood):
         reference = lbfgsb_log_likelihood(n, tomo.PROJECTORS, rho0, ftol=1e-16, restarts=50)
         assert ll >= reference - 1e-6
         assert ll >= lbfgsb_log_likelihood(n, tomo.PROJECTORS, rho0, ftol=1e-10) - 1e-14 * abs(ll)
+
+
+def test_fits_come_back_in_input_order_as_if_run_alone(monkeypatch):
+    """Fits of four pivot orders, interleaved, in stacks of 2: each equals its fit run alone, in its input place."""
+    states = [np.diag(np.roll([0.55, 0.25, 0.15, 0.05], k)).astype(complex) for k in range(4)]
+    observed = np.array([tomo._count_table(tomo.simulate_counts(s, 100_000, seed=81)) for s in states])
+    counts = np.random.default_rng(82).poisson(np.tile(observed, (5, 1))).astype(float)
+    orders, x = tomo._pivoted_starts(tomo._inversion(counts))
+    keys, sizes = np.unique(orders, axis=0, return_counts=True)
+    monkeypatch.setattr(tomo, "_FIT_STACK", 2)
+    assert len(keys) >= 3 and sizes.min() > tomo._FIT_STACK
+    fits = tomo._fits(counts, orders, x, tomo._MLE_REPIVOT_STEPS)
+    for r in range(len(counts)):
+        alone = tomo._newton_fit(counts[r:r + 1], x[r:r + 1], tomo._forms(tuple(orders[r])), tomo._MLE_REPIVOT_STEPS)
+        for field in dataclasses.fields(tomo.MleResult):
+            assert getattr(fits, field.name)[r:r + 1].tobytes() == getattr(alone, field.name).tobytes(), (r, field.name)
+
+
+def _inversion_start_fits(counts):
+    """_mle_fits of (R, 36) counts from their linear inversions, the start of mle_reconstruct."""
+    return tomo._mle_fits(counts, *tomo._pivoted_starts(tomo._inversion(counts)))
 
 
 def _refit_counts(rho, n_per_setting, seed, child):
@@ -337,12 +359,12 @@ def test_refits_reach_the_optimum_only_with_the_start_floor_and_the_restart(monk
         counts, remedy = _refit_counts(tomo.werner(0.77), 200, 7061, 628), ("_MLE_START_FLOOR", 1e-12)
     else:
         counts, remedy = _refit_counts(tomo.werner(0.99), 10_000, 7051, 144), ("_MLE_REPIVOT_STEPS", tomo._MLE_MAX_ITER)
-    fit = tomo._mle_fits(counts[None])
+    fit = _inversion_start_fits(counts[None])
     start = tomo.project_to_physical(tomo._inversion(counts), floor=1e-12)
     assert fit.converged[0]
     assert fit.log_likelihood[0] >= lbfgsb_log_likelihood(counts, tomo.PROJECTORS, start, ftol=1e-16, restarts=50) - 1e-6
     monkeypatch.setattr(tomo, *remedy)
-    without = tomo._mle_fits(counts[None])
+    without = _inversion_start_fits(counts[None])
     assert not without.converged[0] or without.log_likelihood[0] < fit.log_likelihood[0] - 1e-4
 
 
@@ -413,11 +435,12 @@ def test_hofmann_bounds():
 
 def test_monte_carlo_metrics_spread():
     records = tomo.simulate_counts(tomo.psi_minus(), 1_000_000, seed=21)
-    mc = tomo.monte_carlo_metrics(records, tomo.psi_minus(), 200, seed=22)
+    central = tomo.mle_reconstruct(records)
+    mc = tomo.monte_carlo_metrics(records, central, tomo.psi_minus(), 200, seed=22)
     assert mc.fidelity_to_target.std < 0.002
     assert mc.fidelity_to_target.mean > 0.999
     # resampled spread stabilizes as the number of resamples grows
-    mc2 = tomo.monte_carlo_metrics(records, tomo.psi_minus(), 400, seed=22)
+    mc2 = tomo.monte_carlo_metrics(records, central, tomo.psi_minus(), 400, seed=22)
     assert mc2.fidelity_to_target.std < 0.002
 
 
@@ -426,7 +449,7 @@ def test_monte_carlo_rounded_exact_input_has_tiny_spread():
         tomo.MeasurementRecord(r.basis1, r.basis2, np.round(r.counts))
         for r in exact_records(tomo.werner(0.9), n=1_000_000)
     ]
-    mc = tomo.monte_carlo_metrics(records, tomo.psi_minus(), 100, seed=4)
+    mc = tomo.monte_carlo_metrics(records, tomo.mle_reconstruct(records), tomo.psi_minus(), 100, seed=4)
     for name in ("fidelity_to_target", "concurrence", "purity"):
         assert getattr(mc, name).std < 2e-3
 
@@ -437,7 +460,7 @@ _METRICS = ("fidelity_to_target", "concurrence", "entropy_full_bits", "entropy_r
 def _serial_monte_carlo(records, target, n_resamples, seed):
     """Reference loop: per-setting Poisson redraws, one fit at a time from its predicted start, metrics per resample."""
     base = {(r.basis1, r.basis2): r for r in records}
-    predictor = tomo._one_step_predictor(tomo._count_table(records))
+    predictor = tomo._one_step_predictor(tomo._count_table(records), tomo.mle_reconstruct(records).rho)
     rows = []
     for child in np.random.SeedSequence(seed).spawn(n_resamples):
         rng = np.random.default_rng(child)
@@ -447,7 +470,8 @@ def _serial_monte_carlo(records, target, n_resamples, seed):
             if counts.sum() == 0:
                 counts = counts + 1
             resampled.append(tomo.MeasurementRecord(b1, b2, counts))
-        fit = tomo._mle_fits(tomo._count_table(resampled)[None], predictor)
+        n = tomo._count_table(resampled)[None]
+        fit = tomo._mle_fits(n, *predictor.starts(n))
         if fit.converged[0]:
             m = tomo.state_metrics(fit.rho[0], target)
             rows.append([getattr(m, f) for f in _METRICS])
@@ -461,7 +485,7 @@ def _serial_monte_carlo(records, target, n_resamples, seed):
 ], ids=["bell-1e5", "werner-low-count"])
 def test_monte_carlo_matches_serial_reference_loop(rho, n_per_setting, n_resamples):
     records = tomo.simulate_counts(0.98 * rho + 0.02 * tomo.maximally_mixed(), n_per_setting, seed=31)
-    mc = tomo.monte_carlo_metrics(records, tomo.psi_minus(), n_resamples, seed=32)
+    mc = tomo.monte_carlo_metrics(records, tomo.mle_reconstruct(records), tomo.psi_minus(), n_resamples, seed=32)
     means, stds, n_not_converged = _serial_monte_carlo(records, tomo.psi_minus(), n_resamples, seed=32)
     assert mc.n_resamples == n_resamples
     assert mc.n_not_converged == n_not_converged
@@ -485,16 +509,13 @@ def test_stacked_metrics_equal_serial_metrics(rng):
 def _flag_fits_not_converged(monkeypatch, flagged):
     """Flag the refits with the given indices, counted over all solver calls, as not converged.
 
-    The central fit of the refits' predictor is passed through uncounted.
     Returns the rhos of the refits left converged.
     """
     fit = tomo._mle_fits
     seen, kept = [0], []
 
-    def patched(n, predictor=None):
-        fits = fit(n, predictor)
-        if predictor is None:
-            return fits
+    def patched(n, orders, x):
+        fits = fit(n, orders, x)
         index = seen[0] + np.arange(len(n))
         seen[0] += len(n)
         converged = fits.converged & ~np.isin(index, list(flagged))
@@ -507,8 +528,9 @@ def _flag_fits_not_converged(monkeypatch, flagged):
 
 def test_monte_carlo_leaves_out_and_counts_non_converged_fits(monkeypatch):
     records = tomo.simulate_counts(tomo.werner(0.9), 5000, seed=2)
+    central = tomo.mle_reconstruct(records)
     kept = _flag_fits_not_converged(monkeypatch, {17})
-    mc = tomo.monte_carlo_metrics(records, tomo.psi_minus(), 100, seed=3)
+    mc = tomo.monte_carlo_metrics(records, central, tomo.psi_minus(), 100, seed=3)
     assert mc.n_not_converged == 1 and len(kept) == 99
     expected = tomo.purity(np.array(kept))
     assert mc.purity.mean == pytest.approx(expected.mean(), abs=1e-15)
@@ -517,9 +539,10 @@ def test_monte_carlo_leaves_out_and_counts_non_converged_fits(monkeypatch):
 
 def test_monte_carlo_refuses_more_than_one_percent_non_converged(monkeypatch):
     records = tomo.simulate_counts(tomo.werner(0.9), 5000, seed=2)
+    central = tomo.mle_reconstruct(records)
     _flag_fits_not_converged(monkeypatch, {3, 50})
     with pytest.raises(tomo.NotConverged, match="2 of 100"):
-        tomo.monte_carlo_metrics(records, tomo.psi_minus(), 100, seed=3)
+        tomo.monte_carlo_metrics(records, central, tomo.psi_minus(), 100, seed=3)
 
 
 #: (_MC_BLOCK, _FIT_STACK) pairs that must give the same bytes: every
@@ -529,10 +552,11 @@ _STACK_SIZES = [(1, 100), *itertools.product((100, 1000), (1, 7, 100, 1000)), (1
 
 
 def test_monte_carlo_identical_for_every_stack_size(monkeypatch):
-    # a nearly pure low-count state: refits take from a few to tens of
-    # steps, so the active set of a stack shrinks unevenly, and the fits of
-    # one stack fall into several basis orders
-    records = tomo.simulate_counts(tomo.werner(0.9), 100, seed=41)
+    # the paper's Werner state at low counts: refits take from a few to
+    # tens of steps, so the active set of a stack shrinks unevenly, and the
+    # refits that repivot fall into several basis orders
+    records = tomo.simulate_counts(tomo.werner(0.77), 200, seed=41)
+    central = tomo.mle_reconstruct(records)
     newton_fit, orders = tomo._newton_fit, []
 
     def recording(n, x, forms, max_iter):
@@ -544,11 +568,12 @@ def test_monte_carlo_identical_for_every_stack_size(monkeypatch):
     for sizes in _STACK_SIZES:
         monkeypatch.setattr(tomo, "_MC_BLOCK", sizes[0])
         monkeypatch.setattr(tomo, "_FIT_STACK", sizes[1])
-        mc = tomo.monte_carlo_metrics(records, tomo.psi_minus(), 250, seed=42)
+        mc = tomo.monte_carlo_metrics(records, central, tomo.psi_minus(), 250, seed=42)
         stats = np.array([[getattr(mc, name).mean, getattr(mc, name).std] for name in _METRICS])
         results.append((stats.tobytes(), mc.refit_iterations.tobytes(), mc.n_not_converged))
-    assert len(np.unique(np.frombuffer(results[0][1], dtype=int))) > 3
-    # one block of 250 refits in stacks of 1000: several orders
+    iterations = np.frombuffer(results[0][1], dtype=int)
+    assert len(np.unique(iterations)) > 3 and iterations.max() > tomo._MLE_REPIVOT_STEPS
+    # one block of 250 refits in stacks of 1000: the repivoted ones add orders
     assert len({order for s, order in orders if s == (1000, 1000)}) >= 2
     assert all(r == results[0] for r in results[1:])
 
@@ -572,22 +597,27 @@ def test_bell_fits_run_in_full_stacks_of_one_order(monkeypatch, tmp_path):
         stacks.append((tuple(np.argsort(forms.inverse).tolist()), [row.tobytes() for row in n]))
         return newton_fit(n, x, forms, max_iter)
 
-    def recording_predictor(observed):
-        predictors.append(one_step_predictor(observed))
+    def recording_predictor(observed, rho):
+        predictors.append(one_step_predictor(observed, rho))
         return predictors[-1]
 
     monkeypatch.setattr(tomo, "_newton_fit", recording_stack)
     monkeypatch.setattr(tomo, "_one_step_predictor", recording_predictor)
     out = tmp_path / "bell.json"
     assert cli.main(["bell", "--overlap", "1.0", "--resamples", "1000", "--seed", "11", "--out", str(out)]) == 0
-    # the central fit, then monte_carlo_metrics' 1001 fits: the central fit
-    # of its predictor, on the same counts, and the 1000 refits in stacks of
+    # 1001 fits: the CLI's central fit, then the 1000 refits in stacks of
     # the predictor's order, every one of them full
     (_, central), *mc = stacks
-    assert len(central) == 1 and mc[0][1] == central
-    order = tuple(predictors[0].order.tolist())
-    assert [(o, len(rows)) for o, rows in mc[1:]] == [(order, tomo._FIT_STACK)] * 10
-    assert sum(len(rows) for _, rows in mc) == 1001 and len(mc) <= 11
+    [predictor] = predictors
+    assert len(central) == 1
+    assert [(o, len(rows)) for o, rows in mc] == [(tuple(predictor.order.tolist()), tomo._FIT_STACK)] * 10
+    # the predictor's centre is the CLI's rho, floored like every start
+    payload = json.loads(out.read_text())
+    rho = np.array(payload["rho_real"]) + 1j * np.array(payload["rho_imag"])
+    t = (tomo._T_OF_X @ predictor.x).reshape(4, 4)
+    inverse = np.argsort(predictor.order)
+    floored = tomo.project_to_physical(rho, floor=tomo._MLE_START_FLOOR)
+    assert np.allclose((t.conj().T @ t)[inverse][:, inverse], floored, rtol=0, atol=1e-14)
 
 
 def test_child_seeds_are_spawned_block_by_block(monkeypatch):
@@ -601,7 +631,7 @@ def test_child_seeds_are_spawned_block_by_block(monkeypatch):
     records = tomo.simulate_counts(tomo.werner(0.9), 1000, seed=5)
     monkeypatch.setattr(tomo, "_MC_BLOCK", 100)
     monkeypatch.setattr(np.random, "SeedSequence", RecordingSeedSequence)
-    tomo.monte_carlo_metrics(records, tomo.psi_minus(), 250, seed=6)
+    tomo.monte_carlo_metrics(records, tomo.mle_reconstruct(records), tomo.psi_minus(), 250, seed=6)
     assert requests == [100, 100, 50]
 
 
@@ -627,11 +657,11 @@ def test_refits_from_the_predicted_start_reach_the_linear_inversion_start_fit(st
     about |log-likelihood|.
     """
     observed = _refit_case_counts(state, n_per_setting)
-    predictor = tomo._one_step_predictor(observed)
+    predictor = tomo._one_step_predictor(observed, _inversion_start_fits(observed[None]).rho[0])
     counts = np.random.default_rng(72).poisson(observed, size=(100, 36)).astype(float)
     per_setting = counts.reshape(100, 9, 4)
     per_setting[per_setting.sum(axis=-1) == 0] += 1
-    fits = tomo._mle_fits(counts, predictor)
+    fits = tomo._mle_fits(counts, *predictor.starts(counts))
     assert fits.converged.all() and fits.n_iter.max() < tomo._MLE_MAX_ITER
     for n, ll in zip(counts, fits.log_likelihood):
         public = tomo.mle_reconstruct([tomo.MeasurementRecord(*s, c) for s, c in zip(tomo.SETTINGS, n.reshape(9, 4))])
@@ -642,9 +672,10 @@ def test_refits_from_the_predicted_start_reach_the_linear_inversion_start_fit(st
 @pytest.mark.parametrize("state, n_per_setting", [("psi-minus", 1_000_000), ("werner-0.9", 2000), ("werner-0.6", 3)])
 def test_the_observed_counts_start_one_newton_step_from_the_floored_central_fit(state, n_per_setting):
     observed = _refit_case_counts(state, n_per_setting)
-    predictor = tomo._one_step_predictor(observed)
+    rho = _inversion_start_fits(observed[None]).rho[0]
+    predictor = tomo._one_step_predictor(observed, rho)
     # the predictor's centre is the central fit, floored like every start
-    central = tomo.project_to_physical(tomo._mle_fits(observed[None]).rho[0], floor=tomo._MLE_START_FLOOR)
+    central = tomo.project_to_physical(rho, floor=tomo._MLE_START_FLOOR)
     t = (tomo._T_OF_X @ predictor.x).reshape(4, 4)
     inverse = np.argsort(predictor.order)
     assert np.allclose((t.conj().T @ t)[inverse][:, inverse], central, rtol=0, atol=1e-14)
@@ -654,14 +685,14 @@ def test_the_observed_counts_start_one_newton_step_from_the_floored_central_fit(
     # f is constant along x, where the Newton step holds only rounding
     # scaled by 1 / (the damping shift) and the predicted step nothing
     along_x = np.outer(predictor.x, predictor.x)
-    assert abs(predictor.x @ (predictor.starts(n)[0] - predictor.x)) <= 1e-15
-    assert np.max(np.abs((np.eye(16) - along_x) @ (predictor.starts(n)[0] - predictor.x - step[0]))) <= 1e-12
+    assert abs(predictor.x @ (predictor.starts(n)[1][0] - predictor.x)) <= 1e-15
+    assert np.max(np.abs((np.eye(16) - along_x) @ (predictor.starts(n)[1][0] - predictor.x - step[0]))) <= 1e-12
 
 
 def test_monte_carlo_requires_enough_resamples():
     records = tomo.simulate_counts(tomo.werner(0.9), 1000, seed=1)
     with pytest.raises(ValueError):
-        tomo.monte_carlo_metrics(records, tomo.psi_minus(), 10, seed=1)
+        tomo.monte_carlo_metrics(records, tomo.mle_reconstruct(records), tomo.psi_minus(), 10, seed=1)
 
 
 def test_records_csv_round_trip(tmp_path):
