@@ -24,18 +24,19 @@ Jacobian of these sums: the vs_temperature fit computes the sums and their
 v_c derivatives in one pass over the same blocks, and the vs_delay fit
 evaluates the two phonon factors once, since they do not depend on its
 free parameters.  tpi_visibility and both fits share one private
-evaluator, _visibility.
+evaluator, _visibility.  trpl_model is the decay convolved with a Gaussian
+IRF in closed form (Faddeeva function); fit_trpl uses its exact Jacobian.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 
 import numpy as np
 from scipy import constants as sc
-from scipy import optimize
+from scipy import optimize, special
 
 from . import io
 
@@ -83,9 +84,9 @@ class DecayParams:
     delta_inv_ps: float
 
     def __post_init__(self):
-        if self.t1_ps <= 0:
+        if not self.t1_ps > 0:
             raise ValueError("t1_ps must be positive")
-        if self.delta_inv_ps < 0:
+        if not self.delta_inv_ps >= 0:
             raise ValueError("delta_inv_ps must be nonnegative")
 
     @property
@@ -109,9 +110,9 @@ class DephasingParams:
     tau_c_ns: float = 350.0
 
     def __post_init__(self):
-        if self.alpha_ps2 < 0 or self.mu_ps2 < 0 or self.Gamma_sd_inv_ps < 0:
+        if not (self.alpha_ps2 >= 0 and self.mu_ps2 >= 0 and self.Gamma_sd_inv_ps >= 0):
             raise ValueError("coupling parameters must be nonnegative")
-        if self.v_c_inv_ps <= 0 or self.T1_ps <= 0 or self.tau_c_ns <= 0:
+        if not (self.v_c_inv_ps > 0 and self.T1_ps > 0 and self.tau_c_ns > 0):
             raise ValueError("v_c_inv_ps, T1_ps and tau_c_ns must be positive")
         if not 0.0 <= self.F <= 1.0:
             raise ValueError("F must lie in [0, 1]")
@@ -131,7 +132,7 @@ class OscillatorInputs:
 
     def __post_init__(self):
         for name in ("t1_ps", "omega_rad_per_s", "refractive_index", "purcell_factor"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
 
 
@@ -139,58 +140,73 @@ class OscillatorInputs:
 # time-resolved decay profile
 # ---------------------------------------------------------------------------
 
-def _decay_shape(t_ps: np.ndarray, p: DecayParams) -> np.ndarray:
-    # |exp(-i d t - t/2T1) - exp(-t/2T1)|^2 = 2 exp(-t/T1) (1 - cos d t)
-    out = np.zeros_like(t_ps, dtype=float)
-    pos = t_ps >= 0
-    tp = t_ps[pos]
-    out[pos] = 2.0 * np.exp(-tp / p.t1_ps) * (1.0 - np.cos(p.delta_inv_ps * tp))
-    return out
+def _irf_decay(t, a, sigma):
+    """E = Int_0^inf e^(-a s) N(t - s; sigma) ds and (a sigma^2 - t) E, for complex a with Re a > 0.
+
+    E = (1/2) exp(a^2 sigma^2 / 2 - a t) erfc(z) with z = (a sigma^2 - t) / (sigma sqrt 2).
+    Through w(x) = exp(-x^2) erfc(-i x), bounded on the upper half plane, E is
+    (1/2) g w(i z) with g = exp(-t^2 / 2 sigma^2) where Re z >= 0, and
+    exp(a^2 sigma^2 / 2 - a t) - (1/2) g w(-i z), an exponential of real part
+    <= 0, elsewhere: no factor overflows, so no inf * 0 arises.  sigma = 0
+    gives theta(t) e^(-a t), with theta(0) = 1.  dE/da is (a sigma^2 - t) E
+    - sigma g / sqrt(2 pi); the last term does not depend on a, so it cancels
+    from the partials of any difference of E at two rates, and is left out.
+    """
+    x = t / sigma if sigma > 0 else np.copysign(np.inf, t)
+    re_z = (a.real * sigma - x) / np.sqrt(2.0)
+    up = re_z >= 0
+    # sign(Re z) i z, built by parts: at sigma = 0, i * inf would give a NaN real part
+    arg = np.where(up, -1.0, 1.0) * a.imag * sigma / np.sqrt(2.0) + 0j
+    arg.imag = np.abs(re_z)
+    g = np.exp(-0.5 * x ** 2)
+    tail = 0.5 * (a * sigma) ** 2 - a * t
+    e = np.where(up, 0.5, -0.5) * g * special.wofz(arg) + np.exp(tail, out=np.zeros_like(tail), where=~up)
+    return e, (a * sigma ** 2 - t) * e
 
 
-#: most points of the grid trpl_model convolves on; a 4 ns trace needs ~500
-_MAX_IRF_GRID = 10**5
+def _trpl(t, t1_ps, delta_inv_ps, amplitude, irf_fwhm_ps):
+    """trpl_model at (T1, delta, A) and its partials in (T1, delta, A) on a trailing axis.
+
+    The model is 2 A [E(gamma) - Re E(gamma - i delta)] with gamma = 1/T1 and
+    E = _irf_decay, evaluated for both rates in one pass.
+    """
+    if not irf_fwhm_ps >= 0:
+        raise ValueError(f"irf_fwhm_ps must be >= 0, got {irf_fwhm_ps}")
+    sigma = irf_fwhm_ps / (2.0 * np.sqrt(2.0 * np.log(2.0)))
+    gamma = 1.0 / t1_ps
+    e, de = _irf_decay(t[..., None], np.array([gamma, gamma - 1j * delta_inv_ps]), sigma)
+    shape = 2.0 * (e[..., 0].real - e[..., 1].real)
+    d_gamma = 2.0 * amplitude * (de[..., 0].real - de[..., 1].real)
+    return amplitude * shape, np.stack([-d_gamma / t1_ps ** 2, -2.0 * amplitude * de[..., 1].imag, shape], axis=-1)
 
 
 def trpl_model(t_ps, p: DecayParams, amplitude: float, irf_fwhm_ps: float = 0.0):
     """Decay profile scaled by an amplitude and blurred by a Gaussian IRF.
 
     irf_fwhm_ps is the full width at half maximum of the instrument
-    response; zero means no convolution.
+    response, convolved in closed form at any time span; zero means none.
     """
-    t = np.asarray(t_ps, dtype=float)
-    if irf_fwhm_ps <= 0:
-        return amplitude * _decay_shape(t, p)
-    sigma = irf_fwhm_ps / (2.0 * np.sqrt(2.0 * np.log(2.0)))
-    step = min(sigma / 4.0, p.t1_ps / 40.0)
-    lo = min(float(t.min()), 0.0) - 6.0 * sigma
-    hi = float(t.max()) + 6.0 * sigma
-    if not (hi - lo) / step <= _MAX_IRF_GRID:
-        raise ValueError(f"time span {hi - lo:.3g} ps needs over {_MAX_IRF_GRID} IRF grid points")
-    grid = np.arange(lo, hi + step, step)
-    prof = _decay_shape(grid, p)
-    half = int(np.ceil(5.0 * sigma / step))
-    kx = np.arange(-half, half + 1) * step
-    kernel = np.exp(-0.5 * (kx / sigma) ** 2)
-    kernel /= kernel.sum()
-    conv = np.convolve(prof, kernel, mode="same")
-    return amplitude * np.interp(t, grid, conv)
+    return _trpl(np.asarray(t_ps, dtype=float), p.t1_ps, p.delta_inv_ps, amplitude, irf_fwhm_ps)[0]
 
 
-def _least_squares(residuals, x0, x, y, point, **options):
-    """optimize.least_squares from x0; returns the solution and its rms residual.
+def _least_squares(model, x0, x, y, point, **options):
+    """optimize.least_squares of model(vec)[0] - y from x0 with the Jacobian
+    model(vec)[1], which it asks for at the point it evaluated last, so the
+    last evaluation is kept; returns the solution and its rms residual.
 
     Raises NonFiniteStart when the squared residuals overflow at x0, naming
     the sample of largest |y| through the format string point, and
     FitDiverged when least_squares stops without converging.
     """
+    at = lru_cache(maxsize=1)(lambda key: model(np.frombuffer(key)))
     with np.errstate(over="ignore"):
-        r0 = residuals(x0)
+        r0 = at(x0.tobytes())[0] - y
         start_finite = np.isfinite(r0 @ r0)
     if not start_finite:
         i = int(np.argmax(np.abs(y)))
         raise NonFiniteStart(point.format(x=float(x[i]), y=float(y[i])) + ": the squared residuals overflow")
-    res = optimize.least_squares(residuals, x0, **options)
+    res = optimize.least_squares(lambda vec: at(vec.tobytes())[0] - y, x0,
+                                 jac=lambda vec: at(vec.tobytes())[1], **options)
     if res.status <= 0:
         raise FitDiverged(f"least_squares status {res.status}: {res.message}")
     return res.x, float(np.sqrt(np.mean(res.fun ** 2)))
@@ -210,9 +226,9 @@ class TrplFit:
 def fit_trpl(t_ps, intensity, irf_fwhm_ps: float = 75.0, init: DecayParams | None = None) -> TrplFit:
     """Least-squares fit of the beating decay model to a measured trace.
 
-    Free parameters are (T1, splitting, amplitude); the instrument response
-    width is supplied, not fitted.  Requires at least 20 samples spanning at
-    least twice the initial lifetime guess.
+    Free parameters are (T1, splitting, amplitude), fitted with the model's
+    exact Jacobian; the instrument response width is supplied, not fitted.
+    Requires at least 20 samples spanning at least twice the initial T1.
     """
     t = np.asarray(t_ps, dtype=float)
     y = np.asarray(intensity, dtype=float)
@@ -225,14 +241,9 @@ def fit_trpl(t_ps, intensity, irf_fwhm_ps: float = 75.0, init: DecayParams | Non
         raise InsufficientData("samples must span at least twice the initial T1")
 
     scale = max(float(y.max()), 1e-30)
-
-    def residuals(x):
-        t1, delta, amp = x
-        return trpl_model(t, DecayParams(t1, delta), amp, irf_fwhm_ps) - y
-
     x0 = np.array([p0.t1_ps, p0.delta_inv_ps, 0.5 * scale])
     best, rms = _least_squares(
-        residuals, x0, t, y, "intensity {y!r} at t = {x!r} ps",
+        lambda vec: _trpl(t, *vec, irf_fwhm_ps), x0, t, y, "intensity {y!r} at t = {x!r} ps",
         bounds=([1e-3, 0.0, 0.0], [np.inf, np.inf, np.inf]),
         x_scale=[p0.t1_ps, max(p0.delta_inv_ps, 1e-4), scale],
         max_nfev=20000,
@@ -595,19 +606,8 @@ def fit_visibility_curve(
         phonons = _phonon_factors(temps, p, True) if which == "vs_temperature" else fixed_phonons
         return _visibility(temps, phonons, delays, p, free)
 
-    # least_squares asks for the Jacobian at the point it evaluated last
-    memo = {}
-
-    def model(vec):
-        key = vec.tobytes()
-        if key not in memo:
-            memo.clear()
-            memo[key] = evaluate(vec)
-        return memo[key]
-
     best, rms = _least_squares(
-        lambda vec: model(vec)[0] - vs, np.array(x0, dtype=float), xs, vs, point,
-        jac=lambda vec: model(vec)[1],
+        evaluate, np.array(x0, dtype=float), xs, vs, point,
         bounds=(lo, hi), x_scale=[max(abs(v), 1e-6) for v in x0], max_nfev=5000,
     )
     return VisibilityFit(params_for(best), rms)

@@ -434,3 +434,31 @@ def hom_visibility_oracle(h, window_ps):
     var_ref = 0.25 * float(np.sum([p[2] for p in satellites])) / len(satellites) ** 2
     sigma = np.sqrt(central[2] / a_ref ** 2 + (central[1] / a_ref ** 2) ** 2 * var_ref)
     return float(1.0 - central[1] / a_ref), float(sigma)
+
+
+def convolved_decay(t_ps, t1_ps, delta_inv_ps, amplitude, irf_fwhm_ps, step_ps):
+    """2 A exp(-s/T1) (1 - cos(delta s)) for s >= 0, zero before, convolved with
+    a unit-area Gaussian of full width irf_fwhm_ps at half maximum.
+
+    Each value is a trapezoid sum, point by point, with a step of at most
+    step_ps over [max(0, t - 9 sigma), t + 9 sigma]: the decay is zero below
+    s = 0, and beyond 9 sigma the Gaussian is under e^-40 of its peak.
+    irf_fwhm_ps = 0 gives the decay itself.
+    """
+    def decay(s):
+        return 2.0 * amplitude * np.exp(-s / t1_ps) * (1.0 - np.cos(delta_inv_ps * s))
+
+    t = np.asarray(t_ps, dtype=float)
+    if irf_fwhm_ps == 0:
+        return np.where(t > 0, decay(np.maximum(t, 0.0)), 0.0)
+    sigma = irf_fwhm_ps / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+    out = np.zeros(t.shape)
+    for i, ti in enumerate(t):
+        lo, hi = max(0.0, ti - 9.0 * sigma), ti + 9.0 * sigma
+        if hi <= lo:
+            continue
+        n = math.ceil((hi - lo) / step_ps)
+        s = np.linspace(lo, hi, n + 1)
+        f = decay(s) * np.exp(-0.5 * ((ti - s) / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
+        out[i] = (hi - lo) / n * (f.sum() - 0.5 * (f[0] + f[-1]))
+    return out

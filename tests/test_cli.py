@@ -14,6 +14,7 @@ from lophoton.cli import main
 
 from conftest import (HISTOGRAM_COLUMNS, XY_COLUMNS, assert_columns_match_row_loop, write_histogram_csv,
                       write_records_csv)
+from oracles import convolved_decay
 
 
 def run(tmp_path, *argv):
@@ -191,6 +192,20 @@ def test_fit_trpl_cli(tmp_path):
     d = load(out)
     assert d["params"]["t1_ps"] == pytest.approx(350.0, rel=0.01)
     assert d["params"]["delta_ueV"] == pytest.approx(6.4, rel=0.01)
+
+
+def test_fit_trpl_cli_narrow_irf_over_a_repetition_period(tmp_path):
+    # one 13.16 ns repetition period at 76 MHz in 2 ps bins, blurred by a 1 ps IRF
+    decay = em.DecayParams(350.0, em.fss_ueV_to_inv_ps(6.4))
+    t = np.arange(0.0, 13160.0, 2.0)
+    sigma = 1.0 / (2.0 * np.sqrt(2.0 * np.log(2.0)))
+    data = tmp_path / "trpl.csv"
+    write_xy_csv(data, ("t_ps", "intensity"), t, convolved_decay(t, 350.0, decay.delta_inv_ps, 1.0, 1.0, sigma / 10.0))
+    code, out = run(tmp_path, "fit", "--kind", "trpl", "--data", str(data), "--irf-width", "1")
+    assert code == 0
+    d = load(out)
+    assert d["params"]["t1_ps"] == pytest.approx(350.0, rel=0.02)
+    assert d["params"]["delta_ueV"] == pytest.approx(6.4, rel=0.02)
 
 
 def test_fit_vis_temperature_cli(tmp_path):

@@ -1,5 +1,6 @@
 import importlib.util
 import itertools
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -9,7 +10,7 @@ from scipy import optimize
 
 from lophoton import emitter as em
 
-from oracles import quad_visibility, trapezoid_fc_factor, trapezoid_visibility, trapezoid_vp_rate
+from oracles import convolved_decay, quad_visibility, trapezoid_fc_factor, trapezoid_visibility, trapezoid_vp_rate
 
 DOT_DECAY = em.DecayParams(t1_ps=350.0, delta_inv_ps=em.fss_ueV_to_inv_ps(6.4))
 
@@ -36,10 +37,51 @@ def test_zero_splitting_profile_is_null():
     assert np.all(em.trpl_model(np.linspace(0, 1000, 50), p, 1.0, 0.0) == 0.0)
 
 
-def test_trpl_model_rejects_span_too_long_for_its_grid():
-    # the IRF grid step is at most T1/40, so a 1 s span would need ~1e11 points
-    with pytest.raises(ValueError, match="grid points"):
-        em.trpl_model(np.array([0.0, 1e12]), DOT_DECAY, 1.0, 75.0)
+def test_decay_params_reject_nan_and_out_of_range_values():
+    for t1, delta in ((np.nan, 0.0), (350.0, np.nan), (0.0, 0.0), (350.0, -1e-3)):
+        with pytest.raises(ValueError):
+            em.DecayParams(t1, delta)
+
+
+def test_trpl_model_rejects_nan_and_negative_irf_widths():
+    for fwhm in (np.nan, -1.0):
+        with pytest.raises(ValueError, match="irf_fwhm_ps"):
+            em.trpl_model(np.linspace(0.0, 1000.0, 5), DOT_DECAY, 1.0, fwhm)
+
+
+def test_trpl_model_is_finite_at_any_span():
+    # a 1e12 ps span, and the tails of a 1 ps IRF one 13.16 ns repetition
+    # period either side of t = 0, where exp(-t^2 / 2 sigma^2) underflows
+    # and exp(a^2 sigma^2 / 2 - a t) overflows for t < 0
+    far = np.array([-1e12, -13160.0, 0.0, 13160.0, 1e12])
+    with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise", divide="raise"):
+        warnings.simplefilter("error")
+        wide = em.trpl_model(far, DOT_DECAY, 1.0, 75.0)
+        narrow = em.trpl_model(far, DOT_DECAY, 1.0, 1.0)
+    assert np.isfinite(wide).all() and np.isfinite(narrow).all()
+    assert wide[0] == wide[1] == wide[-1] == 0.0 and narrow[0] == narrow[1] == narrow[-1] == 0.0
+    # 13 ns out, a 1 ps blur moves the decay by about sigma^2 delta^2 / 2, 1e-5 of itself
+    assert narrow[3] == pytest.approx(em.trpl_model(far[3], DOT_DECAY, 1.0, 0.0), rel=1e-4)
+    assert narrow[3] > 0.0
+
+
+@pytest.mark.parametrize("irf_fwhm_ps", [0.0, 1.0, 20.0, 75.0, 300.0])
+def test_trpl_model_matches_numerical_convolution(irf_fwhm_ps):
+    """The oracle is a trapezoid sum whose integrand and slope vanish at s = 0
+    and whose far end lies 9 sigma out, so its error falls as h^4: the exact
+    value is within |oracle(h) - oracle(2h)| / 15 of oracle(h).  Allowed:
+    three times that, plus 1e-14 of the peak for rounding; at h = sigma / 100
+    the first term stays below 1e-9 of the peak."""
+    t = np.linspace(-300.0, 3000.0, 111)
+    sigma = irf_fwhm_ps / (2.0 * np.sqrt(2.0 * np.log(2.0)))
+    step = sigma / 100.0 if irf_fwhm_ps else 1.0
+    fine = convolved_decay(t, DOT_DECAY.t1_ps, DOT_DECAY.delta_inv_ps, 0.8, irf_fwhm_ps, step)
+    coarse = convolved_decay(t, DOT_DECAY.t1_ps, DOT_DECAY.delta_inv_ps, 0.8, irf_fwhm_ps, 2.0 * step)
+    peak = np.abs(fine).max()
+    quadrature = 3.0 * np.abs(fine - coarse).max() / 15.0
+    assert quadrature < 1e-9 * peak
+    model = em.trpl_model(t, DOT_DECAY, 0.8, irf_fwhm_ps)
+    assert np.abs(model - fine).max() <= quadrature + 1e-14 * peak
 
 
 def test_fit_trpl_noiseless_recovery():
@@ -82,6 +124,72 @@ def test_fit_trpl_insufficient_data():
         em.fit_trpl(np.linspace(0, 2000, 10), np.zeros(10))
     with pytest.raises(em.InsufficientData):
         em.fit_trpl(np.linspace(0, 500, 50), np.zeros(50))  # span < 2 T1
+
+
+def test_trpl_partials_match_differences_over_the_fit_box():
+    # lifetimes under and far over the IRF widths; splittings from unresolved
+    # (0.07 ueV) to a beat 20 times faster than the decay at T1 = 350 ps
+    t = np.linspace(-500.0, 4000.0, 91)
+    for t1, delta, fwhm in itertools.product([50.0, 350.0, 2000.0], [1e-4, 0.00972, 0.1], [0.0, 1.0, 75.0, 300.0]):
+        x = np.array([t1, delta, 0.8])
+
+        def model(vec):
+            return em.trpl_model(t, em.DecayParams(vec[0], vec[1]), vec[2], fwhm)
+
+        v, jac = em._trpl(t, *x, fwhm)
+        assert np.array_equal(v, model(x))
+        for k in range(3):
+            h = np.zeros(3)
+            h[k] = 1e-6 * x[k]
+            diff = (model(x + h) - model(x - h)) / (2.0 * h[k])
+            # 1e-6 of the column's scale, plus the differences' rounding error:
+            # the model is a difference of two terms of size up to 2 A
+            tolerance = 1e-6 * np.abs(jac[:, k]).max() + 8.0 * np.finfo(float).eps * 2.0 * x[2] / h[k]
+            assert np.abs(jac[:, k] - diff).max() <= tolerance, (t1, delta, fwhm, k)
+    # the model is even in delta, so at delta = 0 its delta partial vanishes
+    for fwhm in (0.0, 75.0):
+        assert np.all(em._trpl(t, 350.0, 0.0, 0.8, fwhm)[1][:, 1] == 0.0)
+
+
+def _finite_difference_trpl_fit(t, y, irf_fwhm_ps, init):
+    """fit_trpl's least squares with SciPy's default 2-point Jacobian; returns (T1, delta, A) and the cost."""
+    scale = float(y.max())
+    res = optimize.least_squares(
+        lambda x: em.trpl_model(t, em.DecayParams(x[0], x[1]), x[2], irf_fwhm_ps) - y,
+        [init.t1_ps, init.delta_inv_ps, 0.5 * scale], bounds=([1e-3, 0.0, 0.0], np.inf),
+        x_scale=[init.t1_ps, max(init.delta_inv_ps, 1e-4), scale], max_nfev=20000,
+    )
+    assert res.status > 0
+    return res.x, res.cost
+
+
+def _compare_trpl_fits(t, y, irf_fwhm_ps, init):
+    """The exact-Jacobian fit ends at the parameters of the finite-difference
+    fit to 1e-6 and no higher in cost, beyond 1e-10 of it and rounding as in
+    _compare_fits."""
+    fit = em.fit_trpl(t, y, irf_fwhm_ps=irf_fwhm_ps, init=init)
+    ref, ref_cost = _finite_difference_trpl_fit(t, y, irf_fwhm_ps, init)
+    cost = 0.5 * y.size * fit.rms_residual ** 2
+    rounding = 8.0 * np.finfo(float).eps * np.abs(y).max() * np.sqrt(2.0 * y.size * ref_cost)
+    assert cost <= ref_cost * (1.0 + 1e-10) + rounding, (cost, ref_cost, rounding)
+    got = np.array([fit.params.t1_ps, fit.params.delta_inv_ps, fit.amplitude])
+    assert np.allclose(got, ref, rtol=1e-6, atol=0.0), (got, ref)
+
+
+def test_trpl_fits_of_the_golden_traces_match_finite_difference_fits(tmp_path):
+    _golden_tool().write_inputs(tmp_path / "inputs")
+    for name in ("decay.csv", "decay-padded.csv"):
+        t, y = em.read_xy_csv(tmp_path / "inputs" / name)
+        _compare_trpl_fits(t, y, 75.0, em.TRPL_START)
+
+
+@pytest.mark.parametrize("irf_fwhm_ps", [0.0, 1.0, 20.0, 75.0, 300.0])
+def test_trpl_fits_of_noisy_traces_match_finite_difference_fits(irf_fwhm_ps):
+    rng = np.random.default_rng([20241019, int(irf_fwhm_ps)])
+    t = np.linspace(-200.0, 3800.0, 400)
+    y = rng.poisson(2000.0 * em.trpl_model(t, DOT_DECAY, 1.0, irf_fwhm_ps)).astype(float)
+    init = em.DecayParams(DOT_DECAY.t1_ps * rng.uniform(0.9, 1.1), DOT_DECAY.delta_inv_ps * rng.uniform(0.9, 1.1))
+    _compare_trpl_fits(t, y, irf_fwhm_ps, init)
 
 
 def test_oscillator_strength_scalings():
@@ -330,6 +438,9 @@ def test_dephasing_params_validation_and_json():
         em.DephasingParams(F=1.5)
     with pytest.raises(ValueError):
         em.DephasingParams(T1_ps=-1.0)
+    for name in d:
+        with pytest.raises(ValueError):
+            em.DephasingParams(**{name: np.nan})
 
 
 # ---------------------------------------------------------------------------
