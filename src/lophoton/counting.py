@@ -59,7 +59,7 @@ class CoincidenceHistogram:
     def __post_init__(self):
         taus = np.asarray(self.taus_ps, dtype=float)
         counts = np.asarray(self.counts)
-        if self.bin_width_ps <= 0:
+        if not self.bin_width_ps > 0:
             raise ValueError("bin_width_ps must be positive")
         if not self.rep_period_ns > 0:
             raise ValueError(f"rep_period_ns must be positive, got {self.rep_period_ns}")
@@ -71,7 +71,7 @@ class CoincidenceHistogram:
             raise ValueError("taus must be finite")
         if np.any(np.diff(taus) <= 0):
             raise ValueError("taus must be strictly increasing")
-        if np.any(counts < 0):
+        if not np.all(counts >= 0):
             raise ValueError("counts must be nonnegative")
         object.__setattr__(self, "taus_ps", taus)
         object.__setattr__(self, "counts", counts)
@@ -95,7 +95,7 @@ class HbtModel:
     g2: float
 
     def __post_init__(self):
-        if self.g2 < 0:
+        if not self.g2 >= 0:
             raise ValueError("g2 must be nonnegative")
 
 
@@ -109,7 +109,7 @@ class HomModel:
     def __post_init__(self):
         if not 0.0 <= self.visibility <= 1.0:
             raise ValueError("visibility must lie in [0, 1]")
-        if self.pulse_sep_ns <= 0:
+        if not self.pulse_sep_ns > 0:
             raise ValueError("pulse_sep_ns must be positive")
 
 
@@ -202,8 +202,8 @@ def synth_histogram(
     **kwargs,
 ) -> CoincidenceHistogram:
     """Poisson-sampled synthetic coincidence histogram, deterministic per seed."""
-    if total_counts <= 0:
-        raise ValueError("total_counts must be positive")
+    if not 0 < total_counts < np.inf:
+        raise ValueError(f"total_counts must be positive and finite, got {total_counts}")
     taus, lam, meta = expected_histogram(model, decay, float(total_counts), **kwargs)
     rng = np.random.default_rng(seed)
     counts = rng.poisson(lam)

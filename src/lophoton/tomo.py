@@ -6,9 +6,9 @@ state.  The basis states are Z -> (H, V), X -> (D, A), Y -> (R, L) in the
 circular convention of :mod:`lophoton.jones`; note that with
 R = (1, -i)/sqrt(2) the +1 eigenstate of the Y Pauli operator is L.
 
-Reconstruction is a two-step pipeline: a Stokes/Pauli linear inversion
-(Hermitian, unit trace, possibly indefinite) provides the starting point,
-projected onto the physical set with a small eigenvalue floor, for a
+Reconstruction is a two-step pipeline: a linear inversion (Hermitian,
+unit trace, possibly indefinite) provides the starting point, projected
+onto the physical set with a small eigenvalue floor, for a
 maximum-likelihood fit over the Cholesky-like parameterization
 rho = T^dag T / Tr(T^dag T) with T lower triangular (16 real parameters x),
 which is physical by construction (James et al., PRA 64, 052312, 2001).
@@ -21,20 +21,21 @@ below a fixed tolerance.
 
 In a fixed basis order, T_33 is the first Cholesky pivot, and where
 rho_33 vanishes (the singlet) the map from T to rho is singular exactly
-where the fit lands.  So each fit takes its own basis order: the greedy
-(LAPACK ?pstrf) pivot order of its start state, largest diagonal of the
-remaining Schur complement first (Higham, 1990), fit as the last index of
-T (_pivoted_starts), and _fits stacks fits by order, with forms Q_k built
-once per order (at most 24).  A fit still running after 20 steps starts
-again from its current state, in that state's pivot order.  On Poisson
-redraws of the singlet at 10^6 counts per setting, fit from their linear
-inversion, this takes every fit to the optimum in 3 steps, against a
-median of 10 (up to 20) in the fixed order.
+where the fit lands.  So each fit takes its own basis order: the pivot
+order of LAPACK's pivoted Cholesky zpstrf of its start state, largest
+diagonal of the remaining Schur complement first (Higham, 1990), fit as
+the last index of T (_pivoted_starts), and _fits stacks fits by order,
+with forms Q_k built once per order (at most 24).  A fit still running
+after 20 steps starts again from its current state, in that state's pivot
+order.  On Poisson redraws of the singlet at 10^6 counts per setting, fit
+from their linear inversion, this takes every fit to the optimum in 3
+steps, against a median of 10 (up to 20) in the fixed order.
 
 Each rule has one definition: outcome_labels fixes the outcome order,
-outcome_probabilities gives the (9, 4) probability table through the
-flattened projectors _PI_FLAT (from which the fit's forms are built),
-and _count_table checks records and gives their 36 counts.
+PROJECTORS the measurement; through their flattened form _PI_FLAT,
+outcome_probabilities gives the (9, 4) probability table, _forms the
+fit's forms and _projector_inverse the linear inversion (least squares);
+_count_table checks records and gives their 36 counts.
 
 Error bars come from Monte Carlo resampling: every outcome count is redrawn
 from a Poisson law at the observed value, the state is refit, and metric
@@ -71,18 +72,8 @@ BASES = ("Z", "X", "Y")
 BASIS_STATES = {"Z": ("H", "V"), "X": ("D", "A"), "Y": ("R", "L")}
 SETTINGS = tuple((b1, b2) for b1 in BASES for b2 in BASES)
 
-#: Pauli eigenvalue carried by each polarization label (L is sigma_y = +1
-#: in this circular convention)
-EIGENSIGN = {"H": +1, "V": -1, "D": +1, "A": -1, "R": -1, "L": +1}
-
-_PAULI = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
-_SIGMA_YY = np.kron(_PAULI["Y"], _PAULI["Y"])
+#: sigma_y (x) sigma_y, the spin flip of the concurrence
+_SIGMA_YY = np.kron(*2 * [np.array([[0, -1j], [1j, 0]])])
 
 #: flat (row-major) positions in a 4x4 matrix of the diagonal and of the
 #: strictly lower triangle; the 16 real parameters of T are the diagonal,
@@ -98,8 +89,6 @@ _T_OF_X[_DIAG, range(4)] = 1.0
 _T_OF_X[_LOWER, range(4, 16, 2)] = 1.0
 _T_OF_X[_LOWER, range(5, 16, 2)] = 1j
 _X_OF_T = _T_OF_X.conj()
-
-_FLIP = np.fliplr(np.eye(4))
 
 #: share of Monte Carlo resamples whose fit may fail to converge before the
 #: error bars are refused
@@ -134,26 +123,19 @@ PROJECTORS = np.array(
 _PI_FLAT = PROJECTORS.reshape(36, 16)
 
 
-def _inversion_map() -> np.ndarray:
-    # frequency f_k of outcome (o1, o2) of setting (b1, b2) adds
-    # s1 s2 f_k to <b1 b2> and s1 f_k / 3, s2 f_k / 3 to <b1 I>, <I b2>,
-    # since each single-qubit expectation is averaged over three settings
-    rows = []
-    for b1, b2 in SETTINGS:
-        for o1, o2 in outcome_labels((b1, b2)):
-            s1, s2 = EIGENSIGN[o1], EIGENSIGN[o2]
-            m = (
-                s1 * s2 * np.kron(_PAULI[b1], _PAULI[b2])
-                + s1 / 3.0 * np.kron(_PAULI[b1], _PAULI["I"])
-                + s2 / 3.0 * np.kron(_PAULI["I"], _PAULI[b2])
-            )
-            rows.append(m.reshape(16) / 4.0)
-    return np.array(rows)
+@functools.cache  # built on first use: commands that never reconstruct skip the solve
+def _projector_inverse() -> np.ndarray:
+    """(36, 16) least-squares inverse of _PI_FLAT: rho = (f @ map).reshape(4, 4).
 
-
-#: (36, 16) linear-inversion map: rho = I/4 + (f @ _INVERSION_MAP).reshape(4, 4)
-#: for the 36 outcome frequencies f in SETTINGS and outcome order
-_INVERSION_MAP = _inversion_map()
+    rho is the matrix whose traces Tr(rho Pi_k) are nearest to the 36
+    outcome frequencies f; here that is the Stokes formula with each
+    single-qubit expectation averaged over its three settings.  The normal
+    equations' Gram matrix has condition number 9.
+    """
+    a = _PI_FLAT.conj()  # Tr(rho Pi_k) = (a @ rho.reshape(16))[k]
+    inverse = np.linalg.solve(dagger(a) @ a, dagger(a)).T
+    inverse.setflags(write=False)
+    return inverse
 
 
 class MissingSetting(ValueError):
@@ -246,17 +228,16 @@ def _inversion(counts: np.ndarray) -> np.ndarray:
     """Linear inversion of (..., 36) counts in SETTINGS order to (..., 4, 4)."""
     per_setting = counts.reshape(counts.shape[:-1] + (9, 4))
     f = (per_setting / per_setting.sum(axis=-1, keepdims=True)).reshape(counts.shape)
-    rho = (f[..., None, :] @ _INVERSION_MAP).reshape(counts.shape[:-1] + (4, 4))
-    rho[..., range(4), range(4)] += 0.25
-    return rho
+    rho = (f[..., None, :] @ _projector_inverse()).reshape(counts.shape[:-1] + (4, 4))
+    return 0.5 * (rho + dagger(rho))  # the map's rows are Hermitian to rounding
 
 
 def linear_inversion(records) -> np.ndarray:
-    """Stokes reconstruction from outcome frequencies.
+    """Least-squares inversion of the outcome frequencies through PROJECTORS.
 
-    Hermitian with unit trace by construction; not necessarily positive.
-    Single-qubit Pauli expectations are averaged over the three settings
-    that measure them.
+    Hermitian with unit trace; not necessarily positive.  Equal to the
+    Stokes reconstruction with single-qubit Pauli expectations averaged over
+    the three settings that measure them.
     """
     return _inversion(_count_table(records))
 
@@ -347,43 +328,23 @@ def mle_reconstruct(records) -> MleResult:
     )
 
 
-def _pivot_orders(rho: np.ndarray) -> np.ndarray:
-    """(m, 4) greedy Cholesky pivots of (m, 4, 4) positive semidefinite rho.
-
-    Step j takes the largest diagonal entry of the Schur complement that the
-    steps before it leave, the first of equal ones, as LAPACK's pivoted
-    Cholesky ?pstrf does (Higham, 1990).
-    """
-    rows = np.arange(len(rho))
-    pivots = np.empty((len(rho), 4), dtype=int)
-    taken = np.zeros((len(rho), 4), dtype=bool)
-    s = rho
-    for j in range(4):
-        d = np.where(taken, -np.inf, s[:, range(4), range(4)].real)
-        k = pivots[:, j] = d.argmax(axis=-1)
-        taken[rows, k] = True
-        col = s[rows, :, k]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s = s - col[:, :, None] * (col.conj() / d[rows, k, None])[:, None, :]
-    return pivots
-
-
 def _pivoted_starts(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(orders, x): the (R, 4) basis orders and (R, 16) start parameters of fits from (R, 4, 4) Hermitian rho.
 
-    Each state is projected with the eigenvalue floor _MLE_START_FLOOR.  A
-    fit's order is the Cholesky pivot order of that state, last index first,
-    so that the first entry of T to fit is the largest diagonal of the state
-    rather than a fixed one that may vanish (rho_33 of the singlet), where
-    the map from T to rho is singular; x holds the parameters of the
-    lower-triangular T with T^dag T = the state in that order (flip,
-    Cholesky, flip back).
+    Each state is projected with the eigenvalue floor _MLE_START_FLOOR and
+    factored by LAPACK's pivoted Cholesky, rho[p][:, p] = L L^dag.  A fit's
+    order is p reversed, so that the first entry of T to fit is the largest
+    diagonal of the state rather than a fixed one that may vanish (rho_33
+    of the singlet), where the map from T to rho is singular; in that order
+    T = L^dag flipped along both axes, and x holds its parameters.  A state
+    that zpstrf finds rank-deficient raises LinAlgError.
     """
     rho = project_to_physical(rho, floor=_MLE_START_FLOOR)
-    orders = _pivot_orders(rho)[:, ::-1]
-    rows = np.arange(len(rho))[:, None, None]
-    chol = np.linalg.cholesky(_FLIP @ rho[rows, orders[:, :, None], orders[:, None, :]] @ _FLIP)
-    t = dagger(_FLIP @ chol @ _FLIP)
+    factors = [lapack.zpstrf(state, lower=1) for state in rho]  # (L, 1-based p, rank, info)
+    if any(rank < 4 for _, _, rank, _ in factors):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+    orders = np.array([pivots[::-1] - 1 for _, pivots, _, _ in factors])
+    t = dagger(np.tril([chol for chol, _, _, _ in factors]))[:, ::-1, ::-1]
     return orders, (t.reshape(-1, 1, 16) @ _X_OF_T)[:, 0].real
 
 

@@ -210,6 +210,23 @@ def test_histogram_rejects_non_finite_taus():
         ct.CoincidenceHistogram(bin_width_ps=20.0, taus_ps=taus, counts=np.ones(4, dtype=int))
 
 
+@pytest.mark.parametrize("field, build", [
+    pytest.param("bin_width_ps", lambda: ct.CoincidenceHistogram(
+        bin_width_ps=np.nan, taus_ps=np.arange(4.0), counts=np.ones(4)), id="bin_width_ps-nan"),
+    pytest.param("counts", lambda: ct.CoincidenceHistogram(
+        bin_width_ps=20.0, taus_ps=np.arange(4.0), counts=np.array([1.0, np.nan, 1.0, 1.0])), id="counts-nan"),
+    pytest.param("g2", lambda: ct.HbtModel(g2=np.nan), id="g2-nan"),
+    pytest.param("pulse_sep_ns", lambda: ct.HomModel(0.9, pulse_sep_ns=np.nan), id="pulse_sep_ns-nan"),
+    pytest.param("total_counts", lambda: ct.synth_histogram(ct.HbtModel(0.01), DOT_DECAY, total_counts=np.nan, seed=5),
+                 id="total_counts-nan"),
+    pytest.param("total_counts", lambda: ct.synth_histogram(ct.HbtModel(0.01), DOT_DECAY, total_counts=np.inf, seed=5),
+                 id="total_counts-inf"),
+])
+def test_non_finite_fields_are_refused_by_name(field, build):
+    with pytest.raises(ValueError, match=field):
+        build()
+
+
 def test_integrate_peaks_rejects_histogram_reaching_too_many_periods():
     # one stray far tau would otherwise make every repetition period up to it a peak center
     taus = np.append(np.arange(-5000.0, 5000.0, 20.0), 1e300)

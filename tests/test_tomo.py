@@ -250,7 +250,7 @@ def test_forms_of_every_order_give_the_outcome_traces(rng):
             assert np.max(np.abs(traces - expected)) <= 8 * np.finfo(float).eps, order
 
 
-def test_pivot_orders_follow_lapack_pstrf(rng):
+def test_pivoted_starts_factor_the_floored_state_in_lapack_pivot_order(rng):
     states = [tomo.psi_minus(), _mixed_product_state(), _hh_vv_mixture(), tomo.werner(0.9), tomo.maximally_mixed()]
     for rank in (4, 3, 2, 1):
         for _ in range(50):
@@ -258,11 +258,24 @@ def test_pivot_orders_follow_lapack_pstrf(rng):
             g[rng.random(4) < 0.25] = 0.0  # some zero rows: vanishing diagonal entries
             states.append(g @ g.conj().T)
     states.append(_product_state("H", "D"))
-    pivots = tomo._pivot_orders(np.array(states))
-    for rho, piv in zip(states, pivots):
-        expected, rank = lapack_pivots(rho)
-        assert sorted(piv) == [0, 1, 2, 3]
-        assert list(piv[:rank]) == list(expected[:rank])
+    states = np.array([rho / np.trace(rho).real for rho in states if np.trace(rho).real > 0])
+    floored = tomo.project_to_physical(states, floor=tomo._MLE_START_FLOOR)
+    orders, x = tomo._pivoted_starts(states)
+    for rho, order, params in zip(floored, orders, x):
+        expected, _ = lapack_pivots(rho)
+        assert list(order[::-1]) == list(expected)
+        oracle = ordered_params(rho, order)
+        assert np.linalg.norm(params - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+
+@pytest.mark.parametrize("state", ["psi-minus", "HH"])
+def test_pivoted_starts_refuse_a_rank_deficient_state(monkeypatch, state):
+    # with no floor these states stay rank 1, and zpstrf leaves the trailing
+    # block unfactored: no start may be built from it
+    monkeypatch.setattr(tomo, "_MLE_START_FLOOR", 0.0)
+    rho = tomo.psi_minus() if state == "psi-minus" else _product_state("H", "H")
+    with pytest.raises(np.linalg.LinAlgError):
+        tomo._pivoted_starts(rho[None])
 
 
 def _product_state(label1, label2):

@@ -148,6 +148,10 @@ def write_inputs(inputs: Path):
     # inputs unchanged
     (inputs / "records-werner-low.csv").write_text(
         records_csv(np.random.default_rng([SEED, 4]), werner(0.77), n_per_setting=200))
+    # 250 counts of every outcome: the linear inversion is I/4, whose equal
+    # diagonal entries leave the fit's basis order to tie-breaking
+    (inputs / "records-ties.csv").write_text(records[0] + "\n" + "".join(
+        f"{row.rsplit(',', 1)[0]},250\n" for row in records[1:]))
     records[5] = records[5].rsplit(",", 1)[0] + ",nan"
     (inputs / "bad-records.csv").write_text("\n".join(records) + "\n")
     for kind in ("g2", "hom"):
@@ -235,6 +239,8 @@ def calls():
                                  "--resamples", "100", "--seed", "7"]),
         ("reconstruct-werner-low", ["reconstruct", "--records", "inputs/records-werner-low.csv",
                                     "--resamples", "300", "--seed", "7"]),
+        ("reconstruct-ties", ["reconstruct", "--records", "inputs/records-ties.csv", "--target", "maximally-mixed",
+                              "--resamples", "100", "--seed", "7"]),
         ("truth-table-ZZ", ["truth-table", "--basis", "ZZ", "--overlap", "0.947"]),
         ("truth-table-XX", ["truth-table", "--basis", "XX", "--overlap", "0.947",
                             "--measured-fzz", "0.902", "--measured-fxx", "0.874"]),
