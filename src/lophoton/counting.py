@@ -95,8 +95,8 @@ class HbtModel:
     g2: float
 
     def __post_init__(self):
-        if not self.g2 >= 0:
-            raise ValueError("g2 must be nonnegative")
+        if not 0 <= self.g2 < np.inf:
+            raise ValueError("g2 must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -109,8 +109,8 @@ class HomModel:
     def __post_init__(self):
         if not 0.0 <= self.visibility <= 1.0:
             raise ValueError("visibility must lie in [0, 1]")
-        if not self.pulse_sep_ns > 0:
-            raise ValueError("pulse_sep_ns must be positive")
+        if not 0 < self.pulse_sep_ns < np.inf:
+            raise ValueError("pulse_sep_ns must be finite and positive")
 
 
 def _peak_layout(rep_period_ns, pulse_pair_sep_ns, kmax):

@@ -419,7 +419,17 @@ def spectral_diffusion_rate(delay_ns, p: DephasingParams):
     bad = ~(d >= 0)  # also catches NaN
     if bad.any():
         raise ValueError(f"delay must be >= 0, got {d[bad].flat[0]}")
-    return p.Gamma_sd_inv_ps * (1.0 - np.exp(-((d / p.tau_c_ns) ** 2)))
+    return p.Gamma_sd_inv_ps * (1.0 - np.exp(-_delay_ratio_sq(d, p.tau_c_ns)))
+
+
+def _delay_ratio_sq(delay_ns, tau_c_ns):
+    """x^2 = (delay / tau_c)^2 of delay_ns >= 0, with the delay capped at 30 tau_c.
+
+    Past the cap e^(-x^2) and x^2 e^(-x^2) are 0 in floating point, so the
+    spectral-diffusion terms keep their exact values, and x^2 cannot
+    overflow at any finite delay.
+    """
+    return (np.minimum(delay_ns, 30.0 * tau_c_ns) / tau_c_ns) ** 2
 
 
 def _phonon_factors(temps, p, partials):
@@ -485,7 +495,7 @@ def _visibility(temps, phonons, delay_ns, p, free):
     slope = (v / rate)[..., None]  # -dv / d(g_vp + g_sd)
     if free == _VS_T_FREE:
         return v, (gamma_half / rate)[..., None] * phonons[3] - slope * phonons[2]
-    x2 = (np.asarray(delay_ns, dtype=float) / p.tau_c_ns) ** 2
+    x2 = _delay_ratio_sq(np.asarray(delay_ns, dtype=float), p.tau_c_ns)
     decay = np.exp(-x2)
     return v, slope * np.stack([decay - 1.0, 2.0 * p.Gamma_sd_inv_ps * x2 * decay / p.tau_c_ns], axis=-1)
 

@@ -39,11 +39,12 @@ _count_table checks records and gives their 36 counts.
 
 Error bars come from Monte Carlo resampling: every outcome count is redrawn
 from a Poisson law at the observed value, the state is refit, and metric
-spreads are reported.  Resample seeds derive from the master seed through
-``numpy.random.SeedSequence(seed).spawn``, one child stream per resample.
-The resamples are drawn and scored 1000 at a time, their child seeds
-spawned block by block: one array of counts and one evaluation of the
-metrics per block.  Each refit starts one Newton step from the central
+spreads are reported.  The resamples come in order from one stream, a
+generator seeded with the first child of ``numpy.random.SeedSequence(seed)``
+(simulate_counts draws from the seed's own stream).  They are drawn and
+scored 1000 at a time, with one Poisson call and one evaluation of the
+metrics per block, so that a run of fewer resamples redraws the first ones
+of a longer run.  Each refit starts one Newton step from the central
 fit, which the caller passes in (Le Cam's one-step estimator): at the
 central optimum, floored like every start, the gradient is linear in the
 counts, so a start costs one vector-matrix product with a (36, 16) matrix
@@ -448,10 +449,10 @@ def _row_dot(vectors: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (vectors @ x[:, :, None])[..., 0]
 
 
-def _log_likelihoods(n: np.ndarray, x: np.ndarray, forms: _Forms) -> np.ndarray:
-    """Multinomial log-likelihoods of (m, 36) counts n at (m, 16) parameters x."""
+def _log_likelihoods(n: np.ndarray, q: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Multinomial log-likelihoods of (m, 36) counts n at (m, 16) parameters x, whose outcome traces are q."""
     with np.errstate(divide="ignore"):
-        terms = np.where(n > 0, n * np.log(_row_dot(_q_vectors(x, forms), x)), 0.0)
+        terms = np.where(n > 0, n * np.log(q), 0.0)
     return terms.sum(axis=-1) - n.sum(axis=-1) * np.log((x * x).sum(axis=-1))
 
 
@@ -468,22 +469,26 @@ def _newton_fit(n: np.ndarray, x: np.ndarray, forms: _Forms, max_iter: int) -> M
     """
     total = n.sum(axis=-1)
     x = x / np.linalg.norm(x, axis=-1, keepdims=True)
-    start_ll = _log_likelihoods(n, x, forms)
+    q = np.empty(n.shape)  # outcome traces at each fit's x, from its last Newton step
+    start_ll = np.empty(len(n))
     converged = np.zeros(len(n), dtype=bool)
     n_iter = np.zeros(len(n), dtype=int)
     decrement_sq = np.full(len(n), np.inf)
     active = np.arange(len(n))
     while active.size:
-        q, step, decrement = _newton_step(n[active], total[active], x[active], forms)
+        q[active], step, decrement = _newton_step(n[active], total[active], x[active], forms)
+        if not n_iter.any():  # the first pass, with every fit at its start
+            start_ll = _log_likelihoods(n, q, x)
         decrement_sq[active] = decrement
         converged[active] = decrement < _MLE_DECREMENT_TOL
         go = ~converged[active] & (n_iter[active] < max_iter)
         active = active[go]
-        moved, x_new = _line_search(n[active], total[active], x[active], q[go], step[go], forms)
+        moved, x_new = _line_search(n[active], total[active], x[active], q[active], step[go], forms)
         active = active[moved]
         x[active] = x_new / np.linalg.norm(x_new, axis=-1, keepdims=True)
         n_iter[active] += 1
-    log_likelihood = _log_likelihoods(n, x, forms)
+    # a fit leaves the loop at the x of its last step, so q is current
+    log_likelihood = _log_likelihoods(n, q, x)
     t = (x[:, None, :] @ _T_OF_X.T).reshape(len(n), 4, 4)
     rho = dagger(t) @ t
     rho /= np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
@@ -677,8 +682,9 @@ def monte_carlo_metrics(records, central: MleResult, target: np.ndarray, n_resam
     """Poisson-resampled reconstruction spread of every state metric.
 
     central is the caller's mle_reconstruct(records).  Each resample
-    redraws all 36 outcome counts ~ Poisson(observed), refits by maximum
-    likelihood from one Newton step off central.rho (see
+    redraws all 36 outcome counts ~ Poisson(observed), in order from one
+    stream seeded by the first child of SeedSequence(seed), refits by
+    maximum likelihood from one Newton step off central.rho (see
     _one_step_predictor) and recomputes the metrics; means and sample
     standard deviations over the resamples whose fit converged are
     reported, and refit_iterations counts each refit's Newton steps after
@@ -689,15 +695,16 @@ def monte_carlo_metrics(records, central: MleResult, target: np.ndarray, n_resam
         raise ValueError(f"n_resamples must be at least 100 for a usable spread, got {n_resamples}")
     observed = _count_table(records)
     predictor = _one_step_predictor(observed, central.rho)
-    seeds = np.random.SeedSequence(seed)
+    # a child of the seed, not the seed's own stream, from which
+    # simulate_counts draws the records that are resampled here
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     table = np.empty((n_resamples, len(fields(StateMetrics))))
     converged = np.empty(n_resamples, dtype=bool)
     iterations = np.empty(n_resamples, dtype=int)
     for lo in range(0, n_resamples, _MC_BLOCK):
-        # spawn continues the children's numbering from call to call
-        children = seeds.spawn(min(_MC_BLOCK, n_resamples - lo))
+        counts = rng.poisson(observed, size=(min(_MC_BLOCK, n_resamples - lo), observed.size))
         block = slice(lo, lo + _MC_BLOCK)
-        table[block], converged[block], iterations[block] = _resample_block(observed, children, target, predictor)
+        table[block], converged[block], iterations[block] = _resample_block(counts, target, predictor)
     n_not_converged = int(n_resamples - converged.sum())
     if n_not_converged > MAX_NOT_CONVERGED_FRACTION * n_resamples:
         raise NotConverged(
@@ -712,10 +719,9 @@ def monte_carlo_metrics(records, central: MleResult, target: np.ndarray, n_resam
     )
 
 
-def _resample_block(observed: np.ndarray, children, target: np.ndarray, predictor: _Predictor):
-    """(metric rows, convergence flags, iterations) of the refits of the resamples drawn from the child seeds."""
-    counts = np.array([np.random.default_rng(child).poisson(observed) for child in children])
-    per_setting = counts.reshape(len(children), 9, 4)
+def _resample_block(counts: np.ndarray, target: np.ndarray, predictor: _Predictor):
+    """(metric rows, convergence flags, iterations) of the refits of (R, 36) resampled counts."""
+    per_setting = counts.reshape(len(counts), 9, 4)
     per_setting[per_setting.sum(axis=-1) == 0] += 1  # keep the setting usable at tiny totals
     fits = _mle_fits(counts, *predictor.starts(counts))
     metrics = state_metrics(fits.rho, target)

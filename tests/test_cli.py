@@ -139,6 +139,23 @@ def test_visibility_vs_delay_curve(tmp_path):
     assert v1000 == pytest.approx(0.71, abs=1e-3)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    ("--mode", "vs_T", "--grid", "4:10:3", "--delay-ns", "1e300"),
+    ("--mode", "vs_dt", "--grid", "1e300:1e301:2"),
+], ids=["vs_T", "vs_dt"])
+def test_visibility_at_huge_delays_saturates_without_warning(tmp_path, argv):
+    p = em.DephasingParams(Gamma_sd_inv_ps=5e-4)
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps(asdict(p)))
+    code, out = run(tmp_path, "visibility", *argv, "--params", str(params))
+    assert code == 0
+    data = np.array([[float(x) for x in ln.split(",")] for ln in out.read_text().splitlines()[1:]])
+    temps = data[:, 0] if argv[1] == "vs_T" else 4.0
+    # 10^5 ns is 285 tau_c, where the spectral diffusion has saturated
+    assert len(data) >= 2 and np.all(data[:, 1] == em.tpi_visibility(temps, 1e5, p))
+
+
 def test_visibility_flat_when_coupling_zero(tmp_path):
     params = tmp_path / "p.json"
     params.write_text(

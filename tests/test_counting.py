@@ -216,7 +216,9 @@ def test_histogram_rejects_non_finite_taus():
     pytest.param("counts", lambda: ct.CoincidenceHistogram(
         bin_width_ps=20.0, taus_ps=np.arange(4.0), counts=np.array([1.0, np.nan, 1.0, 1.0])), id="counts-nan"),
     pytest.param("g2", lambda: ct.HbtModel(g2=np.nan), id="g2-nan"),
+    pytest.param("g2", lambda: ct.HbtModel(g2=np.inf), id="g2-inf"),
     pytest.param("pulse_sep_ns", lambda: ct.HomModel(0.9, pulse_sep_ns=np.nan), id="pulse_sep_ns-nan"),
+    pytest.param("pulse_sep_ns", lambda: ct.HomModel(0.9, pulse_sep_ns=np.inf), id="pulse_sep_ns-inf"),
     pytest.param("total_counts", lambda: ct.synth_histogram(ct.HbtModel(0.01), DOT_DECAY, total_counts=np.nan, seed=5),
                  id="total_counts-nan"),
     pytest.param("total_counts", lambda: ct.synth_histogram(ct.HbtModel(0.01), DOT_DECAY, total_counts=np.inf, seed=5),

@@ -534,6 +534,21 @@ def test_delay_partials_match_differences():
                                            np.ones((delays.size, 2), dtype=bool))
 
 
+def test_spectral_diffusion_saturates_without_overflow_at_any_delay():
+    # (delay / tau_c)^2 overflows past about 1e154 tau_c; its exponential,
+    # still subnormal at 27 tau_c, is 0 from about 27.3 tau_c on
+    p = em.DephasingParams(Gamma_sd_inv_ps=5e-4, tau_c_ns=1.0)
+    near, far = np.array([1.0, 27.0, 30.0, 31.0, 1e3]), np.array([1e160, 1e300, np.finfo(float).max])
+    with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise", divide="raise"):
+        warnings.simplefilter("error")
+        rates = em.spectral_diffusion_rate(np.concatenate([near, far]), p)
+        v, jac = _model_partials(np.asarray(4.0), np.concatenate([near, far]), p, em._VS_DT_FREE)
+    assert np.array_equal(rates[:near.size], p.Gamma_sd_inv_ps * (1.0 - np.exp(-near ** 2)))
+    assert rates[0] < p.Gamma_sd_inv_ps and np.all(rates[1:] == p.Gamma_sd_inv_ps)
+    assert np.isfinite(jac).all() and jac[1, 1] > 0.0
+    assert np.all(v[2:] == v[2]) and np.all(jac[2:] == jac[2]) and np.all(jac[2:, 1] == 0.0)
+
+
 # ---------------------------------------------------------------------------
 # fits with the exact Jacobian against fits with finite differences
 # ---------------------------------------------------------------------------

@@ -353,7 +353,7 @@ def _inversion_start_fits(counts):
 
 
 def _refit_counts(rho, n_per_setting, seed, child):
-    """The counts of one Monte Carlo refit: a Poisson redraw of seeded records, drawn as monte_carlo_metrics draws it."""
+    """A Poisson redraw of seeded records from the child-th child of SeedSequence(seed + 1000), a fixed case of a seeded sweep."""
     observed = tomo._count_table(tomo.simulate_counts(rho, n_per_setting, seed=seed))
     child_seed = np.random.SeedSequence(seed + 1000).spawn(child + 1)[child]
     return np.random.default_rng(child_seed).poisson(observed).astype(float)
@@ -475,8 +475,8 @@ def _serial_monte_carlo(records, target, n_resamples, seed):
     base = {(r.basis1, r.basis2): r for r in records}
     predictor = tomo._one_step_predictor(tomo._count_table(records), tomo.mle_reconstruct(records).rho)
     rows = []
-    for child in np.random.SeedSequence(seed).spawn(n_resamples):
-        rng = np.random.default_rng(child)
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    for _ in range(n_resamples):
         resampled = []
         for b1, b2 in tomo.SETTINGS:
             counts = rng.poisson(base[(b1, b2)].counts)
@@ -633,19 +633,35 @@ def test_bell_fits_run_in_full_stacks_of_one_order(monkeypatch, tmp_path):
     assert np.allclose((t.conj().T @ t)[inverse][:, inverse], floored, rtol=0, atol=1e-14)
 
 
-def test_child_seeds_are_spawned_block_by_block(monkeypatch):
-    requests = []
+def _monte_carlo_run(records, n_resamples):
+    return tomo.monte_carlo_metrics(records, tomo.mle_reconstruct(records), tomo.psi_minus(), n_resamples, seed=6)
 
-    class RecordingSeedSequence(np.random.SeedSequence):
-        def spawn(self, n_children):
-            requests.append(n_children)
-            return super().spawn(n_children)
+
+def test_monte_carlo_results_do_not_depend_on_the_block_size(monkeypatch):
+    records = tomo.simulate_counts(tomo.werner(0.9), 1000, seed=5)
+    runs = []
+    for block in (100, 1000):
+        monkeypatch.setattr(tomo, "_MC_BLOCK", block)
+        runs.append(_monte_carlo_run(records, 250))
+    for name in _METRICS:
+        assert getattr(runs[0], name) == getattr(runs[1], name), name
+    assert runs[0].n_not_converged == runs[1].n_not_converged
+    assert runs[0].refit_iterations.tobytes() == runs[1].refit_iterations.tobytes()
+
+
+def test_shorter_monte_carlo_runs_draw_the_first_resamples_of_longer_ones(monkeypatch):
+    resample_block, drawn = tomo._resample_block, {}
+
+    def recording_block(counts, target, predictor):
+        drawn.setdefault(n_resamples, []).append(counts.copy())
+        return resample_block(counts, target, predictor)
 
     records = tomo.simulate_counts(tomo.werner(0.9), 1000, seed=5)
-    monkeypatch.setattr(tomo, "_MC_BLOCK", 100)
-    monkeypatch.setattr(np.random, "SeedSequence", RecordingSeedSequence)
-    tomo.monte_carlo_metrics(records, tomo.mle_reconstruct(records), tomo.psi_minus(), 250, seed=6)
-    assert requests == [100, 100, 50]
+    monkeypatch.setattr(tomo, "_resample_block", recording_block)
+    for n_resamples in (100, 250):
+        _monte_carlo_run(records, n_resamples)
+    (short,), (long,) = drawn[100], drawn[250]
+    assert long.shape == (250, 36) and np.array_equal(short, long[:100])
 
 
 #: (state, counts per setting) of the refit gate sweep
