@@ -240,6 +240,9 @@ def cmd_fit(args):
 def _fit_trpl(args, x, y):
     if not 0.0 <= args.irf_width < np.inf:
         raise CliError(f"--irf-width must be finite and >= 0, got {args.irf_width}")
+    span = float(np.ptp(x))
+    if args.irf_width > span:
+        raise CliError(f"--irf-width must not exceed the {span} ps that the samples of --data span, got {args.irf_width}")
     p0 = None
     if args.init is not None:
         start = partial(replace, emitter.TRPL_START)

@@ -83,8 +83,12 @@ def test_a_fixed_work_probe_is_printed_where_a_file_has_one(tmp_path):
     assert lines[2].endswith("0.2000 (setup_s)") and lines[3].endswith("0.0375 (fixed work)")
 
 
-def test_the_host_probe_times_fixed_work_without_lophoton():
+def test_the_host_probe_times_fixed_work_without_lophoton(capsys):
     probe = _tool("host_probe")
     imports = [line for line in Path(probe.__file__).read_text().splitlines() if line.startswith(("import ", "from "))]
     assert imports and not [line for line in imports if "lophoton" in line]
-    assert 0.0 < probe.probe() < 60.0
+    assert probe.main() == 0
+    record = json.loads(capsys.readouterr().out)
+    assert 0.0 < record["value"] < 60.0
+    # about 1 with one BLAS thread, about 2 with OpenBLAS's default threads on 2 cores
+    assert 0.0 < record["after_eigensolve_cpu_ratio"] < 100.0

@@ -156,6 +156,26 @@ def test_visibility_at_huge_delays_saturates_without_warning(tmp_path, argv):
     assert len(data) >= 2 and np.all(data[:, 1] == em.tpi_visibility(temps, 1e5, p))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("width", ["1e-310", "1e-300", "1e-200"])
+def test_trpl_fit_with_a_vanishing_irf_is_the_fit_without_one(tmp_path, width):
+    (tmp_path / "none").mkdir()
+    code, out = run(tmp_path, *_fit_argv(tmp_path, "trpl", "--irf-width", width))
+    code_none, out_none = run(tmp_path / "none", *_fit_argv(tmp_path / "none", "trpl", "--irf-width", "0"))
+    assert code == code_none == 0
+    assert load(out)["params"] == load(out_none)["params"]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("width", ["2000.5", "1e20", "1e200", "1e300"])
+def test_trpl_irf_wider_than_the_trace_is_refused_by_name(tmp_path, capsys, width):
+    out = tmp_path / "fit.json"
+    assert main([*_fit_argv(tmp_path, "trpl", "--irf-width", width), "--out", str(out)]) == 2
+    assert not out.exists()
+    expected = f"--irf-width must not exceed the 2000.0 ps that the samples of --data span, got {float(width)}"
+    assert expected in capsys.readouterr().err
+
+
 def test_visibility_flat_when_coupling_zero(tmp_path):
     params = tmp_path / "p.json"
     params.write_text(

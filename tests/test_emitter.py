@@ -10,7 +10,8 @@ from scipy import optimize
 
 from lophoton import emitter as em
 
-from oracles import convolved_decay, quad_visibility, trapezoid_fc_factor, trapezoid_visibility, trapezoid_vp_rate
+from oracles import (convolved_decay, quad_fc_factor, quad_visibility, quad_vp_rate, trapezoid_fc_factor,
+                     trapezoid_visibility, trapezoid_vp_rate)
 
 DOT_DECAY = em.DecayParams(t1_ps=350.0, delta_inv_ps=em.fss_ueV_to_inv_ps(6.4))
 
@@ -248,6 +249,51 @@ def test_quadratures_match_trapezoid_oracle(temperature):
     assert em.virtual_phonon_rate(temperature, p) == pytest.approx(
         trapezoid_vp_rate(temperature, p, 300_000), rel=1e-6, abs=1e-18
     )
+
+
+@pytest.mark.parametrize("n", [em._FC_NODES, em._VP_NODES])
+def test_gauss_legendre_rule_integrates_polynomials_to_rounding(n):
+    nodes, weights = em._gauss_legendre(n)
+    assert nodes.shape == weights.shape == (n,)
+    assert 0.0 < nodes[0] and np.all(np.diff(nodes) > 0.0) and nodes[-1] < 1.0
+    assert np.all(nodes + nodes[::-1] == pytest.approx(1.0, abs=np.finfo(float).eps))
+    assert np.all(weights > 0.0)
+    assert np.sum(weights) == pytest.approx(1.0, rel=4 * np.finfo(float).eps)
+    # Int_0^1 x^k dx = 1/(k+1) for every degree the rule is exact for, to
+    # 4 (k + 1) eps relative: rounding a node alone moves x^k by up to k/2 ulp.
+    # leggauss's 128-node rule is off by 13 (k + 1) eps at k = 34
+    k = np.arange(2 * n)
+    sums = np.sum(weights * nodes ** k[:, None], axis=1)
+    assert np.all(np.abs(sums * (k + 1) - 1.0) <= 4 * (k + 1) * np.finfo(float).eps)
+
+
+def test_gauss_legendre_rules_are_built_without_an_eigensolve(monkeypatch):
+    import scipy.linalg
+    from scipy import special
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a quadrature rule was built through an eigensolve")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+    monkeypatch.setattr(special, "roots_legendre", refuse)
+    for module in (np.linalg, scipy.linalg):
+        for name in dir(module):
+            if name.startswith("eig"):
+                monkeypatch.setattr(module, name, refuse)
+    em._gauss_legendre.cache_clear()
+    for n in (em._FC_NODES, em._VP_NODES):
+        assert em._gauss_legendre(n)[0].shape == (n,)
+
+
+@pytest.mark.parametrize("cold", [False, True], ids=["default", "cold"])
+def test_quadratures_match_adaptive_oracles_to_3e_14(cold):
+    # the documented error bound of both phonon sums, over 0.1-300 K
+    p = em.DephasingParams(**_golden_tool().COLD_DEPHASING) if cold else em.DephasingParams()
+    temps = np.geomspace(0.1, 300.0, 25)
+    fc = np.array([quad_fc_factor(t, p) for t in temps])
+    vp = np.array([quad_vp_rate(t, p) for t in temps])
+    assert np.max(np.abs(em.franck_condon_factor(temps, p) / fc - 1.0)) <= 3e-14
+    assert np.max(np.abs(em.virtual_phonon_rate(temps, p) / vp - 1.0)) <= 3e-14
 
 
 def test_spectral_diffusion_rate_shape():

@@ -8,6 +8,15 @@ kernels of the maximum-likelihood fits.  It imports nothing from lophoton,
 so it does the same work in every checkout, and its value compares hosts
 (or one host at two times) where a benchmark's own figures, which run the
 code under test, cannot.
+
+The object's after_eigensolve_cpu_ratio says whether the host slows the
+code that follows a BLAS call: the process CPU time of a fixed pure-Python
+loop run right after a 128 x 128 eigvalsh, over that of the same loop
+after 0.3 s idle (median of REPEATS pairs).  Process CPU time counts every
+thread, so BLAS worker threads that keep spinning after the call raise the
+ratio above 1: on a 2-core VM with OpenBLAS's default threads it read
+about 2, and about 1 with OPENBLAS_NUM_THREADS=1.  Set-up times that
+include such a call vary with it.
 """
 
 from __future__ import annotations
@@ -42,9 +51,31 @@ def probe() -> float:
     return statistics.median(times)
 
 
+def _loop_cpu_s() -> float:
+    """Process CPU seconds of a fixed pure-Python loop."""
+    start = time.process_time()
+    total = 0
+    for i in range(200_000):
+        total += i * i
+    return time.process_time() - start
+
+
+def after_eigensolve_cpu_ratio() -> float:
+    """Median of REPEATS ratios: the loop's CPU time right after an eigvalsh over its time after 0.3 s idle."""
+    m = np.random.default_rng(SEED).standard_normal((128, 128))
+    a = m + m.T
+    ratios = []
+    for _ in range(REPEATS):
+        np.linalg.eigvalsh(a)
+        after = _loop_cpu_s()
+        time.sleep(0.3)
+        ratios.append(after / _loop_cpu_s())
+    return statistics.median(ratios)
+
+
 def main() -> int:
     print(json.dumps({"tool": "tools/host_probe.py", "statistic": f"median of {REPEATS}", "unit": "s",
-                      "value": probe()}))
+                      "value": probe(), "after_eigensolve_cpu_ratio": after_eigensolve_cpu_ratio()}))
     return 0
 
 
