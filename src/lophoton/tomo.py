@@ -55,6 +55,14 @@ takes 1 step.  The first pass of a block runs in the central fit's basis
 order, in stacks of at most 100 fits; a refit still running after 20
 steps repivots like any fit.  Every product is computed fit by fit, so
 that the results depend on neither the block nor the stack size.
+
+The fits of one _mle_fits call, every pass, stack and Newton step of them,
+write their stack-sized products into one workspace (_Work, 1.7 MB for a
+stack of 100).  Arrays of a few hundred KB, allocated and freed at every
+step, are above the sizes at which glibc's malloc maps fresh pages and
+trims them back, so each step faulted them in again: about 10,800 minor
+page faults per seeded bell call of 1000 resamples, against about 600
+with the workspace, most of them its first touch.
 """
 
 from __future__ import annotations
@@ -304,8 +312,7 @@ _MLE_START_FLOOR = 1e-6
 #: steps after which a fit still running starts again from its current state
 _MLE_REPIVOT_STEPS = 20
 #: most fits of one basis order in one _newton_fit stack: enough to amortise
-#: the numpy calls of a Newton step, few enough to bound its (m, 36, 16) and
-#: (m, 16, 16) temporaries
+#: the numpy calls of a Newton step, few enough to bound its _Work
 _FIT_STACK = 100
 
 
@@ -360,13 +367,14 @@ def _mle_fits(n: np.ndarray, orders: np.ndarray, x: np.ndarray) -> MleResult:
     """
     n = np.asarray(n, dtype=float)
     steps = min(_MLE_REPIVOT_STEPS, _MLE_MAX_ITER)
-    fit = _fits(n, orders, x, steps)
+    work = _Work.empty(min(len(n), _FIT_STACK))
+    fit = _fits(n, orders, x, steps, work)
     out = {f.name: getattr(fit, f.name) for f in fields(MleResult)}
     start_ll = fit.log_likelihood - fit.log_likelihood_gain
     todo = np.flatnonzero(~fit.converged & (fit.n_iter == steps))
     while todo.size and steps < _MLE_MAX_ITER:
         budget = min(_MLE_REPIVOT_STEPS, _MLE_MAX_ITER - steps)
-        fit = _fits(n[todo], *_pivoted_starts(out["rho"][todo]), budget)
+        fit = _fits(n[todo], *_pivoted_starts(out["rho"][todo]), budget, work)
         for name, value in out.items():
             value[todo] = getattr(fit, name)
         out["n_iter"][todo] += steps
@@ -376,10 +384,11 @@ def _mle_fits(n: np.ndarray, orders: np.ndarray, x: np.ndarray) -> MleResult:
     return MleResult(**out)
 
 
-def _fits(n: np.ndarray, orders: np.ndarray, x: np.ndarray, max_iter: int) -> MleResult:
+def _fits(n: np.ndarray, orders: np.ndarray, x: np.ndarray, max_iter: int, work: _Work) -> MleResult:
     """_newton_fit of (R, 36) counts n from (R, 16) parameters x in the (R, 4) basis orders, results in input order.
 
-    The fits are grouped by order and run in stacks of at most _FIT_STACK.
+    The fits are grouped by order and run in stacks of at most _FIT_STACK,
+    every stack in work, which holds at least min(R, _FIT_STACK) fits.
     """
     keys = orders @ (64, 16, 4, 1)
     indices, fits = [], []
@@ -389,7 +398,7 @@ def _fits(n: np.ndarray, orders: np.ndarray, x: np.ndarray, max_iter: int) -> Ml
         for lo in range(0, len(same), _FIT_STACK):
             stack = same[lo:lo + _FIT_STACK]
             indices.append(stack)
-            fits.append(_newton_fit(n[stack], x[stack], forms, max_iter))
+            fits.append(_newton_fit(n[stack], x[stack], forms, max_iter, work))
     back = np.argsort(np.concatenate(indices))
     return MleResult(*(np.concatenate([getattr(fit, f.name) for fit in fits])[back] for f in fields(MleResult)))
 
@@ -422,11 +431,12 @@ def _one_step_predictor(observed: np.ndarray, rho: np.ndarray) -> _Predictor:
     n = np.asarray(observed, dtype=float)[None]
     (order,), x = _pivoted_starts(rho[None])
     forms = _forms(tuple(order))
+    work = _Work.empty(1)
     x /= np.linalg.norm(x, axis=-1, keepdims=True)
-    q, _, hess = _derivatives(n, n.sum(axis=-1), x, forms)
+    q, _, hess = _derivatives(n, n.sum(axis=-1), x, forms, work)
     # row k: the gradient of one count of outcome k, that outcome's term in
     # _derivatives' gradient, orthogonal to x
-    a = 2.0 * (x - _q_vectors(x, forms)[0] / q[0, :, None])
+    a = 2.0 * (x - _q_vectors(x, forms, work)[0] / q[0, :, None])
     x = x[0]
     # along x, H is the damping shift alone, so the solve scales the
     # rounding of a along x by 1 / shift; f is constant along x, so that
@@ -437,11 +447,32 @@ def _one_step_predictor(observed: np.ndarray, rho: np.ndarray) -> _Predictor:
 # Every product below is taken per fit (a stacked matmul, an elementwise
 # operation or a sum along one fit's row), never as one matrix product over
 # the stack, so that a fit's arithmetic does not depend on which other fits
-# share its stack.
+# share its stack.  The stack-sized ones are written into a _Work.
 
-def _q_vectors(x: np.ndarray, forms: _Forms) -> np.ndarray:
-    """(m, 36, 16) vectors Q_k @ x_r of (m, 16) parameters x."""
-    return (x[:, None, :] @ forms.rows).reshape(len(x), 36, 16)
+class _Work(NamedTuple):
+    """Buffers for the stack-sized products of a Newton step on up to M fits; m fits use the first m rows.
+
+    One serves every pass, stack and step of an _mle_fits call, so that no
+    step allocates an array of a few hundred KB (see the module docstring).
+    """
+
+    qx: np.ndarray  # (M, 1, 576): the Q_k @ x of _q_vectors
+    weighted: np.ndarray  # (M, 36, 16): Q_k @ x weighted by n_k / q_k^2
+    hess: np.ndarray  # (M, 16, 16), with proj and product below
+    proj: np.ndarray
+    product: np.ndarray
+    sums_w: np.ndarray  # (M, 256, 1): sums @ w
+
+    @classmethod
+    def empty(cls, size: int) -> _Work:
+        return cls(np.empty((size, 1, 576)), np.empty((size, 36, 16)), *(np.empty((size, 16, 16)) for _ in range(3)),
+                   np.empty((size, 256, 1)))
+
+
+def _q_vectors(x: np.ndarray, forms: _Forms, work: _Work) -> np.ndarray:
+    """(m, 36, 16) vectors Q_k @ x_r of (m, 16) parameters x, in work.qx."""
+    m = len(x)
+    return np.matmul(x[:, None, :], forms.rows, out=work.qx[:m]).reshape(m, 36, 16)
 
 
 def _row_dot(vectors: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -456,7 +487,7 @@ def _log_likelihoods(n: np.ndarray, q: np.ndarray, x: np.ndarray) -> np.ndarray:
     return terms.sum(axis=-1) - n.sum(axis=-1) * np.log((x * x).sum(axis=-1))
 
 
-def _newton_fit(n: np.ndarray, x: np.ndarray, forms: _Forms, max_iter: int) -> MleResult:
+def _newton_fit(n: np.ndarray, x: np.ndarray, forms: _Forms, max_iter: int, work: _Work) -> MleResult:
     """Damped Newton fits of (R, 36) counts n from (R, 16) start parameters x, in the basis order of forms.
 
     Returns one MleResult whose fields are arrays over the R fits, with rho
@@ -465,7 +496,8 @@ def _newton_fit(n: np.ndarray, x: np.ndarray, forms: _Forms, max_iter: int) -> M
     negative log-likelihood of rho = T^dag T / |x|^2, which is constant
     along x.  A fit leaves the stack once its squared Newton decrement is
     below _MLE_DECREMENT_TOL (converged), or once it reaches max_iter steps
-    or its line search fails (not converged).
+    or its line search fails (not converged).  Every step runs in work,
+    which holds at least R fits.
     """
     total = n.sum(axis=-1)
     x = x / np.linalg.norm(x, axis=-1, keepdims=True)
@@ -476,14 +508,14 @@ def _newton_fit(n: np.ndarray, x: np.ndarray, forms: _Forms, max_iter: int) -> M
     decrement_sq = np.full(len(n), np.inf)
     active = np.arange(len(n))
     while active.size:
-        q[active], step, decrement = _newton_step(n[active], total[active], x[active], forms)
+        q[active], step, decrement = _newton_step(n[active], total[active], x[active], forms, work)
         if not n_iter.any():  # the first pass, with every fit at its start
             start_ll = _log_likelihoods(n, q, x)
         decrement_sq[active] = decrement
         converged[active] = decrement < _MLE_DECREMENT_TOL
         go = ~converged[active] & (n_iter[active] < max_iter)
         active = active[go]
-        moved, x_new = _line_search(n[active], total[active], x[active], q[active], step[go], forms)
+        moved, x_new = _line_search(n[active], total[active], x[active], q[active], step[go], forms, work)
         active = active[moved]
         x[active] = x_new / np.linalg.norm(x_new, axis=-1, keepdims=True)
         n_iter[active] += 1
@@ -497,26 +529,28 @@ def _newton_fit(n: np.ndarray, x: np.ndarray, forms: _Forms, max_iter: int) -> M
     return MleResult(rho, log_likelihood, converged, n_iter, decrement_sq, log_likelihood - start_ll)
 
 
-def _newton_step(n: np.ndarray, total: np.ndarray, x: np.ndarray, forms: _Forms):
+def _newton_step(n: np.ndarray, total: np.ndarray, x: np.ndarray, forms: _Forms, work: _Work):
     """(q, step, squared Newton decrement) of the fits at (m, 16) parameters x with |x| = 1.
 
     The step solves H d = -g for the g and H of _derivatives.
     """
-    q, grad, hess = _derivatives(n, total, x, forms)
+    q, grad, hess = _derivatives(n, total, x, forms, work)
     step = -np.linalg.solve(hess, grad[:, :, None])[..., 0]
     return q, step, -(grad * step).sum(axis=-1)
 
 
-def _derivatives(n: np.ndarray, total: np.ndarray, x: np.ndarray, forms: _Forms):
+def _derivatives(n: np.ndarray, total: np.ndarray, x: np.ndarray, forms: _Forms, work: _Work):
     """(q, P g, P H P + shift) of the fits at (m, 16) parameters x with |x| = 1.
 
     q holds the outcome traces, g and H are the exact gradient and Hessian
     of f and P is the projector off x.  The shift is _MLE_DAMPING times the
     total count; where that shifted matrix fails a Cholesky test, the shift
-    grows by -2 v, v the lowest (negative) eigenvalue of P H P.
+    grows by -2 v, v the lowest (negative) eigenvalue of P H P.  The
+    returned Hessian is a view of work, valid until work is next used.
     """
-    eye = np.eye(16)
-    qx = _q_vectors(x, forms)
+    m, diag = len(x), (slice(None), range(16), range(16))
+    hess, proj, product = work.hess[:m], work.proj[:m], work.product[:m]
+    qx = _q_vectors(x, forms, work)
     q = _row_dot(qx, x)
     with np.errstate(divide="ignore", invalid="ignore"):
         w = np.where(n > 0, n / q, 0.0)
@@ -524,21 +558,28 @@ def _derivatives(n: np.ndarray, total: np.ndarray, x: np.ndarray, forms: _Forms)
     # at |x| = 1 the N log |x|^2 term adds 2N x to g and 2N (I - 2 x x^T) to
     # H, whose x x^T part the projection removes
     grad = 2.0 * (total[:, None] * x - (w[:, None, :] @ qx)[:, 0])
-    hess = 4.0 * qx.swapaxes(1, 2) @ (w2[:, :, None] * qx) - 2.0 * (forms.sums @ w[:, :, None]).reshape(-1, 16, 16)
-    hess += 2.0 * total[:, None, None] * eye
-    proj = eye - x[:, :, None] * x[:, None, :]
+    # hess = 4 Q^T diag(w2) Q - 2 sum_k w_k Q_k + 2N I; the powers of two scale exactly
+    np.matmul(qx.swapaxes(1, 2), np.multiply(w2[:, :, None], qx, out=work.weighted[:m]), out=hess)
+    hess *= 4.0
+    sums_w = np.matmul(forms.sums, w[:, :, None], out=work.sums_w[:m])
+    sums_w *= 2.0
+    hess -= sums_w.reshape(m, 16, 16)
+    hess[diag] += 2.0 * total[:, None]
+    np.subtract(np.eye(16), np.multiply(x[:, :, None], x[:, None, :], out=proj), out=proj)
     grad = _row_dot(proj, grad)
-    hess = proj @ hess @ proj
+    np.matmul(np.matmul(proj, hess, out=product), proj, out=hess)
     damping = _MLE_DAMPING * total
-    hess = 0.5 * (hess + hess.swapaxes(1, 2)) + damping[:, None, None] * eye
+    hess = np.add(hess, hess.swapaxes(1, 2), out=product)  # symmetrised, now in product
+    hess *= 0.5
+    hess[diag] += damping[:, None]
     bad = [i for i, h in enumerate(hess) if lapack.dpotrf(h, lower=True, clean=False)[1] != 0]
     if bad:
         lowest = np.linalg.eigvalsh(hess[bad])[:, 0]
-        hess[bad] += (2.0 * (damping[bad] - lowest))[:, None, None] * eye
+        hess[bad] += (2.0 * (damping[bad] - lowest))[:, None, None] * np.eye(16)
     return q, grad, hess
 
 
-def _line_search(n, total, x, q, step, forms):
+def _line_search(n, total, x, q, step, forms, work):
     """(moved, x_new): x + 2^-j step for the least j at which f does not increase.
 
     moved flags the fits that found such a j within _MLE_MAX_HALVINGS
@@ -552,7 +593,7 @@ def _line_search(n, total, x, q, step, forms):
     for halvings in range(_MLE_MAX_HALVINGS + 1):
         s = 0.5 ** halvings * step[pending]
         both = 2.0 * x[pending] + s
-        dq = _row_dot(_q_vectors(s, forms), both)  # q(x + s) - q(x)
+        dq = _row_dot(_q_vectors(s, forms, work), both)  # q(x + s) - q(x)
         with np.errstate(divide="ignore", invalid="ignore"):
             terms = np.where(n[pending] > 0, n[pending] * np.log1p(dq / q[pending]), 0.0)
         change = total[pending] * np.log1p((s * both).sum(axis=-1)) - terms.sum(axis=-1)

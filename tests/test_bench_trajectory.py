@@ -92,3 +92,6 @@ def test_the_host_probe_times_fixed_work_without_lophoton(capsys):
     assert 0.0 < record["value"] < 60.0
     # about 1 with one BLAS thread, about 2 with OpenBLAS's default threads on 2 cores
     assert 0.0 < record["after_eigensolve_cpu_ratio"] < 100.0
+    faults = record["stack_temporaries_minor_faults"]
+    assert set(faults) == {"temporaries", "out_buffers"}
+    assert all(0.0 <= count < float("inf") for count in faults.values())

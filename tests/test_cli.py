@@ -16,6 +16,9 @@ from conftest import (HISTOGRAM_COLUMNS, XY_COLUMNS, assert_columns_match_row_lo
                       write_records_csv)
 from oracles import convolved_decay
 
+#: a floating-point warning on any CLI path fails the test that meets it
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def run(tmp_path, *argv):
     out = tmp_path / "out"
@@ -843,3 +846,31 @@ def test_fuzzed_inputs_give_an_exit_code(target, data):
         if code != 0:
             assert not out.exists()
             assert not list(tmp.glob(".lophoton-*"))
+
+
+#: argv edge values of the numeric flags, the integral ones also spelt as
+#: integers for the int flags
+EDGE_VALUES = ["nan", "inf", "-inf", "0", "-0", "-1", "1", "1e300", "1e-300", "0.5", "2", "1e15", "1e17", "1e20",
+               str(10**15), str(10**17), str(10**20)]
+#: a valid bell run whose flags the fuzzer replaces; --resamples stays in
+#: {0, 100, 200}, so that no example starts a long run
+BELL_FLAGS = {"--overlap": "0.9", "--counts-per-setting": "2000", "--resamples": "0", "--seed": "1"}
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_fuzzed_bell_flags_give_an_exit_code(data):
+    argv = ["bell"]
+    for flag, valid in BELL_FLAGS.items():
+        values = st.sampled_from(["0", "100", "200"] if flag == "--resamples" else EDGE_VALUES)
+        argv += [flag, data.draw(st.just(valid) | values, label=flag)]
+    with tempfile.TemporaryDirectory() as d:
+        out = Path(d) / "out.json"
+        try:
+            code = main([*argv, "--out", str(out)])
+        except SystemExit as e:  # argparse refuses a value with exit 2
+            code = e.code
+        assert code in (0, 2, 3, 4)
+        if code != 0:
+            assert not out.exists()

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -228,7 +229,7 @@ def test_mle_iteration_cap_flags_not_converged(monkeypatch):
 
 def test_mle_failed_line_search_flags_not_converged(monkeypatch):
     records = tomo.simulate_counts(tomo.werner(0.8), 10_000, seed=5)
-    monkeypatch.setattr(tomo, "_line_search", lambda n, total, x, q, step, forms: (np.zeros(len(x), dtype=bool), x[:0]))
+    monkeypatch.setattr(tomo, "_line_search", lambda n, total, x, q, step, forms, work: (np.zeros(len(x), dtype=bool), x[:0]))
     res = tomo.mle_reconstruct(records)
     assert not res.converged and res.n_iter == 0
     assert res.decrement_sq >= tomo._MLE_DECREMENT_TOL
@@ -340,11 +341,60 @@ def test_fits_come_back_in_input_order_as_if_run_alone(monkeypatch):
     keys, sizes = np.unique(orders, axis=0, return_counts=True)
     monkeypatch.setattr(tomo, "_FIT_STACK", 2)
     assert len(keys) >= 3 and sizes.min() > tomo._FIT_STACK
-    fits = tomo._fits(counts, orders, x, tomo._MLE_REPIVOT_STEPS)
+    fits = tomo._fits(counts, orders, x, tomo._MLE_REPIVOT_STEPS, tomo._Work.empty(tomo._FIT_STACK))
     for r in range(len(counts)):
-        alone = tomo._newton_fit(counts[r:r + 1], x[r:r + 1], tomo._forms(tuple(orders[r])), tomo._MLE_REPIVOT_STEPS)
+        forms = tomo._forms(tuple(orders[r]))
+        alone = tomo._newton_fit(counts[r:r + 1], x[r:r + 1], forms, tomo._MLE_REPIVOT_STEPS, tomo._Work.empty(1))
         for field in dataclasses.fields(tomo.MleResult):
             assert getattr(fits, field.name)[r:r + 1].tobytes() == getattr(alone, field.name).tobytes(), (r, field.name)
+
+
+@pytest.mark.parametrize("stack", [7, 100])
+def test_a_reused_workspace_leaves_no_stale_data(monkeypatch, stack):
+    """_fits of 150 fits, then of 40 others, through one workspace: each as through a fresh workspace.
+
+    The shared workspace starts full of NaN, so a buffer read before it is
+    written shows; both runs end in a partial stack, a shorter prefix of
+    the buffers than the stacks before it.
+    """
+    monkeypatch.setattr(tomo, "_FIT_STACK", stack)
+    runs = []
+    for state, n_per_setting, size, seed in (("werner-0.77", 200, 150, 91), ("H-D", 2000, 40, 92)):
+        observed = tomo._count_table(tomo.simulate_counts(_named_state(state), n_per_setting, seed=seed))
+        counts = np.random.default_rng(seed).poisson(observed, size=(size, 36)).astype(float)
+        runs.append((counts, *tomo._pivoted_starts(tomo._inversion(counts))))
+    shared = tomo._Work.empty(stack)
+    for buffer in shared:
+        buffer.fill(np.nan)
+    for counts, orders, x in runs:
+        reused = tomo._fits(counts, orders, x, tomo._MLE_REPIVOT_STEPS, shared)
+        fresh = tomo._fits(counts, orders, x, tomo._MLE_REPIVOT_STEPS, tomo._Work.empty(min(len(counts), stack)))
+        for field in dataclasses.fields(tomo.MleResult):
+            assert getattr(reused, field.name).tobytes() == getattr(fresh, field.name).tobytes(), field.name
+
+
+def test_a_newton_fit_allocates_no_stack_sized_temporaries():
+    """100 bell-like refits in a workspace built beforehand: the traced peak stays below two (100, 16, 16) arrays.
+
+    Every step allocated (100, 36, 16) and (100, 16, 16) temporaries, a
+    traced peak of about 1.8 MB, before they were written into the
+    workspace.
+    """
+    observed = _refit_case_counts("psi-minus", 1_000_000)
+    predictor = tomo._one_step_predictor(observed, _inversion_start_fits(observed[None]).rho[0])
+    counts = np.random.default_rng(73).poisson(observed, size=(100, 36)).astype(float)
+    _, x = predictor.starts(counts)
+    forms, work = tomo._forms(tuple(predictor.order)), tomo._Work.empty(100)
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        fit = tomo._newton_fit(counts, x, forms, tomo._MLE_REPIVOT_STEPS, work)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert fit.converged.all()
+    assert peak - start < 2 * work.hess.nbytes
 
 
 def _inversion_start_fits(counts):
@@ -572,9 +622,9 @@ def test_monte_carlo_identical_for_every_stack_size(monkeypatch):
     central = tomo.mle_reconstruct(records)
     newton_fit, orders = tomo._newton_fit, []
 
-    def recording(n, x, forms, max_iter):
+    def recording(n, x, forms, max_iter, work):
         orders.append((sizes, forms.inverse.tobytes()))
-        return newton_fit(n, x, forms, max_iter)
+        return newton_fit(n, x, forms, max_iter, work)
 
     monkeypatch.setattr(tomo, "_newton_fit", recording)
     results = []
@@ -606,9 +656,9 @@ def test_bell_output_identical_for_every_stack_size(monkeypatch, tmp_path):
 def test_bell_fits_run_in_full_stacks_of_one_order(monkeypatch, tmp_path):
     newton_fit, one_step_predictor, stacks, predictors = tomo._newton_fit, tomo._one_step_predictor, [], []
 
-    def recording_stack(n, x, forms, max_iter):
+    def recording_stack(n, x, forms, max_iter, work):
         stacks.append((tuple(np.argsort(forms.inverse).tolist()), [row.tobytes() for row in n]))
-        return newton_fit(n, x, forms, max_iter)
+        return newton_fit(n, x, forms, max_iter, work)
 
     def recording_predictor(observed, rho):
         predictors.append(one_step_predictor(observed, rho))
@@ -710,7 +760,7 @@ def test_the_observed_counts_start_one_newton_step_from_the_floored_central_fit(
     assert np.allclose((t.conj().T @ t)[inverse][:, inverse], central, rtol=0, atol=1e-14)
     n = observed[None].astype(float)
     forms = tomo._forms(tuple(predictor.order))
-    _, step, _ = tomo._newton_step(n, n.sum(axis=-1), predictor.x[None], forms)
+    _, step, _ = tomo._newton_step(n, n.sum(axis=-1), predictor.x[None], forms, tomo._Work.empty(1))
     # f is constant along x, where the Newton step holds only rounding
     # scaled by 1 / (the damping shift) and the predicted step nothing
     along_x = np.outer(predictor.x, predictor.x)
