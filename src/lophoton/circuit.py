@@ -53,10 +53,6 @@ TRUTH_TABLE_BASES = {
 _SV_TOL = 1e-12
 
 
-class ZeroSuccessProbability(ValueError):
-    """Post-selected state undefined: coincidence probability is zero."""
-
-
 @dataclass(frozen=True)
 class LinearElement:
     """One linear-optical element with its 4x4 mode-transfer matrix."""
@@ -218,7 +214,7 @@ def coincidence_evolve(elements: list[LinearElement], inp: TwoPhotonInput) -> Po
     m = inp.overlap
     p = m * p_ind + (1.0 - m) * p_dist
     if p < 1e-15:
-        raise ZeroSuccessProbability("coincidence probability below 1e-15")
+        raise ValueError("coincidence probability below 1e-15")
     rho = (m * rho_ind + (1.0 - m) * rho_dist) / p
     rho = 0.5 * (rho + rho.conj().T)  # scrub float asymmetry
     return PostSelectedState(rho=rho, success_prob=p)

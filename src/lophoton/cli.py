@@ -6,16 +6,18 @@ library versions; the seed comes from --seed, else the LOPHOTON_SEED
 environment variable, else DEFAULT_SEED.  Results are written atomically
 (temp file + rename), so a failed run leaves no partial output.
 
-Exit codes: 0 success, 2 invalid arguments or malformed input files,
-3 state reconstruction failure, 4 model fit divergence.  main is the one
-place where an exception becomes an exit code.  It builds the argument
-parser on its first call and reuses it on every later call in the process.
+Exit codes: 0 success, 2 invalid arguments or malformed input files (a
+ValueError or OSError), 3 state reconstruction failure (tomo.NotConverged),
+4 model fit divergence (emitter.FitDiverged).  main is the one place where
+an exception becomes an exit code.  It builds the argument parser on its
+first call and reuses it on every later call in the process.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -35,7 +37,7 @@ EXIT_RECONSTRUCTION = 3
 EXIT_FIT = 4
 
 
-#: keys of a dephasing-parameter file, and of a vis_T/vis_dt start-value file
+#: keys of a dephasing-parameter file
 _DEPHASING_KEYS = tuple(f.name for f in fields(emitter.DephasingParams))
 
 
@@ -45,10 +47,6 @@ _ANALYZE_WINDOW_PS = {"g2": 2000.0, "hom": 600.0}
 #: most points of a visibility --grid; the curve's arrays and CSV text grow
 #: with it (10^7 points write about 400 MB)
 _MAX_GRID_POINTS = 10**7
-
-
-class CliError(ValueError):
-    """Invalid arguments (exit 2)."""
 
 
 def _json_default(obj):
@@ -92,12 +90,22 @@ def _load_dephasing_params(path):
     return io.read_json_numbers(path, _DEPHASING_KEYS, (), emitter.DephasingParams)
 
 
+def _read_init(args, keys, build):
+    """build(**start values) of the --init file, whose keys must be among keys."""
+    try:
+        return io.read_json_numbers(args.init, keys, (), build)
+    except ValueError as e:
+        raise ValueError(f"--init of a {args.kind} fit: {e}") from None
+
+
 def _parse_grid(text, log):
     try:
         start, stop, count = text.split(":")
         start, stop = float(start), float(stop)
     except ValueError:
         raise ValueError(f"--grid must be start:stop:num, got {text!r}") from None
+    if not math.isfinite(stop - start):  # also nan or inf at either end
+        raise ValueError(f"--grid {text!r}: start and stop must be finite numbers a finite distance apart")
     try:
         num = int(count)
     except ValueError:
@@ -137,7 +145,7 @@ def cmd_truth_table(args):
         "success_prob_mean": float(np.mean(list(succ.values()))),
     }
     if (args.measured_fzz is None) != (args.measured_fxx is None):
-        raise CliError("--measured-fzz and --measured-fxx must be given together")
+        raise ValueError("--measured-fzz and --measured-fxx must be given together")
     if args.measured_fzz is not None:
         lo, hi = tomo.hofmann_bounds(args.measured_fzz, args.measured_fxx)
         payload["hofmann_bounds_measured"] = {
@@ -152,7 +160,7 @@ def cmd_truth_table(args):
 
 def _seed(args):
     if args.seed < 0:
-        raise CliError(f"--seed (or LOPHOTON_SEED) must be non-negative, got {args.seed}")
+        raise ValueError(f"--seed (or LOPHOTON_SEED) must be non-negative, got {args.seed}")
     return args.seed
 
 
@@ -191,7 +199,7 @@ def _reconstruction_payload(records, target, args):
 
 def cmd_bell(args):
     if not 0 < args.counts_per_setting < 2**63:
-        raise CliError("--counts-per-setting must be positive and below 2**63")
+        raise ValueError("--counts-per-setting must be positive and below 2**63")
     elements = circuit.build_cnot()
     prepared = circuit.coincidence_evolve(
         elements,
@@ -232,21 +240,21 @@ def cmd_fit(args):
     try:
         payload = _fit_trpl(args, x, y) if args.kind == "trpl" else _fit_visibility(args, x, y)
     except emitter.NonFiniteStart as e:
-        raise CliError(f"--data {args.data}: {e}") from None
+        raise ValueError(f"--data {args.data}: {e}") from None
     _emit_json(args.out, payload)
     return EXIT_OK
 
 
 def _fit_trpl(args, x, y):
     if not 0.0 <= args.irf_width < np.inf:
-        raise CliError(f"--irf-width must be finite and >= 0, got {args.irf_width}")
+        raise ValueError(f"--irf-width must be finite and >= 0, got {args.irf_width}")
     span = float(np.ptp(x))
     if args.irf_width > span:
-        raise CliError(f"--irf-width must not exceed the {span} ps that the samples of --data span, got {args.irf_width}")
+        raise ValueError(f"--irf-width must not exceed the {span} ps that the samples of --data span, got {args.irf_width}")
     p0 = None
     if args.init is not None:
         start = partial(replace, emitter.TRPL_START)
-        p0 = io.read_json_numbers(args.init, ("t1_ps", "delta_inv_ps"), (), start)
+        p0 = _read_init(args, ("t1_ps", "delta_inv_ps"), start)
     fit = emitter.fit_trpl(x, y, irf_fwhm_ps=args.irf_width, init=p0)
     return {
         "kind": "trpl",
@@ -262,10 +270,10 @@ def _fit_trpl(args, x, y):
 
 
 def _fit_visibility(args, x, y):
+    which = "vs_temperature" if args.kind == "vis_T" else "vs_delay"
     init = None
     if args.init is not None:
-        init = io.read_json_numbers(args.init, _DEPHASING_KEYS, (), dict)
-    which = "vs_temperature" if args.kind == "vis_T" else "vs_delay"
+        init = _read_init(args, emitter.FREE_PARAMETERS[which], dict)
     fixed = _load_dephasing_params(args.params)
     fit = emitter.fit_visibility_curve(x, y, which, fixed, init=init, temperature_K=args.temperature)
     return {

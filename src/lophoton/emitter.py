@@ -58,14 +58,6 @@ class NonFiniteStart(ValueError):
     """The squared residuals of a fit overflow at its start point."""
 
 
-class InsufficientData(ValueError):
-    """Too few samples for the requested fit."""
-
-
-class Infeasible(ValueError):
-    """Target visibility exceeds what the model allows."""
-
-
 def fss_ueV_to_inv_ps(ueV: float) -> float:
     """Fine-structure splitting: micro-eV to angular frequency in 1/ps."""
     return ueV * 1e-6 / HBAR_EV_PS
@@ -244,12 +236,12 @@ def fit_trpl(t_ps, intensity, irf_fwhm_ps: float = 75.0, init: DecayParams | Non
     t = np.asarray(t_ps, dtype=float)
     y = np.asarray(intensity, dtype=float)
     if t.shape != y.shape or t.ndim != 1:
-        raise InsufficientData("t and intensity must be equal-length 1-D arrays")
+        raise ValueError("t and intensity must be equal-length 1-D arrays")
     if t.size < 20:
-        raise InsufficientData(f"need >= 20 samples, got {t.size}")
+        raise ValueError(f"need >= 20 samples, got {t.size}")
     p0 = init or TRPL_START
     if t.max() - t.min() < 2.0 * p0.t1_ps:
-        raise InsufficientData("samples must span at least twice the initial T1")
+        raise ValueError("samples must span at least twice the initial T1")
 
     scale = max(float(y.max()), 1e-30)
     x0 = np.array([p0.t1_ps, p0.delta_inv_ps, 0.5 * scale])
@@ -563,17 +555,17 @@ def solve_sd_ceiling(v_long: float, delay_ns: float, temperature_K: float, p: De
     Gamma_sd that reproduces it at (temperature_K, delay_ns), holding every
     other parameter of p fixed.  The inverse visibility is linear in
     Gamma_sd, so the model at delay 0 (no diffusion) and at delay_ns with a
-    unit ceiling rate fixes it.  Raises Infeasible when v_long exceeds the
+    unit ceiling rate fixes it.  Raises ValueError when v_long exceeds the
     Gamma_sd = 0 visibility.
     """
     if not 0.0 < v_long <= 1.0:
         raise ValueError("v_long must lie in (0, 1]")
     v0, v_unit = tpi_visibility(temperature_K, np.array([0.0, delay_ns]), p.replace(Gamma_sd_inv_ps=1.0))
     if v_long > v0 + 1e-15:
-        raise Infeasible(f"v_long={v_long} exceeds zero-diffusion visibility {v0}")
+        raise ValueError(f"v_long={v_long} exceeds zero-diffusion visibility {v0}")
     slope = 1.0 / v_unit - 1.0 / v0
     if slope <= 0:
-        raise Infeasible("delay too short: diffusion has not turned on yet")
+        raise ValueError("delay too short: diffusion has not turned on yet")
     return float(max(1.0 / v_long - 1.0 / v0, 0.0) / slope)
 
 
@@ -589,6 +581,8 @@ class VisibilityFit:
 
 _VS_T_FREE = ("alpha_ps2", "v_c_inv_ps", "mu_ps2", "F")
 _VS_DT_FREE = ("Gamma_sd_inv_ps", "tau_c_ns")
+#: the parameters that each kind of fit_visibility_curve fits: the keys that its init may set
+FREE_PARAMETERS = {"vs_temperature": _VS_T_FREE, "vs_delay": _VS_DT_FREE}
 _FIT_BOUNDS = {
     "alpha_ps2": (0.0, 1.0),
     "v_c_inv_ps": (0.1, 50.0),
@@ -613,7 +607,8 @@ def fit_visibility_curve(
     (alpha, v_c, mu, F) float and the delay is 0, so spectral diffusion is
     off (fast-delay regime).  which = "vs_delay": x is the pulse separation
     in ns at fixed temperature_K, and (Gamma_sd, tau_c) float.  Starting
-    values come from init or from the corresponding fields of `fixed`.
+    values come from init or from the corresponding fields of `fixed`; init
+    may set only the parameters that float, FREE_PARAMETERS[which].
 
     least_squares gets the exact Jacobian of the model's fixed sums.  A
     vs_temperature residual evaluation computes the visibility and its
@@ -625,9 +620,9 @@ def fit_visibility_curve(
     xs = np.asarray(x, dtype=float)
     vs = np.asarray(visibility, dtype=float)
     if xs.shape != vs.shape or xs.ndim != 1:
-        raise InsufficientData("x and visibility must be equal-length 1-D arrays")
+        raise ValueError("x and visibility must be equal-length 1-D arrays")
     if xs.size < 4:
-        raise InsufficientData(f"need >= 4 points, got {xs.size}")
+        raise ValueError(f"need >= 4 points, got {xs.size}")
     if which == "vs_temperature":
         free, temps, delays, point = _VS_T_FREE, xs, 0.0, "visibility {y!r} at T = {x!r} K"
     elif which == "vs_delay":
@@ -636,6 +631,9 @@ def fit_visibility_curve(
         raise ValueError(f"which must be 'vs_temperature' or 'vs_delay', got {which!r}")
 
     init = dict(init or {})
+    unfitted = [name for name in init if name not in free]
+    if unfitted:
+        raise ValueError(f"init sets {', '.join(unfitted)}, which a {which} fit does not fit; it fits {', '.join(free)}")
     x0, lo, hi = [], [], []
     for name in free:
         x0.append(init.get(name, getattr(fixed, name)))

@@ -22,16 +22,12 @@ _STATES = {
 }
 
 
-class UnknownLabel(ValueError):
-    """Polarization label outside H, V, D, A, R, L."""
-
-
 def basis_state(label: str) -> np.ndarray:
     """Unit Jones vector for one of the six standard polarizations."""
     try:
         return _STATES[label].copy()
     except KeyError:
-        raise UnknownLabel(f"unknown polarization label {label!r}") from None
+        raise ValueError(f"unknown polarization label {label!r}") from None
 
 
 def hwp(theta: float) -> np.ndarray:

@@ -13,23 +13,11 @@ HERMITICITY_TOL = 1e-10
 EIGENVALUE_CLAMP = 1e-10
 
 
-class NotHermitian(ValueError):
-    """Input matrix is not Hermitian within tolerance."""
-
-
-class BadDimension(ValueError):
-    """Input matrix has the wrong shape for the requested operation."""
-
-
-class NegativeEigenvalue(ValueError):
-    """Matrix has an eigenvalue more negative than the clamping tolerance."""
-
-
 def _as_matrices(m) -> np.ndarray:
     """Coerce to a complex ndarray of shape (..., rows, cols) and check finiteness."""
     a = np.asarray(m, dtype=complex)
     if a.ndim < 2:
-        raise BadDimension(f"expected a matrix or a stack of matrices, got ndim={a.ndim}")
+        raise ValueError(f"expected a matrix or a stack of matrices, got ndim={a.ndim}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
     return a
@@ -43,7 +31,7 @@ def dagger(m: np.ndarray) -> np.ndarray:
 def _check_hermitian(m: np.ndarray) -> None:
     dev = np.max(np.abs(m - dagger(m)))
     if dev > HERMITICITY_TOL:
-        raise NotHermitian(f"max |m - m^dag| = {dev:.3e} exceeds {HERMITICITY_TOL:.1e}")
+        raise ValueError(f"max |m - m^dag| = {dev:.3e} exceeds {HERMITICITY_TOL:.1e}")
 
 
 def hermitian_eigen(m) -> tuple[np.ndarray, np.ndarray]:
@@ -56,7 +44,7 @@ def hermitian_eigen(m) -> tuple[np.ndarray, np.ndarray]:
     """
     a = _as_matrices(m)
     if a.shape[-1] != a.shape[-2]:
-        raise BadDimension("matrix must be square")
+        raise ValueError("matrix must be square")
     _check_hermitian(a)
     w, v = np.linalg.eigh(a)
     return w[..., ::-1].copy(), v[..., ::-1].copy()
@@ -69,7 +57,7 @@ def partial_trace(rho, keep: str) -> np.ndarray:
     """
     a = _as_matrices(rho)
     if a.shape[-2:] != (4, 4):
-        raise BadDimension(f"expected 4x4, got {a.shape}")
+        raise ValueError(f"expected 4x4, got {a.shape}")
     r = a.reshape(a.shape[:-2] + (2, 2, 2, 2))
     if keep == "first":
         return np.trace(r, axis1=-3, axis2=-1)
@@ -87,6 +75,6 @@ def psd_sqrt(m) -> np.ndarray:
     """
     w, v = hermitian_eigen(m)
     if np.min(w) < -EIGENVALUE_CLAMP:
-        raise NegativeEigenvalue(f"eigenvalue {np.min(w):.3e} below -{EIGENVALUE_CLAMP:.1e}")
+        raise ValueError(f"eigenvalue {np.min(w):.3e} below -{EIGENVALUE_CLAMP:.1e}")
     w = np.clip(w, 0.0, None)
     return (v * np.sqrt(w)[..., None, :]) @ dagger(v)

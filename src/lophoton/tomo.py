@@ -147,10 +147,6 @@ def _projector_inverse() -> np.ndarray:
     return inverse
 
 
-class MissingSetting(ValueError):
-    """A required measurement setting is absent or has zero total counts."""
-
-
 class NotConverged(RuntimeError):
     """A maximum-likelihood fit, or too many Monte Carlo refits, did not converge."""
 
@@ -223,13 +219,13 @@ def _count_table(records) -> np.ndarray:
     for r in records:
         key = (r.basis1, r.basis2)
         if key in by_setting:
-            raise MissingSetting(f"duplicate setting {key}")
+            raise ValueError(f"duplicate setting {key}")
         if r.counts.sum() <= 0:
-            raise MissingSetting(f"setting {key} has zero total counts")
+            raise ValueError(f"setting {key} has zero total counts")
         by_setting[key] = r.counts
     missing = [s for s in SETTINGS if s not in by_setting]
     if missing:
-        raise MissingSetting(f"missing settings: {missing}")
+        raise ValueError(f"missing settings: {missing}")
     return np.concatenate([by_setting[s] for s in SETTINGS])
 
 

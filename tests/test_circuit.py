@@ -197,7 +197,7 @@ def test_zero_success_probability_raises():
     merge[0, 0] = merge[1, 1] = 1 / np.sqrt(2)
     merge[0, 2] = merge[1, 3] = 1 / np.sqrt(2)
     element = circuit.LinearElement("merge", merge)
-    with pytest.raises(circuit.ZeroSuccessProbability):
+    with pytest.raises(ValueError, match=r"^coincidence probability below 1e-15$"):
         circuit.coincidence_evolve([element], _input("H", "V", 1.0))
 
 

@@ -551,6 +551,9 @@ def _out_is_a_directory(tmp_path):
     return ["truth-table"]
 
 
+#: --grid values whose start, stop or span is not finite
+NON_FINITE_GRIDS = ("4:inf:5", "-inf:40:5", "nan:40:5", "-1e308:1e308:3")
+
 MALFORMED = {
     "reconstruct-nan-count": _records_with_nan_count,
     "fit-nan-visibility": _curve_with_nan_visibility,
@@ -593,6 +596,10 @@ MALFORMED = {
     "g2-flat-histogram": _flat_g2_histogram,
     "analyze-meta-rep-period-zero": _histogram_with_meta_value("rep_period_ns", 0),
     "analyze-meta-pulse-sep-negative": _histogram_with_meta_value("pulse_pair_sep_ns", -1.0),
+    "vis_dt-init-unfitted-key": lambda tmp: _fit_argv(tmp, "vis_dt", "--init",
+                                                      _json_file(tmp, '{"alpha_ps2": 0.5, "Gamma_sd_inv_ps": 6e-4}')),
+    **{f"visibility-{mode}-grid-{grid}": lambda tmp, mode=mode, grid=grid: ["visibility", "--mode", mode, f"--grid={grid}"]
+       for mode in ("vs_T", "vs_dt") for grid in NON_FINITE_GRIDS},
 }
 
 
@@ -606,7 +613,8 @@ def test_malformed_input_exit_2_without_output(tmp_path, make_argv):
 
 @pytest.mark.parametrize("name, expected", [
     ("visibility-temperature-nan", "temperature must be >= 0 K, got nan"),
-    ("visibility-grid-nan", "temperature must be >= 0 K, got nan"),
+    *[(f"visibility-{mode}-grid-{grid}", f"--grid '{grid}': start and stop must be finite numbers a finite distance apart")
+      for mode in ("vs_T", "vs_dt") for grid in NON_FINITE_GRIDS],
     ("visibility-grid-overflow", "the visibility model is not finite at T = 5e+299 K"),
     ("visibility-grid-too-many-points",
      "--grid '4:40:1000000000000000' has 1000000000000000 points, at most 10000000 are allowed"),
@@ -632,6 +640,14 @@ def test_malformed_input_message_names_the_value(tmp_path, capsys, name, expecte
     assert expected in err
     if "--data" in argv and not expected.startswith("--"):  # a fault in the data names the file
         assert f"--data {argv[argv.index('--data') + 1]}" in err
+
+
+def test_an_init_key_that_the_fit_kind_does_not_fit_is_refused_by_name(tmp_path, capsys):
+    argv = MALFORMED["vis_dt-init-unfitted-key"](tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    init = argv[argv.index("--init") + 1]
+    assert f"--init of a vis_dt fit: {init}: unknown key 'alpha_ps2', expected one of Gamma_sd_inv_ps, tau_c_ns" in err
 
 
 def test_visibility_curve_runs_quadratures_once_per_block(tmp_path, monkeypatch):
@@ -857,6 +873,16 @@ EDGE_VALUES = ["nan", "inf", "-inf", "0", "-0", "-1", "1", "1e300", "1e-300", "0
 BELL_FLAGS = {"--overlap": "0.9", "--counts-per-setting": "2000", "--resamples": "0", "--seed": "1"}
 
 
+def _assert_an_exit_code_and_no_output_on_failure(argv, out):
+    try:
+        code = main([*argv, "--out", str(out)])
+    except SystemExit as e:  # argparse refuses a value with exit 2
+        code = e.code
+    assert code in (0, 2, 3, 4)
+    if code != 0:
+        assert not out.exists()
+
+
 @settings(max_examples=100, derandomize=True, database=None, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
@@ -866,11 +892,42 @@ def test_fuzzed_bell_flags_give_an_exit_code(data):
         values = st.sampled_from(["0", "100", "200"] if flag == "--resamples" else EDGE_VALUES)
         argv += [flag, data.draw(st.just(valid) | values, label=flag)]
     with tempfile.TemporaryDirectory() as d:
-        out = Path(d) / "out.json"
-        try:
-            code = main([*argv, "--out", str(out)])
-        except SystemExit as e:  # argparse refuses a value with exit 2
-            code = e.code
-        assert code in (0, 2, 3, 4)
-        if code != 0:
-            assert not out.exists()
+        _assert_an_exit_code_and_no_output_on_failure(argv, Path(d) / "out.json")
+
+
+#: the five subcommands besides bell, whose numeric flags the fuzzer below replaces
+FUZZED_COMMANDS = ["truth-table", "visibility", "fit", "analyze", "reconstruct"]
+
+
+def _fuzzed_argv(data, tmp):
+    """argv of one subcommand of FUZZED_COMMANDS on valid inputs written to tmp,
+    each numeric flag either valid or an edge value, joined to its flag by =."""
+    def edge_or(valid, label):
+        return data.draw(st.just(valid) | st.sampled_from(EDGE_VALUES), label=label)
+
+    def flags(**valid):
+        return [f"--{name.replace('_', '-')}={edge_or(value, name)}" for name, value in valid.items()]
+
+    command = data.draw(st.sampled_from(FUZZED_COMMANDS), label="command")
+    if command == "truth-table":
+        return ["truth-table", *flags(overlap="0.9", measured_fzz="0.9", measured_fxx="0.8")]
+    if command == "visibility":
+        grid = f"{edge_or('4', 'start')}:{edge_or('40', 'stop')}:{data.draw(st.integers(1, 50), label='num')}"
+        argv = ["visibility", "--mode", data.draw(st.sampled_from(["vs_T", "vs_dt"])), f"--grid={grid}",
+                *flags(delay_ns="2.0", temperature="4.0")]
+        return argv + ["--log-grid"] * data.draw(st.booleans(), label="log")
+    if command == "fit":
+        return _fit_argv(tmp, data.draw(st.sampled_from(["trpl", "vis_dt"])), *flags(irf_width="75", temperature="4.0"))
+    if command == "analyze":
+        argv, _, _ = _valid_inputs(data.draw(st.sampled_from(["analyze-g2", "analyze-hom"])), tmp)
+        return [*argv, *flags(window="600")]
+    argv, _, _ = _valid_inputs("reconstruct", tmp)
+    return [*argv, *flags(seed="1"), f"--resamples={data.draw(st.sampled_from(['0', '100']))}"]
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_fuzzed_flags_of_the_other_subcommands_give_an_exit_code(data):
+    with tempfile.TemporaryDirectory() as d:
+        _assert_an_exit_code_and_no_output_on_failure(_fuzzed_argv(data, Path(d)), Path(d) / "out.json")

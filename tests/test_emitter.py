@@ -1,5 +1,6 @@
 import importlib.util
 import itertools
+import re
 import warnings
 from dataclasses import asdict
 from pathlib import Path
@@ -121,9 +122,9 @@ def test_fit_trpl_multiplicative_noise(rng):
 
 
 def test_fit_trpl_insufficient_data():
-    with pytest.raises(em.InsufficientData):
+    with pytest.raises(ValueError, match=r"^need >= 20 samples, got 10$"):
         em.fit_trpl(np.linspace(0, 2000, 10), np.zeros(10))
-    with pytest.raises(em.InsufficientData):
+    with pytest.raises(ValueError, match=r"^samples must span at least twice the initial T1$"):
         em.fit_trpl(np.linspace(0, 500, 50), np.zeros(50))  # span < 2 T1
 
 
@@ -428,7 +429,7 @@ def test_solve_sd_ceiling_round_trips(rng):
 
 def test_solve_sd_ceiling_infeasible():
     p = em.DephasingParams()
-    with pytest.raises(em.Infeasible):
+    with pytest.raises(ValueError, match=r"^v_long=0\.99 exceeds zero-diffusion visibility 0\.95737"):
         em.solve_sd_ceiling(0.99, 1000.0, 4.0, p)
 
 
@@ -469,8 +470,20 @@ def test_fit_visibility_flat_curve_gives_zero_coupling():
 
 
 def test_fit_visibility_insufficient_points():
-    with pytest.raises(em.InsufficientData):
+    with pytest.raises(ValueError, match=r"^need >= 4 points, got 3$"):
         em.fit_visibility_curve([4.0, 8.0, 12.0], [0.9, 0.8, 0.7], "vs_temperature", em.DephasingParams())
+
+
+@pytest.mark.parametrize("which, init, message", [
+    ("vs_delay", {"alpha_ps2": 0.5, "Gamma_sd_inv_ps": 6e-4},
+     "init sets alpha_ps2, which a vs_delay fit does not fit; it fits Gamma_sd_inv_ps, tau_c_ns"),
+    ("vs_temperature", {"F": 0.3, "tau_c_ns": 280.0, "T1_ps": 300.0},
+     "init sets tau_c_ns, T1_ps, which a vs_temperature fit does not fit; it fits alpha_ps2, v_c_inv_ps, mu_ps2, F"),
+])
+def test_fit_visibility_refuses_init_keys_that_it_does_not_fit(which, init, message):
+    xs = np.linspace(4.0, 40.0, 6)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        em.fit_visibility_curve(xs, 0.9 - 0.01 * np.arange(6), which, em.DephasingParams(), init=init)
 
 
 def test_dephasing_params_validation_and_json():

@@ -23,7 +23,7 @@ def test_basis_states_normalized():
 
 
 def test_unknown_label():
-    with pytest.raises(jones.UnknownLabel):
+    with pytest.raises(ValueError, match=r"^unknown polarization label 'Q'$"):
         jones.basis_state("Q")
 
 

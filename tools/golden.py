@@ -188,6 +188,8 @@ def write_inputs(inputs: Path):
         (inputs / f"{name}.init.json").write_text(json.dumps(start) + "\n")
     header, temps, vis_T, _ = curves["vis_T"]
     (inputs / "bad-vis_T.csv").write_text(xy_csv(header, temps, vis_T[:3] + [float("nan")] + vis_T[4:]))
+    # alpha_ps2 is not a parameter that a vis_dt fit fits
+    (inputs / "bad-vis_dt.init.json").write_text(json.dumps({"alpha_ps2": 0.5, "Gamma_sd_inv_ps": 6e-4}) + "\n")
 
 
 def fit_curves():
@@ -278,6 +280,9 @@ def calls():
         ("bad-vis_T", ["fit", "--kind", "vis_T", "--data", "inputs/bad-vis_T.csv"]),
         ("bad-hom", ["analyze", "--kind", "hom", "--histogram", "inputs/bad-hom.csv",
                      "--meta", "inputs/hom.meta.json"]),
+        ("bad-init", ["fit", "--kind", "vis_dt", "--data", "inputs/vis_dt.csv", "--init", "inputs/bad-vis_dt.init.json",
+                      "--params", "inputs/params.json", "--temperature", "6.0"]),
+        ("bad-grid", ["visibility", "--mode", "vs_dt", "--grid=4:inf:5"]),
     ]
     return out
 
