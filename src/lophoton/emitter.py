@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from functools import cache, lru_cache
 
 import numpy as np
-from scipy import constants as sc
 from scipy import optimize, special
 
 from . import io
@@ -48,6 +47,12 @@ from . import io
 KB_OVER_HBAR = 0.13093
 #: hbar in eV ps
 HBAR_EV_PS = 6.582119569e-4
+#: CODATA 2022 values in SI units: speed of light (m/s), vacuum permittivity
+#: (F/m), electron mass (kg) and elementary charge (C)
+SPEED_OF_LIGHT = 299792458.0
+EPSILON_0 = 8.8541878188e-12
+ELECTRON_MASS = 9.1093837139e-31
+ELEMENTARY_CHARGE = 1.602176634e-19
 
 
 class FitDiverged(RuntimeError):
@@ -69,7 +74,7 @@ def inv_ps_to_ueV(omega: float) -> float:
 
 def wavelength_nm_to_angular_frequency(lambda_nm: float) -> float:
     """Emission wavelength in nm to angular frequency in rad/s."""
-    return 2.0 * np.pi * sc.c / (lambda_nm * 1e-9)
+    return 2.0 * np.pi * SPEED_OF_LIGHT / (lambda_nm * 1e-9)
 
 
 @dataclass(frozen=True)
@@ -264,13 +269,13 @@ def oscillator_strength(inputs: OscillatorInputs) -> float:
     f = 6 pi eps0 m0 c^3 / (n T1 F_p omega^2 e^2), CODATA constants.
     """
     t1_s = inputs.t1_ps * 1e-12
-    num = 6.0 * np.pi * sc.epsilon_0 * sc.m_e * sc.c ** 3
+    num = 6.0 * np.pi * EPSILON_0 * ELECTRON_MASS * SPEED_OF_LIGHT ** 3
     den = (
         inputs.refractive_index
         * t1_s
         * inputs.purcell_factor
         * inputs.omega_rad_per_s ** 2
-        * sc.e ** 2
+        * ELEMENTARY_CHARGE ** 2
     )
     return num / den
 

@@ -24,12 +24,12 @@ rho_33 vanishes (the singlet) the map from T to rho is singular exactly
 where the fit lands.  So each fit takes its own basis order: the pivot
 order of LAPACK's pivoted Cholesky zpstrf of its start state, largest
 diagonal of the remaining Schur complement first (Higham, 1990), fit as
-the last index of T (_pivoted_starts), and _fits stacks fits by order,
-with forms Q_k built once per order (at most 24).  A fit still running
-after 20 steps starts again from its current state, in that state's pivot
-order.  On Poisson redraws of the singlet at 10^6 counts per setting, fit
-from their linear inversion, this takes every fit to the optimum in 3
-steps, against a median of 10 (up to 20) in the fixed order.
+the last index of T (_pivoted_starts), and _mle_fits stacks fits by
+order, with forms Q_k built once per order (at most 24).  A fit still
+running after 20 steps starts again from its current state, in that
+state's pivot order.  On Poisson redraws of the singlet at 10^6 counts per
+setting, fit from their linear inversion, this takes every fit to the
+optimum in 3 steps, against a median of 10 (up to 20) in the fixed order.
 
 Each rule has one definition: outcome_labels fixes the outcome order,
 PROJECTORS the measurement; through their flattened form _PI_FLAT,
@@ -322,14 +322,8 @@ def mle_reconstruct(records) -> MleResult:
     """
     n = _count_table(records)[None]
     fit = _mle_fits(n, *_pivoted_starts(_inversion(n)))
-    return MleResult(
-        rho=fit.rho[0],
-        log_likelihood=float(fit.log_likelihood[0]),
-        converged=bool(fit.converged[0]),
-        n_iter=int(fit.n_iter[0]),
-        decrement_sq=float(fit.decrement_sq[0]),
-        log_likelihood_gain=float(fit.log_likelihood_gain[0]),
-    )
+    values = (getattr(fit, f.name)[0] for f in fields(MleResult))
+    return MleResult(*(value.item() if value.ndim == 0 else value for value in values))
 
 
 def _pivoted_starts(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -353,50 +347,45 @@ def _pivoted_starts(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _mle_fits(n: np.ndarray, orders: np.ndarray, x: np.ndarray) -> MleResult:
-    """Maximum-likelihood fits of (R, 36) counts n; one MleResult of arrays over the R fits.
+    """Maximum-likelihood fits of (R, 36) counts n; one MleResult of arrays over the R fits, in input order.
 
-    Fit r starts from the parameters x[r] in the basis order orders[r].  A
-    fit still running after _MLE_REPIVOT_STEPS steps starts again from its
-    current state through _pivoted_starts, and so on until it stops or has
-    taken _MLE_MAX_ITER steps in all.  A fit's course depends on its own
-    counts and start alone.
+    Fit r starts from the parameters x[r] in the basis order orders[r].
+    Each pass runs _newton_fit on the fits still running, in stacks of at
+    most _FIT_STACK fits of one order, all in one _Work.  A fit still
+    running after _MLE_REPIVOT_STEPS steps starts again from its current
+    state through _pivoted_starts, and so on until it stops or has taken
+    _MLE_MAX_ITER steps in all (n_iter), with log_likelihood_gain counted
+    from its first start.  A fit's course depends on its own counts and
+    start alone.
     """
     n = np.asarray(n, dtype=float)
-    steps = min(_MLE_REPIVOT_STEPS, _MLE_MAX_ITER)
+    out = MleResult(np.empty((len(n), 4, 4), dtype=complex), np.empty(len(n)), np.empty(len(n), dtype=bool),
+                    np.empty(len(n), dtype=int), np.empty(len(n)), np.empty(len(n)))
     work = _Work.empty(min(len(n), _FIT_STACK))
-    fit = _fits(n, orders, x, steps, work)
-    out = {f.name: getattr(fit, f.name) for f in fields(MleResult)}
-    start_ll = fit.log_likelihood - fit.log_likelihood_gain
-    todo = np.flatnonzero(~fit.converged & (fit.n_iter == steps))
-    while todo.size and steps < _MLE_MAX_ITER:
+    todo, steps = np.arange(len(n)), 0
+    while todo.size:
+        if steps:
+            orders, x = _pivoted_starts(out.rho[todo])
         budget = min(_MLE_REPIVOT_STEPS, _MLE_MAX_ITER - steps)
-        fit = _fits(n[todo], *_pivoted_starts(out["rho"][todo]), budget, work)
-        for name, value in out.items():
-            value[todo] = getattr(fit, name)
-        out["n_iter"][todo] += steps
-        out["log_likelihood_gain"][todo] = fit.log_likelihood - start_ll[todo]
+        keys = orders @ (64, 16, 4, 1)
+        for key in np.unique(keys):
+            same = np.flatnonzero(keys == key)
+            forms = _forms(tuple(orders[same[0]]))
+            for lo in range(0, len(same), _FIT_STACK):
+                stack = same[lo:lo + _FIT_STACK]
+                rows = todo[stack]
+                fit = _newton_fit(n[rows], x[stack], forms, budget, work)
+                for f in fields(MleResult):
+                    getattr(out, f.name)[rows] = getattr(fit, f.name)
+        if steps:
+            out.n_iter[todo] += steps
+            out.log_likelihood_gain[todo] = out.log_likelihood[todo] - start_ll[todo]
+        else:
+            start_ll = out.log_likelihood - out.log_likelihood_gain
         steps += budget
-        todo = todo[~fit.converged & (fit.n_iter == budget)]
-    return MleResult(**out)
-
-
-def _fits(n: np.ndarray, orders: np.ndarray, x: np.ndarray, max_iter: int, work: _Work) -> MleResult:
-    """_newton_fit of (R, 36) counts n from (R, 16) parameters x in the (R, 4) basis orders, results in input order.
-
-    The fits are grouped by order and run in stacks of at most _FIT_STACK,
-    every stack in work, which holds at least min(R, _FIT_STACK) fits.
-    """
-    keys = orders @ (64, 16, 4, 1)
-    indices, fits = [], []
-    for key in np.unique(keys):
-        same = np.flatnonzero(keys == key)
-        forms = _forms(tuple(orders[same[0]]))
-        for lo in range(0, len(same), _FIT_STACK):
-            stack = same[lo:lo + _FIT_STACK]
-            indices.append(stack)
-            fits.append(_newton_fit(n[stack], x[stack], forms, max_iter, work))
-    back = np.argsort(np.concatenate(indices))
-    return MleResult(*(np.concatenate([getattr(fit, f.name) for fit in fits])[back] for f in fields(MleResult)))
+        # a fit that took every step of the pass, with steps left, goes on
+        todo = todo[~out.converged[todo] & (out.n_iter[todo] == steps) & (steps < _MLE_MAX_ITER)]
+    return out
 
 
 class _Predictor(NamedTuple):
@@ -448,7 +437,7 @@ def _one_step_predictor(observed: np.ndarray, rho: np.ndarray) -> _Predictor:
 class _Work(NamedTuple):
     """Buffers for the stack-sized products of a Newton step on up to M fits; m fits use the first m rows.
 
-    One serves every pass, stack and step of an _mle_fits call, so that no
+    _mle_fits runs every pass, stack and step of a call in one, so that no
     step allocates an array of a few hundred KB (see the module docstring).
     """
 
@@ -504,7 +493,9 @@ def _newton_fit(n: np.ndarray, x: np.ndarray, forms: _Forms, max_iter: int, work
     decrement_sq = np.full(len(n), np.inf)
     active = np.arange(len(n))
     while active.size:
-        q[active], step, decrement = _newton_step(n[active], total[active], x[active], forms, work)
+        q[active], grad, hess = _derivatives(n[active], total[active], x[active], forms, work)
+        step = -np.linalg.solve(hess, grad[:, :, None])[..., 0]
+        decrement = -(grad * step).sum(axis=-1)  # the squared Newton decrement
         if not n_iter.any():  # the first pass, with every fit at its start
             start_ll = _log_likelihoods(n, q, x)
         decrement_sq[active] = decrement
@@ -523,16 +514,6 @@ def _newton_fit(n: np.ndarray, x: np.ndarray, forms: _Forms, max_iter: int, work
     rho = 0.5 * (rho + dagger(rho))
     rho = rho[:, forms.inverse][:, :, forms.inverse]
     return MleResult(rho, log_likelihood, converged, n_iter, decrement_sq, log_likelihood - start_ll)
-
-
-def _newton_step(n: np.ndarray, total: np.ndarray, x: np.ndarray, forms: _Forms, work: _Work):
-    """(q, step, squared Newton decrement) of the fits at (m, 16) parameters x with |x| = 1.
-
-    The step solves H d = -g for the g and H of _derivatives.
-    """
-    q, grad, hess = _derivatives(n, total, x, forms, work)
-    step = -np.linalg.solve(hess, grad[:, :, None])[..., 0]
-    return q, step, -(grad * step).sum(axis=-1)
 
 
 def _derivatives(n: np.ndarray, total: np.ndarray, x: np.ndarray, forms: _Forms, work: _Work):
@@ -713,6 +694,8 @@ class MonteCarloMetrics:
 #: the numpy calls of drawing and scoring over many resamples, small enough
 #: that memory does not grow with the number of resamples
 _MC_BLOCK = 1000
+#: most resamples of one call, whose results take 49 B each (490 MB in all)
+_MAX_RESAMPLES = 10**7
 
 
 def monte_carlo_metrics(records, central: MleResult, target: np.ndarray, n_resamples: int, seed: int) -> MonteCarloMetrics:
@@ -730,6 +713,8 @@ def monte_carlo_metrics(records, central: MleResult, target: np.ndarray, n_resam
     """
     if n_resamples < 100:
         raise ValueError(f"n_resamples must be at least 100 for a usable spread, got {n_resamples}")
+    if n_resamples > _MAX_RESAMPLES:
+        raise ValueError(f"n_resamples must be at most {_MAX_RESAMPLES}, got {n_resamples}")
     observed = _count_table(records)
     predictor = _one_step_predictor(observed, central.rho)
     # a child of the seed, not the seed's own stream, from which
@@ -740,8 +725,12 @@ def monte_carlo_metrics(records, central: MleResult, target: np.ndarray, n_resam
     iterations = np.empty(n_resamples, dtype=int)
     for lo in range(0, n_resamples, _MC_BLOCK):
         counts = rng.poisson(observed, size=(min(_MC_BLOCK, n_resamples - lo), observed.size))
+        per_setting = counts.reshape(len(counts), 9, 4)
+        per_setting[per_setting.sum(axis=-1) == 0] += 1  # keep the setting usable at tiny totals
+        fits = _mle_fits(counts, *predictor.starts(counts))
         block = slice(lo, lo + _MC_BLOCK)
-        table[block], converged[block], iterations[block] = _resample_block(counts, target, predictor)
+        table[block] = np.column_stack(astuple(state_metrics(fits.rho, target)))
+        converged[block], iterations[block] = fits.converged, fits.n_iter
     n_not_converged = int(n_resamples - converged.sum())
     if n_not_converged > MAX_NOT_CONVERGED_FRACTION * n_resamples:
         raise NotConverged(
@@ -754,15 +743,6 @@ def monte_carlo_metrics(records, central: MleResult, target: np.ndarray, n_resam
     return MonteCarloMetrics(
         *stats, n_resamples=n_resamples, n_not_converged=n_not_converged, refit_iterations=iterations
     )
-
-
-def _resample_block(counts: np.ndarray, target: np.ndarray, predictor: _Predictor):
-    """(metric rows, convergence flags, iterations) of the refits of (R, 36) resampled counts."""
-    per_setting = counts.reshape(len(counts), 9, 4)
-    per_setting[per_setting.sum(axis=-1) == 0] += 1  # keep the setting usable at tiny totals
-    fits = _mle_fits(counts, *predictor.starts(counts))
-    metrics = state_metrics(fits.rho, target)
-    return np.column_stack(astuple(metrics)), fits.converged, fits.n_iter
 
 
 # ---------------------------------------------------------------------------

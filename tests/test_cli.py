@@ -591,6 +591,9 @@ MALFORMED = {
     "bell-resamples-negative": lambda tmp: ["bell", "--counts-per-setting", "1000", "--resamples", "-5"],
     "reconstruct-resamples-negative": lambda tmp: ["reconstruct", "--records", str(_records_file(tmp)),
                                                    "--resamples", "-1"],
+    "bell-resamples-huge": lambda tmp: ["bell", "--counts-per-setting", "1000", "--resamples", str(10**15)],
+    "reconstruct-resamples-huge": lambda tmp: ["reconstruct", "--records", str(_records_file(tmp)),
+                                               "--resamples", str(10**15)],
     "trpl-irf-negative": lambda tmp: _fit_argv(tmp, "trpl", "--irf-width", "-75"),
     "analyze-window-nan": lambda tmp: [*_g2_histogram(tmp), "--meta", str(tmp / "h.meta.json"), "--window", "nan"],
     "g2-flat-histogram": _flat_g2_histogram,
@@ -627,6 +630,8 @@ def test_malformed_input_exit_2_without_output(tmp_path, make_argv):
     ("vis_dt-huge-visibility", "visibility 1e+300 at delay = 18.4 ns"),
     ("bell-resamples-negative", "n_resamples must be at least 100 for a usable spread, got -5"),
     ("reconstruct-resamples-negative", "n_resamples must be at least 100 for a usable spread, got -1"),
+    ("bell-resamples-huge", "n_resamples must be at most 10000000, got 1000000000000000"),
+    ("reconstruct-resamples-huge", "n_resamples must be at most 10000000, got 1000000000000000"),
     ("trpl-irf-negative", "--irf-width must be finite and >= 0, got -75.0"),
     ("analyze-window-nan", "window_ps must be positive, got nan"),
     ("g2-flat-histogram", "side-peak area is zero; cannot form g2"),
@@ -869,7 +874,8 @@ def test_fuzzed_inputs_give_an_exit_code(target, data):
 EDGE_VALUES = ["nan", "inf", "-inf", "0", "-0", "-1", "1", "1e300", "1e-300", "0.5", "2", "1e15", "1e17", "1e20",
                str(10**15), str(10**17), str(10**20)]
 #: a valid bell run whose flags the fuzzer replaces; --resamples stays in
-#: {0, 100, 200}, so that no example starts a long run
+#: {0, 100, 200} or is 10^15, which is refused before any refit, so that
+#: no example starts a long run
 BELL_FLAGS = {"--overlap": "0.9", "--counts-per-setting": "2000", "--resamples": "0", "--seed": "1"}
 
 
@@ -889,7 +895,7 @@ def _assert_an_exit_code_and_no_output_on_failure(argv, out):
 def test_fuzzed_bell_flags_give_an_exit_code(data):
     argv = ["bell"]
     for flag, valid in BELL_FLAGS.items():
-        values = st.sampled_from(["0", "100", "200"] if flag == "--resamples" else EDGE_VALUES)
+        values = st.sampled_from(["0", "100", "200", str(10**15)] if flag == "--resamples" else EDGE_VALUES)
         argv += [flag, data.draw(st.just(valid) | values, label=flag)]
     with tempfile.TemporaryDirectory() as d:
         _assert_an_exit_code_and_no_output_on_failure(argv, Path(d) / "out.json")
@@ -922,7 +928,7 @@ def _fuzzed_argv(data, tmp):
         argv, _, _ = _valid_inputs(data.draw(st.sampled_from(["analyze-g2", "analyze-hom"])), tmp)
         return [*argv, *flags(window="600")]
     argv, _, _ = _valid_inputs("reconstruct", tmp)
-    return [*argv, *flags(seed="1"), f"--resamples={data.draw(st.sampled_from(['0', '100']))}"]
+    return [*argv, *flags(seed="1"), f"--resamples={data.draw(st.sampled_from(['0', '100', str(10**15)]))}"]
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None,

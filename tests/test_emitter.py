@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import optimize
+from scipy import constants, optimize
 
 from lophoton import emitter as em
 
@@ -216,6 +216,13 @@ def test_oscillator_strength_in_band_for_qd_emission():
         em.OscillatorInputs(350.0, em.wavelength_nm_to_angular_frequency(880.0))
     )
     assert 27.0 < f < 29.0
+
+
+def test_physical_constants_equal_scipy_constants():
+    assert em.SPEED_OF_LIGHT == constants.c
+    assert em.EPSILON_0 == constants.epsilon_0
+    assert em.ELECTRON_MASS == constants.m_e
+    assert em.ELEMENTARY_CHARGE == constants.e
 
 
 def test_franck_condon_limits():

@@ -341,21 +341,20 @@ def test_fits_come_back_in_input_order_as_if_run_alone(monkeypatch):
     keys, sizes = np.unique(orders, axis=0, return_counts=True)
     monkeypatch.setattr(tomo, "_FIT_STACK", 2)
     assert len(keys) >= 3 and sizes.min() > tomo._FIT_STACK
-    fits = tomo._fits(counts, orders, x, tomo._MLE_REPIVOT_STEPS, tomo._Work.empty(tomo._FIT_STACK))
+    fits = tomo._mle_fits(counts, orders, x)
     for r in range(len(counts)):
-        forms = tomo._forms(tuple(orders[r]))
-        alone = tomo._newton_fit(counts[r:r + 1], x[r:r + 1], forms, tomo._MLE_REPIVOT_STEPS, tomo._Work.empty(1))
+        alone = tomo._mle_fits(counts[r:r + 1], orders[r:r + 1], x[r:r + 1])
         for field in dataclasses.fields(tomo.MleResult):
             assert getattr(fits, field.name)[r:r + 1].tobytes() == getattr(alone, field.name).tobytes(), (r, field.name)
 
 
 @pytest.mark.parametrize("stack", [7, 100])
 def test_a_reused_workspace_leaves_no_stale_data(monkeypatch, stack):
-    """_fits of 150 fits, then of 40 others, through one workspace: each as through a fresh workspace.
+    """_mle_fits of 150 fits, then of 40 others, in workspaces that start full of NaN: each as in a fresh workspace.
 
-    The shared workspace starts full of NaN, so a buffer read before it is
-    written shows; both runs end in a partial stack, a shorter prefix of
-    the buffers than the stacks before it.
+    A buffer read before it is written shows as NaN.  Each call runs all
+    its stacks in one workspace and ends in a partial stack, a shorter
+    prefix of the buffers than a stack before it.
     """
     monkeypatch.setattr(tomo, "_FIT_STACK", stack)
     runs = []
@@ -363,14 +362,27 @@ def test_a_reused_workspace_leaves_no_stale_data(monkeypatch, stack):
         observed = tomo._count_table(tomo.simulate_counts(_named_state(state), n_per_setting, seed=seed))
         counts = np.random.default_rng(seed).poisson(observed, size=(size, 36)).astype(float)
         runs.append((counts, *tomo._pivoted_starts(tomo._inversion(counts))))
-    shared = tomo._Work.empty(stack)
-    for buffer in shared:
-        buffer.fill(np.nan)
-    for counts, orders, x in runs:
-        reused = tomo._fits(counts, orders, x, tomo._MLE_REPIVOT_STEPS, shared)
-        fresh = tomo._fits(counts, orders, x, tomo._MLE_REPIVOT_STEPS, tomo._Work.empty(min(len(counts), stack)))
+    fresh = [tomo._mle_fits(*run) for run in runs]
+    empty, newton_fit, stacks = tomo._Work.empty, tomo._newton_fit, []
+
+    def nan_filled(size):
+        work = empty(size)
+        for buffer in work:
+            buffer.fill(np.nan)
+        return work
+
+    def recording(n, x, forms, max_iter, work):
+        stacks[-1].append(len(n))
+        return newton_fit(n, x, forms, max_iter, work)
+
+    monkeypatch.setattr(tomo._Work, "empty", staticmethod(nan_filled))
+    monkeypatch.setattr(tomo, "_newton_fit", recording)
+    for run, expected in zip(runs, fresh):
+        stacks.append([])
+        reused = tomo._mle_fits(*run)
+        assert stacks[-1][-1] < max(stacks[-1]), stacks[-1]
         for field in dataclasses.fields(tomo.MleResult):
-            assert getattr(reused, field.name).tobytes() == getattr(fresh, field.name).tobytes(), field.name
+            assert getattr(reused, field.name).tobytes() == getattr(expected, field.name).tobytes(), field.name
 
 
 def test_a_newton_fit_allocates_no_stack_sized_temporaries():
@@ -700,17 +712,18 @@ def test_monte_carlo_results_do_not_depend_on_the_block_size(monkeypatch):
 
 
 def test_shorter_monte_carlo_runs_draw_the_first_resamples_of_longer_ones(monkeypatch):
-    resample_block, drawn = tomo._resample_block, {}
+    mle_fits, drawn = tomo._mle_fits, {}
 
-    def recording_block(counts, target, predictor):
-        drawn.setdefault(n_resamples, []).append(counts.copy())
-        return resample_block(counts, target, predictor)
+    def recording(n, orders, x):
+        drawn.setdefault(n_resamples, []).append(np.array(n))
+        return mle_fits(n, orders, x)
 
     records = tomo.simulate_counts(tomo.werner(0.9), 1000, seed=5)
-    monkeypatch.setattr(tomo, "_resample_block", recording_block)
+    monkeypatch.setattr(tomo, "_mle_fits", recording)
     for n_resamples in (100, 250):
         _monte_carlo_run(records, n_resamples)
-    (short,), (long,) = drawn[100], drawn[250]
+    # each run fits the central counts first, then its one block of resamples
+    (_, short), (_, long) = drawn[100], drawn[250]
     assert long.shape == (250, 36) and np.array_equal(short, long[:100])
 
 
@@ -760,7 +773,8 @@ def test_the_observed_counts_start_one_newton_step_from_the_floored_central_fit(
     assert np.allclose((t.conj().T @ t)[inverse][:, inverse], central, rtol=0, atol=1e-14)
     n = observed[None].astype(float)
     forms = tomo._forms(tuple(predictor.order))
-    _, step, _ = tomo._newton_step(n, n.sum(axis=-1), predictor.x[None], forms, tomo._Work.empty(1))
+    _, grad, hess = tomo._derivatives(n, n.sum(axis=-1), predictor.x[None], forms, tomo._Work.empty(1))
+    step = -np.linalg.solve(hess, grad[:, :, None])[..., 0]
     # f is constant along x, where the Newton step holds only rounding
     # scaled by 1 / (the damping shift) and the predicted step nothing
     along_x = np.outer(predictor.x, predictor.x)

@@ -283,6 +283,8 @@ def calls():
         ("bad-init", ["fit", "--kind", "vis_dt", "--data", "inputs/vis_dt.csv", "--init", "inputs/bad-vis_dt.init.json",
                       "--params", "inputs/params.json", "--temperature", "6.0"]),
         ("bad-grid", ["visibility", "--mode", "vs_dt", "--grid=4:inf:5"]),
+        # far more resamples than memory holds: refused before anything is allocated
+        ("bad-resamples", ["bell", "--counts-per-setting", "1000", "--resamples", str(10**15)]),
     ]
     return out
 
