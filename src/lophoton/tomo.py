@@ -72,7 +72,6 @@ from dataclasses import astuple, dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import lapack
 
 from . import io, jones
 from .linalg import dagger, hermitian_eigen, partial_trace, psd_sqrt
@@ -337,6 +336,8 @@ def _pivoted_starts(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     T = L^dag flipped along both axes, and x holds its parameters.  A state
     that zpstrf finds rank-deficient raises LinAlgError.
     """
+    from scipy.linalg import lapack
+
     rho = project_to_physical(rho, floor=_MLE_START_FLOOR)
     factors = [lapack.zpstrf(state, lower=1) for state in rho]  # (L, 1-based p, rank, info)
     if any(rank < 4 for _, _, rank, _ in factors):
@@ -525,6 +526,8 @@ def _derivatives(n: np.ndarray, total: np.ndarray, x: np.ndarray, forms: _Forms,
     grows by -2 v, v the lowest (negative) eigenvalue of P H P.  The
     returned Hessian is a view of work, valid until work is next used.
     """
+    from scipy.linalg import lapack
+
     m, diag = len(x), (slice(None), range(16), range(16))
     hess, proj, product = work.hess[:m], work.proj[:m], work.product[:m]
     qx = _q_vectors(x, forms, work)

@@ -695,3 +695,90 @@ def test_fits_of_noisy_curves_match_finite_difference_fits(seed):
             init = {name: getattr(truth, name) * rng.uniform(0.9, 1.1) for name in free}
             vs = v + noise * rng.normal(size=x.size)
             _compare_fits(x, vs, which, truth, init, temperature, 1e-6 if which == "vs_delay" else rtol)
+
+
+# ---------------------------------------------------------------------------
+# the dogbox proposal and the trf solve that decides every visibility fit
+# ---------------------------------------------------------------------------
+
+def test_every_start_3_percent_off_reaches_the_truth_of_a_cold_curve(monkeypatch):
+    # the 16 sign patterns of +-3 % on the free parameters; plain trf stops
+    # up to 3.8 % off (F) after up to 2,328 evaluations, reporting success
+    nfev = []
+
+    def counted(fun, x0, _fn=optimize.least_squares, **options):
+        res = _fn(fun, x0, **options)
+        nfev.append(res.nfev)
+        return res
+
+    monkeypatch.setattr(optimize, "least_squares", counted)
+    truth = em.DephasingParams(**{**_golden_tool().COLD_DEPHASING, "Gamma_sd_inv_ps": 0.0})
+    temps = np.linspace(0.1, 4.0, 30)
+    vs = em.tpi_visibility(temps, 0.0, truth)
+    for signs in itertools.product([1.0, -1.0], repeat=4):
+        init = {name: getattr(truth, name) * (1.0 + 0.03 * s) for name, s in zip(em._VS_T_FREE, signs)}
+        nfev.clear()
+        fit = em.fit_visibility_curve(temps, vs, "vs_temperature", truth, init=init)
+        for name in em._VS_T_FREE:
+            assert getattr(fit.params, name) == pytest.approx(getattr(truth, name), rel=1e-8, abs=0.0), (signs, name)
+        assert sum(nfev) <= 20, (signs, nfev)
+
+
+def _trf_fit(temps, vs, fixed, init):
+    """fit_visibility_curve's trf solve, called directly from init: (x, rms residual)."""
+    free = em._VS_T_FREE
+    x0 = np.array([init.get(name, getattr(fixed, name)) for name in free])
+
+    def model(vec):
+        p = fixed.replace(**dict(zip(free, vec)))
+        return em._visibility(temps, em._phonon_factors(temps, p, True), 0.0, p, free)
+
+    res = optimize.least_squares(
+        lambda vec: model(vec)[0] - vs, x0, jac=lambda vec: model(vec)[1],
+        bounds=tuple(zip(*(em._FIT_BOUNDS[name] for name in free))), x_scale=[max(abs(v), 1e-6) for v in x0],
+        max_nfev=5000,
+    )
+    return res.x, float(np.sqrt(np.mean(res.fun ** 2)))
+
+
+@pytest.mark.parametrize("truth, init", [
+    ({"F": 0.0}, {}),
+    ({}, {"F": 0.0}),
+    ({}, {"F": 1.0}),
+    ({"mu_ps2": 0.0}, {}),
+], ids=["truth-F-0", "start-F-0", "start-F-1", "truth-mu-0"])
+def test_fits_that_dogbox_ends_on_a_bound_are_todays_trf_fits(truth, init):
+    # where a bound matters, dogbox alone ends above trf's cost, or runs to
+    # its cap; fit_visibility_curve must then give trf's result from the start
+    fixed = em.DephasingParams(Gamma_sd_inv_ps=5e-4)
+    temps = np.linspace(4.0, 40.0, 12)
+    vs = em.tpi_visibility(temps, 0.0, fixed.replace(**truth))
+    fit = em.fit_visibility_curve(temps, vs, "vs_temperature", fixed, init=init)
+    x, rms = _trf_fit(temps, vs, fixed, init)
+    assert [getattr(fit.params, name) for name in em._VS_T_FREE] == x.tolist()
+    assert fit.rms_residual == rms
+
+
+def test_a_dogbox_proposal_that_overflows_warns_nothing():
+    # on this noise-like curve dogbox runs onto the bounds, F to 7e-302, where
+    # its Jacobian products overflow; trf then runs from the start, warning nothing
+    fixed = em.DephasingParams()
+    temps = np.array([20.9, 84.4, 95.9, 109.5, 123.6, 128.2, 221.3])
+    vs = np.array([-0.48, -0.08, -0.18, 0.21, 0.05, 0.08, 1.03])
+    init = {"alpha_ps2": 0.0, "v_c_inv_ps": 0.5, "mu_ps2": 0.006, "F": 0.01}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = em.fit_visibility_curve(temps, vs, "vs_temperature", fixed, init=init)
+    x, rms = _trf_fit(temps, vs, fixed, init)
+    assert [getattr(fit.params, name) for name in em._VS_T_FREE] == x.tolist()
+    assert fit.rms_residual == rms
+
+
+def test_a_vs_delay_fit_from_gamma_sd_on_its_bound_reaches_the_curve():
+    # DephasingParams() starts Gamma_sd at its bound 0, where dogbox alone
+    # stops at Gamma_sd = 1e-6 and reports success
+    truth = em.DephasingParams(Gamma_sd_inv_ps=5e-4)
+    delays = np.geomspace(1.0, 2000.0, 12)
+    fit = em.fit_visibility_curve(delays, em.tpi_visibility(6.0, delays, truth), "vs_delay", em.DephasingParams(),
+                                  temperature_K=6.0)
+    assert fit.rms_residual <= 1e-12
