@@ -172,13 +172,12 @@ def compose_transfer(elements: list[LinearElement]) -> np.ndarray:
     return u
 
 
-def _assignments(elements: list[LinearElement], inp: TwoPhotonInput):
-    """Coincidence amplitudes (f, s) over (HH, HV, VH, VV) of the two assignments.
+def _assignments(u: np.ndarray, inp: TwoPhotonInput):
+    """Coincidence amplitudes (f, s) over (HH, HV, VH, VV) of the two assignments through the transfer u.
 
     f has the control photon in the control path and the target photon in
     the target path; s has them swapped.
     """
-    u = compose_transfer(elements)
     a = u @ np.array([inp.control[0], inp.control[1], 0.0, 0.0], dtype=complex)
     b = u @ np.array([0.0, 0.0, inp.target[0], inp.target[1]], dtype=complex)
     return np.kron(a[:2], b[2:]), np.kron(b[:2], a[2:])
@@ -192,7 +191,7 @@ def two_photon_amplitudes(elements: list[LinearElement], inp: TwoPhotonInput) ->
     input modes and output modes (a in the control path, b in the target
     path).
     """
-    f, s = _assignments(elements, inp)
+    f, s = _assignments(compose_transfer(elements), inp)
     return f + s
 
 
@@ -204,7 +203,12 @@ def coincidence_evolve(elements: list[LinearElement], inp: TwoPhotonInput) -> Po
     coincidence subspace; success_prob is the matching mixture of the two
     coincidence probabilities.
     """
-    f, s = _assignments(elements, inp)
+    return _post_select(compose_transfer(elements), inp)
+
+
+def _post_select(u: np.ndarray, inp: TwoPhotonInput) -> PostSelectedState:
+    """coincidence_evolve through the composed transfer u."""
+    f, s = _assignments(u, inp)
     psi = f + s
     rho_ind = np.outer(psi, psi.conj())
     p_ind = float(np.vdot(psi, psi).real)
@@ -237,12 +241,13 @@ def truth_table(
     are conditional on coincidence and sum to 1.
     """
     labels, _ = _basis(basis)
+    u = compose_transfer(elements)  # once for the four inputs
     pairs = [(jones.basis_state(lbl[0]), jones.basis_state(lbl[1])) for lbl in labels]
     probes = [np.kron(c, t) for c, t in pairs]
     table = np.empty((4, 4))
     success_prob = np.empty(4)
     for i, (c, t) in enumerate(pairs):
-        state = coincidence_evolve(elements, TwoPhotonInput(c, t, overlap))
+        state = _post_select(u, TwoPhotonInput(c, t, overlap))
         success_prob[i] = state.success_prob
         for j, probe in enumerate(probes):
             table[i, j] = float(np.real(probe.conj() @ state.rho @ probe))

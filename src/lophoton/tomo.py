@@ -44,17 +44,29 @@ generator seeded with the first child of ``numpy.random.SeedSequence(seed)``
 (simulate_counts draws from the seed's own stream).  They are drawn and
 scored 1000 at a time, with one Poisson call and one evaluation of the
 metrics per block, so that a run of fewer resamples redraws the first ones
-of a longer run.  Each refit starts one Newton step from the central
-fit, which the caller passes in (Le Cam's one-step estimator): at the
-central optimum, floored like every start, the gradient is linear in the
-counts, so a start costs one vector-matrix product with a (36, 16) matrix
-built from the central Hessian.  From there a Poisson redraw of the
-observed counts is inside the region where Newton converges
-quadratically; at the singlet with 10^6 counts per setting every refit
-takes 1 step.  The first pass of a block runs in the central fit's basis
-order, in stacks of at most 100 fits; a refit still running after 20
-steps repivots like any fit.  Every product is computed fit by fit, so
-that the results depend on neither the block nor the stack size.
+of a longer run.  Each refit starts from Newton steps with the central
+Hessian, the Hessian of the central fit that the caller passes in.  At
+that optimum, floored like every start, the gradient is linear in the
+counts, so the first step (Le Cam's one-step estimator) costs one
+vector-matrix product with a (36, 16) matrix built from the central
+Hessian.  Two chord steps follow, each from the gradient where the last
+one ended (one _q_vectors product per fit), and a refit keeps their end
+point only if the second step is at most a tenth of the first; otherwise
+it starts one step from the central fit, bit for bit.  At the singlet
+with 10^6 counts per setting every refit keeps the chord point and
+passes the decrement test there, with no Newton step; the refits of
+Werner 0.9 at 100 and 2000 counts per setting, whose Hessians move with
+the counts, all keep the one-step start.  The first pass of a block runs
+in the central fit's basis order, in stacks of at most 100 fits; a refit
+still running after 20 steps repivots like any fit.  Every product is
+computed fit by fit, so that the results depend on neither the block nor
+the stack size.
+
+The metrics of a state come from one eigendecomposition: the entropy
+and the purity from its eigenvalues, and Wootters' concurrence from the
+singular values of a complex symmetric matrix built from its factors
+(_concurrence), which, unlike the eigenvalues of the non-Hermitian
+rho rho~, stay exact for a pure state.
 
 The fits of one _mle_fits call, every pass, stack and Newton step of them,
 write their stack-sized products into one workspace (_Work, 1.7 MB for a
@@ -62,7 +74,10 @@ stack of 100).  Arrays of a few hundred KB, allocated and freed at every
 step, are above the sizes at which glibc's malloc maps fresh pages and
 trims them back, so each step faulted them in again: about 10,800 minor
 page faults per seeded bell call of 1000 resamples, against about 600
-with the workspace, most of them its first touch.
+with the workspace, most of them its first touch.  The metrics of a
+block still allocate (1000, 4, 4) temporaries; with the single
+eigendecomposition a call takes about 950 faults, against about 170
+with the former metrics, and less time.
 """
 
 from __future__ import annotations
@@ -309,6 +324,9 @@ _MLE_REPIVOT_STEPS = 20
 #: most fits of one basis order in one _newton_fit stack: enough to amortise
 #: the numpy calls of a Newton step, few enough to bound its _Work
 _FIT_STACK = 100
+#: largest ratio of the second chord step of a refit start to the first at
+#: which the start keeps the point they reach (_Predictor.refine)
+_CHORD_CONTRACTION = 0.1
 
 
 def mle_reconstruct(records) -> MleResult:
@@ -347,12 +365,14 @@ def _pivoted_starts(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return orders, (t.reshape(-1, 1, 16) @ _X_OF_T)[:, 0].real
 
 
-def _mle_fits(n: np.ndarray, orders: np.ndarray, x: np.ndarray) -> MleResult:
+def _mle_fits(n: np.ndarray, orders: np.ndarray, x: np.ndarray, predictor: _Predictor | None = None) -> MleResult:
     """Maximum-likelihood fits of (R, 36) counts n; one MleResult of arrays over the R fits, in input order.
 
-    Fit r starts from the parameters x[r] in the basis order orders[r].
-    Each pass runs _newton_fit on the fits still running, in stacks of at
-    most _FIT_STACK fits of one order, all in one _Work.  A fit still
+    Fit r starts from the parameters x[r] in the basis order orders[r], or,
+    with the predictor whose starts gave orders and x, from
+    predictor.refine of them.  Each pass runs _newton_fit on the fits still
+    running, in stacks of at most _FIT_STACK fits of one order, all in one
+    _Work, which the first pass's refine shares.  A fit still
     running after _MLE_REPIVOT_STEPS steps starts again from its current
     state through _pivoted_starts, and so on until it stops or has taken
     _MLE_MAX_ITER steps in all (n_iter), with log_likelihood_gain counted
@@ -375,7 +395,8 @@ def _mle_fits(n: np.ndarray, orders: np.ndarray, x: np.ndarray) -> MleResult:
             for lo in range(0, len(same), _FIT_STACK):
                 stack = same[lo:lo + _FIT_STACK]
                 rows = todo[stack]
-                fit = _newton_fit(n[rows], x[stack], forms, budget, work)
+                start = x[stack] if predictor is None or steps else predictor.refine(n[rows], x[stack], forms, work)
+                fit = _newton_fit(n[rows], start, forms, budget, work)
                 for f in fields(MleResult):
                     getattr(out, f.name)[rows] = getattr(fit, f.name)
         if steps:
@@ -390,21 +411,43 @@ def _mle_fits(n: np.ndarray, orders: np.ndarray, x: np.ndarray) -> MleResult:
 
 
 class _Predictor(NamedTuple):
-    """Start parameters for refits of counts near the observed ones: one Newton step from the central fit.
+    """Start parameters for refits of counts near the observed ones: Newton steps with the central Hessian.
 
     At the central parameters x (|x| = 1, in the basis order held in order)
     the projected gradient of f is linear in the counts, g(n) = n @ a, so
     the Newton step -H^-1 g(n) with the central Hessian H is n @ gain for
-    gain = -a H^-1 (Le Cam's one-step estimator, 1956).
+    gain = -a H^-1 (Le Cam's one-step estimator, 1956), the start of
+    starts.  refine goes on with chord steps -g @ chord, chord = P H^-1 P
+    with P the projector off x, each from the gradient g at the point the
+    last one reached (the k-step estimator, Robinson 1988).
     """
 
     order: np.ndarray
     x: np.ndarray
     gain: np.ndarray
+    chord: np.ndarray
 
     def starts(self, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(orders, x) of (R, 36) counts n: all in order, x from a vector-matrix product per fit."""
         return np.broadcast_to(self.order, (len(n), 4)), self.x + (n[:, None, :] @ self.gain)[:, 0]
+
+    def refine(self, n: np.ndarray, x: np.ndarray, forms: _Forms, work: _Work) -> np.ndarray:
+        """Starts of (m, 36) counts n from their starts x: two chord steps where they contract, else x itself.
+
+        A fit keeps the point the steps reach when it is finite and the
+        second step is at most _CHORD_CONTRACTION times the first.  forms
+        are those of order, and each step costs one _q_vectors product in
+        work.
+        """
+        total, point, norms = n.sum(axis=-1), x, []
+        for _ in range(2):
+            point = point / np.linalg.norm(point, axis=-1, keepdims=True)
+            *_, grad = _gradient(n, total, point, forms, work)
+            step = -(grad[:, None, :] @ self.chord)[:, 0]
+            point = point + step
+            norms.append(np.linalg.norm(step, axis=-1))
+        keep = np.isfinite(point).all(axis=-1) & (norms[1] <= _CHORD_CONTRACTION * norms[0])
+        return np.where(keep[:, None], point, x)
 
 
 def _one_step_predictor(observed: np.ndarray, rho: np.ndarray) -> _Predictor:
@@ -425,9 +468,11 @@ def _one_step_predictor(observed: np.ndarray, rho: np.ndarray) -> _Predictor:
     a = 2.0 * (x - _q_vectors(x, forms, work)[0] / q[0, :, None])
     x = x[0]
     # along x, H is the damping shift alone, so the solve scales the
-    # rounding of a along x by 1 / shift; f is constant along x, so that
-    # part of the step is dropped
-    return _Predictor(order, x, -np.linalg.solve(hess[0], a.T).T @ (np.eye(16) - np.outer(x, x)))
+    # rounding along x by 1 / shift; f is constant along x, so that part
+    # of each step is dropped, and a gradient away from x has its part
+    # along x dropped before the solve
+    off_x = np.eye(16) - np.outer(x, x)
+    return _Predictor(order, x, -np.linalg.solve(hess[0], a.T).T @ off_x, off_x @ np.linalg.solve(hess[0], off_x))
 
 
 # Every product below is taken per fit (a stacked matmul, an elementwise
@@ -438,8 +483,10 @@ def _one_step_predictor(observed: np.ndarray, rho: np.ndarray) -> _Predictor:
 class _Work(NamedTuple):
     """Buffers for the stack-sized products of a Newton step on up to M fits; m fits use the first m rows.
 
-    _mle_fits runs every pass, stack and step of a call in one, so that no
-    step allocates an array of a few hundred KB (see the module docstring).
+    _mle_fits runs every pass, stack and step of a call in one, the chord
+    steps of refit starts included, so that no step allocates an array of
+    a few hundred KB but the factor of _shift_to_positive (see the module
+    docstring).
     """
 
     qx: np.ndarray  # (M, 1, 576): the Q_k @ x of _q_vectors
@@ -517,6 +564,20 @@ def _newton_fit(n: np.ndarray, x: np.ndarray, forms: _Forms, max_iter: int, work
     return MleResult(rho, log_likelihood, converged, n_iter, decrement_sq, log_likelihood - start_ll)
 
 
+def _gradient(n: np.ndarray, total: np.ndarray, x: np.ndarray, forms: _Forms, work: _Work):
+    """(Q x, q, w, g) of the fits at (m, 16) parameters x with |x| = 1.
+
+    Q x holds the vectors Q_k @ x (in work.qx), q the outcome traces, w the
+    weights n_k / q_k (0 where n_k = 0) and g the exact gradient of f, in
+    which the N log |x|^2 term is 2N x.
+    """
+    qx = _q_vectors(x, forms, work)
+    q = _row_dot(qx, x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = np.where(n > 0, n / q, 0.0)
+    return qx, q, w, 2.0 * (total[:, None] * x - (w[:, None, :] @ qx)[:, 0])
+
+
 def _derivatives(n: np.ndarray, total: np.ndarray, x: np.ndarray, forms: _Forms, work: _Work):
     """(q, P g, P H P + shift) of the fits at (m, 16) parameters x with |x| = 1.
 
@@ -526,22 +587,18 @@ def _derivatives(n: np.ndarray, total: np.ndarray, x: np.ndarray, forms: _Forms,
     grows by -2 v, v the lowest (negative) eigenvalue of P H P.  The
     returned Hessian is a view of work, valid until work is next used.
     """
-    from scipy.linalg import lapack
-
     m, diag = len(x), (slice(None), range(16), range(16))
     hess, proj, product = work.hess[:m], work.proj[:m], work.product[:m]
-    qx = _q_vectors(x, forms, work)
-    q = _row_dot(qx, x)
+    qx, q, w, grad = _gradient(n, total, x, forms, work)
+    # H = 4 Q^T diag(w2) Q - 2 sum_k w_k Q_k + 2N (I - 2 x x^T) at |x| = 1,
+    # whose x x^T part the projection removes; the powers of two scale exactly
     with np.errstate(divide="ignore", invalid="ignore"):
-        w = np.where(n > 0, n / q, 0.0)
         w2 = np.where(n > 0, w / q, 0.0)
-    # at |x| = 1 the N log |x|^2 term adds 2N x to g and 2N (I - 2 x x^T) to
-    # H, whose x x^T part the projection removes
-    grad = 2.0 * (total[:, None] * x - (w[:, None, :] @ qx)[:, 0])
-    # hess = 4 Q^T diag(w2) Q - 2 sum_k w_k Q_k + 2N I; the powers of two scale exactly
     np.matmul(qx.swapaxes(1, 2), np.multiply(w2[:, :, None], qx, out=work.weighted[:m]), out=hess)
+    del w2  # w2 and w go before the stacked Cholesky test allocates its (m, 16, 16) factor
     hess *= 4.0
     sums_w = np.matmul(forms.sums, w[:, :, None], out=work.sums_w[:m])
+    del w
     sums_w *= 2.0
     hess -= sums_w.reshape(m, 16, 16)
     hess[diag] += 2.0 * total[:, None]
@@ -552,11 +609,33 @@ def _derivatives(n: np.ndarray, total: np.ndarray, x: np.ndarray, forms: _Forms,
     hess = np.add(hess, hess.swapaxes(1, 2), out=product)  # symmetrised, now in product
     hess *= 0.5
     hess[diag] += damping[:, None]
-    bad = [i for i, h in enumerate(hess) if lapack.dpotrf(h, lower=True, clean=False)[1] != 0]
-    if bad:
-        lowest = np.linalg.eigvalsh(hess[bad])[:, 0]
-        hess[bad] += (2.0 * (damping[bad] - lowest))[:, None, None] * np.eye(16)
+    _shift_to_positive(hess, damping)
     return q, grad, hess
+
+
+def _shift_to_positive(hess: np.ndarray, damping: np.ndarray) -> None:
+    """Shift in place each of the (m, 16, 16) symmetric hess that fails a Cholesky test, by 2 (damping - v) I.
+
+    v is the matrix's lowest eigenvalue, so its shifted lowest one is
+    2 damping - v > 0.  One Cholesky factorization of the whole stack tests
+    every matrix; only when it fails does LAPACK's dpotrf, matrix by
+    matrix, find the ones to shift.  Its (m, 16, 16) factor is the one
+    stack-sized array a Newton step allocates.  NumPy and SciPy link
+    separate LAPACK builds, which can disagree on a matrix whose lowest
+    eigenvalue is within a few eps of zero relative to its largest (2 of
+    10,980 random such matrices passed NumPy's test and failed dpotrf); a
+    Newton Hessian's lowest eigenvalue, the damping along x, is about
+    1e-12 of its largest.
+    """
+    try:
+        np.linalg.cholesky(hess)
+        return
+    except np.linalg.LinAlgError:
+        from scipy.linalg import lapack
+
+        bad = [i for i, h in enumerate(hess) if lapack.dpotrf(h, lower=True, clean=False)[1] != 0]
+    lowest = np.linalg.eigvalsh(hess[bad])[:, 0]
+    hess[bad] += (2.0 * (damping[bad] - lowest))[:, None, None] * np.eye(16)
 
 
 def _line_search(n, total, x, q, step, forms, work):
@@ -621,9 +700,21 @@ def fidelity(rho: np.ndarray, target: np.ndarray) -> float:
 
 def concurrence(rho: np.ndarray) -> float:
     """Wootters concurrence of a two-qubit density matrix."""
-    tilde = _SIGMA_YY @ rho.conj() @ _SIGMA_YY
-    ev = np.linalg.eigvals(rho @ tilde)
-    lam = np.sort(np.sqrt(np.abs(np.real(ev))), axis=-1)
+    return _concurrence(*hermitian_eigen(rho))
+
+
+def _concurrence(w: np.ndarray, v: np.ndarray) -> float:
+    """Concurrence of rho = V diag(w) V^dag from its eigendecomposition.
+
+    With S = diag(sqrt w) V^dag, rho = S^dag S, and Wootters' lambda_i, the
+    square roots of the eigenvalues of rho (sigma_y sigma_y) rho^*
+    (sigma_y sigma_y), are the singular values of the complex symmetric
+    M = S (sigma_y sigma_y) S^T: the square roots of the eigenvalues of the
+    Hermitian M M^dag.
+    """
+    s = np.sqrt(np.clip(w, 0.0, None))[..., :, None] * dagger(v)
+    m = s @ _SIGMA_YY @ s.swapaxes(-1, -2)
+    lam = np.sqrt(np.clip(np.linalg.eigvalsh(m @ dagger(m)), 0.0, None))
     return np.maximum(0.0, lam[..., 3] - lam[..., 2] - lam[..., 1] - lam[..., 0])
 
 
@@ -631,6 +722,10 @@ def _entropy_bits(w: np.ndarray) -> float:
     w = np.clip(np.real(w), 0.0, None)
     nz = w > 1e-15
     return -np.sum(np.where(nz, w * np.log2(np.where(nz, w, 1.0)), 0.0), axis=-1)
+
+
+def _reduced_entropy_bits(rho: np.ndarray) -> float:
+    return _entropy_bits(np.linalg.eigvalsh(partial_trace(rho, "first")))
 
 
 def entropies(rho: np.ndarray) -> tuple[float, float]:
@@ -641,8 +736,7 @@ def entropies(rho: np.ndarray) -> tuple[float, float]:
     (0, positive).
     """
     w_full, _ = hermitian_eigen(rho)
-    w_red = np.linalg.eigvalsh(partial_trace(rho, "first"))
-    return _entropy_bits(w_full), _entropy_bits(w_red)
+    return _entropy_bits(w_full), _reduced_entropy_bits(rho)
 
 
 def purity(rho: np.ndarray) -> float:
@@ -658,14 +752,18 @@ def hofmann_bounds(f_zz: float, f_xx: float) -> tuple[float, float]:
 
 
 def state_metrics(rho: np.ndarray, target: np.ndarray) -> StateMetrics:
-    """Every metric of rho against target; arrays over the stack for a stack of rho."""
-    s_full, s_red = entropies(rho)
+    """Every metric of rho against target; arrays over the stack for a stack of rho.
+
+    One eigendecomposition of each rho gives its concurrence, full entropy
+    and purity.
+    """
+    w, v = hermitian_eigen(rho)
     return StateMetrics(
         fidelity_to_target=fidelity(rho, target),
-        concurrence=concurrence(rho),
-        entropy_full_bits=s_full,
-        entropy_reduced_bits=s_red,
-        purity=purity(rho),
+        concurrence=_concurrence(w, v),
+        entropy_full_bits=_entropy_bits(w),
+        entropy_reduced_bits=_reduced_entropy_bits(rho),
+        purity=np.sum(w * w, axis=-1),
     )
 
 
@@ -707,12 +805,13 @@ def monte_carlo_metrics(records, central: MleResult, target: np.ndarray, n_resam
     central is the caller's mle_reconstruct(records).  Each resample
     redraws all 36 outcome counts ~ Poisson(observed), in order from one
     stream seeded by the first child of SeedSequence(seed), refits by
-    maximum likelihood from one Newton step off central.rho (see
-    _one_step_predictor) and recomputes the metrics; means and sample
-    standard deviations over the resamples whose fit converged are
+    maximum likelihood from a start predicted with the Hessian at
+    central.rho (see _Predictor) and recomputes the metrics; means and
+    sample standard deviations over the resamples whose fit converged are
     reported, and refit_iterations counts each refit's Newton steps after
-    that predicted start.  Raises NotConverged when more than
-    MAX_NOT_CONVERGED_FRACTION of the fits did not converge.
+    that predicted start, 0 where it already passes the decrement test.
+    Raises NotConverged when more than MAX_NOT_CONVERGED_FRACTION of the
+    fits did not converge.
     """
     if n_resamples < 100:
         raise ValueError(f"n_resamples must be at least 100 for a usable spread, got {n_resamples}")
@@ -730,7 +829,7 @@ def monte_carlo_metrics(records, central: MleResult, target: np.ndarray, n_resam
         counts = rng.poisson(observed, size=(min(_MC_BLOCK, n_resamples - lo), observed.size))
         per_setting = counts.reshape(len(counts), 9, 4)
         per_setting[per_setting.sum(axis=-1) == 0] += 1  # keep the setting usable at tiny totals
-        fits = _mle_fits(counts, *predictor.starts(counts))
+        fits = _mle_fits(counts, *predictor.starts(counts), predictor)
         block = slice(lo, lo + _MC_BLOCK)
         table[block] = np.column_stack(astuple(state_metrics(fits.rho, target)))
         converged[block], iterations[block] = fits.converged, fits.n_iter

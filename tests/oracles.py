@@ -41,6 +41,22 @@ def partial_trace_oracle(rho, keep):
     return out
 
 
+def wootters_concurrence_oracle(rho):
+    """Concurrence of one 4x4 state from the eigenvalues of rho rho~, rho~ = (Y x Y) rho^* (Y x Y) (Wootters, 1998)."""
+    sigma_y = np.array([[0, -1j], [1j, 0]])
+    flip = kron_oracle(sigma_y, sigma_y)
+    ev = np.linalg.eigvals(rho @ flip @ rho.conj() @ flip)
+    lam = sorted((math.sqrt(abs(e.real)) for e in ev), reverse=True)
+    return max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
+
+
+def von_neumann_entropies_oracle(rho):
+    """(full-state, reduced-state) entropies in bits of one 4x4 state, each from its own eigvalsh."""
+    def bits(matrix):
+        return -sum(p * math.log2(p) for p in np.linalg.eigvalsh(matrix) if p > 0.0)
+    return bits(rho), bits(partial_trace_oracle(rho, "first"))
+
+
 def conditional_state_oracle(u4, alpha, beta, overlap):
     """Post-selected two-qubit state via an 8-mode second-quantized model.
 

@@ -125,6 +125,26 @@ def test_truth_table_rows_normalized(m):
             assert p == state.success_prob
 
 
+@pytest.mark.parametrize("m", [0.0, 0.947, 1.0])
+@pytest.mark.parametrize("basis", ["ZZ", "XX"])
+def test_truth_table_composes_once_and_equals_the_per_input_path(monkeypatch, basis, m):
+    """One compose_transfer per table, and the bytes of coincidence_evolve input by input."""
+    cnot = circuit.build_cnot()
+    inputs, _ = circuit.TRUTH_TABLE_BASES[basis]
+    probes = [np.kron(jones.basis_state(label[0]), jones.basis_state(label[1])) for label in inputs]
+    expected, expected_prob = np.empty((4, 4)), np.empty(4)
+    for i, label in enumerate(inputs):
+        state = circuit.coincidence_evolve(cnot, _input(label[0], label[1], m))
+        expected_prob[i] = state.success_prob
+        for j, probe in enumerate(probes):
+            expected[i, j] = float(np.real(probe.conj() @ state.rho @ probe))
+    compose, calls = circuit.compose_transfer, []
+    monkeypatch.setattr(circuit, "compose_transfer", lambda elements: calls.append(elements) or compose(elements))
+    table, success_prob = circuit.truth_table(cnot, m, basis)
+    assert len(calls) == 1
+    assert table.tobytes() == expected.tobytes() and success_prob.tobytes() == expected_prob.tobytes()
+
+
 def test_distinguishable_vv_row_matches_assignment_oracle():
     cnot = circuit.build_cnot()
     u = circuit.compose_transfer(cnot)

@@ -412,9 +412,9 @@ def test_reconstruct_monte_carlo_non_convergence_exit_3(tmp_path, monkeypatch, c
     fit = tomo._mle_fits
     seen = [0]
 
-    def every_tenth_fit_fails(n, orders, x):
+    def every_tenth_fit_fails(n, *starts):
         # fits are counted over all solver calls: the central fit is the first
-        fits = fit(n, orders, x)
+        fits = fit(n, *starts)
         index = seen[0] + np.arange(1, len(n) + 1)
         seen[0] += len(n)
         return replace(fits, converged=fits.converged & (index % 10 != 0))

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from lophoton import circuit, cli, jones, tomo
 
@@ -17,6 +18,8 @@ from oracles import (
     log_likelihood_oracle,
     ordered_params,
     trace_loop_probabilities,
+    von_neumann_entropies_oracle,
+    wootters_concurrence_oracle,
 )
 
 
@@ -388,9 +391,11 @@ def test_a_reused_workspace_leaves_no_stale_data(monkeypatch, stack):
 def test_a_newton_fit_allocates_no_stack_sized_temporaries():
     """100 bell-like refits in a workspace built beforehand: the traced peak stays below two (100, 16, 16) arrays.
 
+    Measured apart for the chord steps of the refit starts and for Newton
+    fits from the one-step starts, which take a step and a line search.
     Every step allocated (100, 36, 16) and (100, 16, 16) temporaries, a
     traced peak of about 1.8 MB, before they were written into the
-    workspace.
+    workspace; the one left is the factor of the stacked Cholesky test.
     """
     observed = _refit_case_counts("psi-minus", 1_000_000)
     predictor = tomo._one_step_predictor(observed, _inversion_start_fits(observed[None]).rho[0])
@@ -399,14 +404,79 @@ def test_a_newton_fit_allocates_no_stack_sized_temporaries():
     forms, work = tomo._forms(tuple(predictor.order)), tomo._Work.empty(100)
     tracemalloc.start()
     try:
-        start, _ = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        fit = tomo._newton_fit(counts, x, forms, tomo._MLE_REPIVOT_STEPS, work)
-        _, peak = tracemalloc.get_traced_memory()
+        refined, chord_peak = _traced_peak(lambda: predictor.refine(counts, x, forms, work))
+        fit, newton_peak = _traced_peak(lambda: tomo._newton_fit(counts, x, forms, tomo._MLE_REPIVOT_STEPS, work))
     finally:
         tracemalloc.stop()
-    assert fit.converged.all()
-    assert peak - start < 2 * work.hess.nbytes
+    assert not np.array_equal(refined, x)
+    assert fit.converged.all() and fit.n_iter.min() >= 1
+    assert chord_peak < 2 * work.hess.nbytes
+    assert newton_peak < 2 * work.hess.nbytes
+
+
+def _traced_peak(call):
+    """(result, traced peak above the memory in use before) of call()."""
+    start, _ = tracemalloc.get_traced_memory()
+    tracemalloc.reset_peak()
+    result = call()
+    return result, tracemalloc.get_traced_memory()[1] - start
+
+
+def _dpotrf_loop_shift(hess, damping):
+    """The positivity shift with dpotrf run on every matrix: the reference for the stacked Cholesky test."""
+    bad = [i for i, h in enumerate(hess) if lapack.dpotrf(h, lower=True, clean=False)[1] != 0]
+    if bad:
+        lowest = np.linalg.eigvalsh(hess[bad])[:, 0]
+        hess[bad] += (2.0 * (damping[bad] - lowest))[:, None, None] * np.eye(16)
+    return bad
+
+
+def _hessian_stacks(monkeypatch):
+    """(hess, damping) of every _shift_to_positive call of two fits of 100 redraws, as passed in.
+
+    The singlet's refits at 10^6 counts per setting see only positive
+    Hessians, barely so: the one along x is the damping shift, about 4e-13
+    of the largest eigenvalue.  Werner 0.9 at 100 counts per setting starts
+    from linear inversions, where some Hessians are indefinite.
+    """
+    shift, stacks = tomo._shift_to_positive, []
+
+    def recording(hess, damping):
+        stacks.append((hess.copy(), damping.copy()))
+        return shift(hess, damping)
+
+    monkeypatch.setattr(tomo, "_shift_to_positive", recording)
+    for state, n_per_setting in (("psi-minus", 1_000_000), ("werner-0.9", 100)):
+        observed = _refit_case_counts(state, n_per_setting)
+        _inversion_start_fits(np.random.default_rng(75).poisson(observed, size=(100, 36)).astype(float))
+    monkeypatch.undo()
+    return stacks
+
+
+def _synthetic_hessians(rng):
+    """(16, 16) symmetric matrices with eigenvalues 1 to 1e6 and a lowest one of 1e-6, -1e-6 or -1e-1."""
+    stack = []
+    for lowest in (1e-6, 1e-6, -1e-6, 1e-6, -1e-1, 1e-6):
+        q, _ = np.linalg.qr(rng.normal(size=(16, 16)))
+        h = (q * np.concatenate([[lowest], rng.uniform(1.0, 1e6, 15)])) @ q.T
+        stack.append(0.5 * (h + h.T))
+    return np.array(stack)
+
+
+def test_the_stacked_cholesky_test_shifts_exactly_what_the_dpotrf_loop_shifts(monkeypatch, rng):
+    stacks = _hessian_stacks(monkeypatch)
+    synthetic = _synthetic_hessians(rng)
+    stacks += [(synthetic, np.full(6, 1e-6)), (synthetic[[0, 1, 3, 5]], np.full(4, 1e-6))]
+    shifted = []
+    for hess, damping in stacks:
+        stacked, looped = hess.copy(), hess.copy()
+        tomo._shift_to_positive(stacked, damping)
+        bad = _dpotrf_loop_shift(looped, damping)
+        assert stacked.tobytes() == looped.tobytes()
+        assert [i for i in range(len(hess)) if not np.array_equal(stacked[i], hess[i])] == bad
+        shifted.append(len(bad))
+    # stacks that the stacked test passes whole, and stacks with indefinite matrices among positive ones
+    assert shifted.count(0) >= 2 and any(0 < k < len(h) for k, (h, _) in zip(shifted, stacks))
 
 
 def _inversion_start_fits(counts):
@@ -546,7 +616,7 @@ def _serial_monte_carlo(records, target, n_resamples, seed):
                 counts = counts + 1
             resampled.append(tomo.MeasurementRecord(b1, b2, counts))
         n = tomo._count_table(resampled)[None]
-        fit = tomo._mle_fits(n, *predictor.starts(n))
+        fit = tomo._mle_fits(n, *predictor.starts(n), predictor)
         if fit.converged[0]:
             m = tomo.state_metrics(fit.rho[0], target)
             rows.append([getattr(m, f) for f in _METRICS])
@@ -581,6 +651,39 @@ def test_stacked_metrics_equal_serial_metrics(rng):
         assert np.array_equal(projected[i], tomo.project_to_physical(rho - 0.05 * np.eye(4), floor=1e-12))
 
 
+def _states_of_rank(rng, rank, size):
+    g = rng.normal(size=(size, 4, rank)) + 1j * rng.normal(size=(size, 4, rank))
+    rho = g @ g.conj().swapaxes(1, 2)
+    return rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+
+
+def test_stacked_metrics_match_the_oracles(rng):
+    """Concurrence and entropies of random states of rank 1 to 4 and of near-pure ones, against per-matrix oracles.
+
+    The oracle's Wootters lambdas are square roots of eigenvalues found to
+    about eps = 2.2e-16, so where they vanish (rank below 4) each may come
+    out near sqrt(eps) = 1.5e-8; the concurrence bound allows a few of them.
+    """
+    rhos = np.concatenate([*(_states_of_rank(rng, rank, 40) for rank in (1, 2, 3, 4)),
+                           *((1 - eps) * _states_of_rank(rng, 1, 20) + eps * _states_of_rank(rng, 4, 20)
+                             for eps in (1e-4, 1e-8, 1e-12))])
+    metrics = tomo.state_metrics(rhos, tomo.psi_minus())
+    for i, rho in enumerate(rhos):
+        assert abs(metrics.concurrence[i] - wootters_concurrence_oracle(rho)) <= 1e-7, i
+        entropies = von_neumann_entropies_oracle(rho)
+        assert abs(metrics.entropy_full_bits[i] - entropies[0]) <= 1e-13, i
+        assert abs(metrics.entropy_reduced_bits[i] - entropies[1]) <= 1e-13, i
+        assert abs(metrics.purity[i] - np.trace(rho @ rho).real) <= 1e-14, i
+
+
+def test_the_concurrence_of_a_pure_state_is_exact(rng):
+    """|psi^T (sigma_y sigma_y) psi| to rounding, where the oracle's lambdas are only good to about 1e-8."""
+    psi = rng.normal(size=(50, 4)) + 1j * rng.normal(size=(50, 4))
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    exact = np.abs(np.einsum("ri,ij,rj->r", psi, tomo._SIGMA_YY, psi))
+    assert np.max(np.abs(tomo.concurrence(np.einsum("ri,rj->rij", psi, psi.conj())) - exact)) <= 1e-14
+
+
 def _flag_fits_not_converged(monkeypatch, flagged):
     """Flag the refits with the given indices, counted over all solver calls, as not converged.
 
@@ -589,8 +692,8 @@ def _flag_fits_not_converged(monkeypatch, flagged):
     fit = tomo._mle_fits
     seen, kept = [0], []
 
-    def patched(n, orders, x):
-        fits = fit(n, orders, x)
+    def patched(n, *starts):
+        fits = fit(n, *starts)
         index = seen[0] + np.arange(len(n))
         seen[0] += len(n)
         converged = fits.converged & ~np.isin(index, list(flagged))
@@ -714,9 +817,9 @@ def test_monte_carlo_results_do_not_depend_on_the_block_size(monkeypatch):
 def test_shorter_monte_carlo_runs_draw_the_first_resamples_of_longer_ones(monkeypatch):
     mle_fits, drawn = tomo._mle_fits, {}
 
-    def recording(n, orders, x):
+    def recording(n, *starts):
         drawn.setdefault(n_resamples, []).append(np.array(n))
-        return mle_fits(n, orders, x)
+        return mle_fits(n, *starts)
 
     records = tomo.simulate_counts(tomo.werner(0.9), 1000, seed=5)
     monkeypatch.setattr(tomo, "_mle_fits", recording)
@@ -753,7 +856,7 @@ def test_refits_from_the_predicted_start_reach_the_linear_inversion_start_fit(st
     counts = np.random.default_rng(72).poisson(observed, size=(100, 36)).astype(float)
     per_setting = counts.reshape(100, 9, 4)
     per_setting[per_setting.sum(axis=-1) == 0] += 1
-    fits = tomo._mle_fits(counts, *predictor.starts(counts))
+    fits = tomo._mle_fits(counts, *predictor.starts(counts), predictor)
     assert fits.converged.all() and fits.n_iter.max() < tomo._MLE_MAX_ITER
     for n, ll in zip(counts, fits.log_likelihood):
         public = tomo.mle_reconstruct([tomo.MeasurementRecord(*s, c) for s, c in zip(tomo.SETTINGS, n.reshape(9, 4))])
@@ -780,6 +883,60 @@ def test_the_observed_counts_start_one_newton_step_from_the_floored_central_fit(
     along_x = np.outer(predictor.x, predictor.x)
     assert abs(predictor.x @ (predictor.starts(n)[1][0] - predictor.x)) <= 1e-15
     assert np.max(np.abs((np.eye(16) - along_x) @ (predictor.starts(n)[1][0] - predictor.x - step[0]))) <= 1e-12
+
+
+def test_singlet_refits_at_high_counts_pass_the_decrement_test_at_their_start():
+    """At 10^6 counts per setting 95 % or more of 1000 singlet refits take no Newton step; from the one-step start each took one."""
+    records = tomo.simulate_counts(tomo.psi_minus(), 1_000_000, seed=51)
+    mc = tomo.monte_carlo_metrics(records, tomo.mle_reconstruct(records), tomo.psi_minus(), 1000, seed=52)
+    assert mc.n_not_converged == 0
+    assert np.mean(mc.refit_iterations == 0) >= 0.95
+
+
+def _chord_case(state, n_per_setting, size):
+    """(predictor, counts, orders, one-step starts) of size Poisson redraws of a refit case, as monte_carlo_metrics draws them."""
+    observed = _refit_case_counts(state, n_per_setting)
+    predictor = tomo._one_step_predictor(observed, _inversion_start_fits(observed[None]).rho[0])
+    counts = np.random.default_rng(76).poisson(observed, size=(size, 36)).astype(float)
+    per_setting = counts.reshape(size, 9, 4)
+    per_setting[per_setting.sum(axis=-1) == 0] += 1
+    return predictor, counts, *predictor.starts(counts)
+
+
+def _refined(predictor, counts, x):
+    return predictor.refine(counts, x, tomo._forms(tuple(predictor.order)), tomo._Work.empty(len(counts)))
+
+
+@pytest.mark.parametrize("n_per_setting", [100, 2000])
+def test_refits_that_fail_the_chord_guard_are_the_refits_from_the_one_step_start(n_per_setting):
+    predictor, counts, orders, x = _chord_case("werner-0.9", n_per_setting, 300)
+    failed = (_refined(predictor, counts, x) == x).all(axis=-1)
+    assert failed.any()
+    chord, one_step = tomo._mle_fits(counts, orders, x, predictor), tomo._mle_fits(counts, orders, x)
+    for field in dataclasses.fields(tomo.MleResult):
+        assert getattr(chord, field.name)[failed].tobytes() == getattr(one_step, field.name)[failed].tobytes(), field.name
+
+
+def test_chord_starts_leave_no_more_refits_unconverged_at_three_counts_per_setting():
+    predictor, counts, orders, x = _chord_case("werner-0.6", 3, 1000)
+    chord, one_step = tomo._mle_fits(counts, orders, x, predictor), tomo._mle_fits(counts, orders, x)
+    assert np.count_nonzero(~chord.converged) <= np.count_nonzero(~one_step.converged)
+
+
+@pytest.mark.parametrize("state", ["psi-minus", "werner-0.9"])
+def test_chord_starts_do_not_depend_on_the_stack(monkeypatch, state):
+    """Each refit's chord start, and its fit, as if alone; at 10^6 counts per setting Werner 0.9 keeps a few chord points."""
+    predictor, counts, orders, x = _chord_case(state, 1_000_000, 200)
+    refined = _refined(predictor, counts, x)
+    kept = ~(refined == x).all(axis=-1)
+    assert kept.any() and (state == "psi-minus") == kept.all()
+    for r in range(len(counts)):
+        assert _refined(predictor, counts[r:r + 1], x[r:r + 1]).tobytes() == refined[r:r + 1].tobytes()
+    fits = tomo._mle_fits(counts, orders, x, predictor)
+    monkeypatch.setattr(tomo, "_FIT_STACK", 7)
+    stacked = tomo._mle_fits(counts, orders, x, predictor)
+    for field in dataclasses.fields(tomo.MleResult):
+        assert getattr(stacked, field.name).tobytes() == getattr(fits, field.name).tobytes(), field.name
 
 
 def test_monte_carlo_requires_enough_resamples():
