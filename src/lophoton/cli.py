@@ -35,11 +35,13 @@ EXIT_OK = 0
 EXIT_BAD_INPUT = 2
 EXIT_RECONSTRUCTION = 3
 EXIT_FIT = 4
+#: the exit code of each exception that main reports; none of the four derives from another
+_EXIT_CODES = {tomo.NotConverged: EXIT_RECONSTRUCTION, emitter.FitDiverged: EXIT_FIT,
+               OSError: EXIT_BAD_INPUT, ValueError: EXIT_BAD_INPUT}
 
 
 #: keys of a dephasing-parameter file
 _DEPHASING_KEYS = tuple(f.name for f in fields(emitter.DephasingParams))
-
 
 #: analyze's integration half-window when --window is not given
 _ANALYZE_WINDOW_PS = {"g2": 2000.0, "hom": 600.0}
@@ -314,89 +316,87 @@ def _env_seed():
         raise ValueError(f"LOPHOTON_SEED must be an integer, got {raw!r}") from None
 
 
+#: the flags of every subcommand, as (flag, argparse keywords, readers) rows: the keywords hold the flag's
+#: default unless it is None, and readers the --mode or --kind values that read it, or None for all of them
+_COMMON_FLAGS = (
+    ("--seed", dict(type=int, help="RNG seed (default: LOPHOTON_SEED or builtin)"), None),
+    ("--out", dict(help="output path (default: stdout)"), None),
+    ("--threads", dict(type=int, default=1, help="accepted, no effect: Monte Carlo is serial"), None))
+#: subcommand -> (help, None or (the dest of its --mode or --kind, what a run makes), its own flag rows)
+_SUBCOMMANDS = {
+    "truth-table": ("conditional gate table and basis fidelity", None, (
+        ("--overlap", dict(type=float, default=1.0, help="wavepacket overlap M in [0, 1]"), None),
+        ("--basis", dict(choices=list(circuit.TRUTH_TABLE_BASES), default="ZZ"), None),
+        ("--measured-fzz", dict(type=float, help="externally measured ZZ fidelity"), None),
+        ("--measured-fxx", dict(type=float, help="externally measured XX fidelity"), None))),
+    "bell": ("prepare, measure and reconstruct the entangled pair", None, (
+        ("--overlap", dict(type=float, default=1.0), None),
+        ("--counts-per-setting", dict(type=int, default=1_000_000), None),
+        ("--resamples", dict(type=int, default=1000), None))),
+    "visibility": ("interference visibility curve to CSV", ("mode", "curve"), (
+        ("--mode", dict(choices=["vs_T", "vs_dt"], required=True), None),
+        ("--params", dict(help="dephasing parameter JSON"), None),
+        ("--grid", dict(required=True, help="start:stop:num"), None),
+        ("--log-grid", dict(action="store_true", default=False), None),
+        ("--delay-ns", dict(type=float, default=2.0, help="pulse delay in ns"), ("vs_T",)),
+        ("--temperature", dict(type=float, default=4.0, help="temperature in K"), ("vs_dt",)))),
+    "fit": ("least-squares model fits", ("kind", "fit"), (
+        ("--kind", dict(choices=["trpl", "vis_T", "vis_dt"], required=True), None),
+        ("--data", dict(required=True, help="two-column CSV with header"), None),
+        ("--init", dict(help="JSON with starting values"), None),
+        ("--params", dict(help="fixed dephasing parameters JSON"), ("vis_T", "vis_dt")),
+        ("--irf-width", dict(type=float, default=75.0, help="IRF FWHM in ps"), ("trpl",)),
+        ("--temperature", dict(type=float, default=4.0, help="temperature in K"), ("vis_dt",)))),
+    "analyze": ("histogram statistics: g2 or interference visibility", None, (
+        ("--kind", dict(choices=["g2", "hom"], required=True), None),
+        ("--histogram", dict(required=True, help="histogram CSV (tau_ps,counts)"), None),
+        ("--meta", dict(required=True, help="metadata sidecar JSON"), None),
+        ("--window", dict(type=float, help="integration half-window in ps (default: 2000 for g2, 600 for hom)"), None))),
+    "reconstruct": ("tomography from a measurement record CSV", None, (
+        ("--records", dict(required=True), None),
+        ("--resamples", dict(type=int, default=0), None),
+        ("--target", dict(choices=["psi-minus", "maximally-mixed"], default="psi-minus"), None))),
+}
+
+
 def build_parser():
+    """The parser of _SUBCOMMANDS.  It sets only the flags given, so that _set_flags sees which were."""
     parser = argparse.ArgumentParser(
-        prog="lophoton",
-        description="Two-photon gate simulation, emitter models, and tomography, batch style.",
-    )
+        prog="lophoton", description="Two-photon gate simulation, emitter models, and tomography, batch style.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--seed", type=int, default=None, help="RNG seed (default: LOPHOTON_SEED or builtin)")
-        p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--threads", type=int, default=1, help="accepted, no effect: Monte Carlo is serial")
-
-    p = sub.add_parser("truth-table", help="conditional gate table and basis fidelity")
-    add_common(p)
-    p.add_argument("--overlap", type=float, default=1.0, help="wavepacket overlap M in [0, 1]")
-    p.add_argument("--basis", choices=list(circuit.TRUTH_TABLE_BASES), default="ZZ")
-    p.add_argument("--measured-fzz", type=float, default=None, help="externally measured ZZ fidelity")
-    p.add_argument("--measured-fxx", type=float, default=None, help="externally measured XX fidelity")
-
-    p = sub.add_parser("bell", help="prepare, measure and reconstruct the entangled pair")
-    add_common(p)
-    p.add_argument("--overlap", type=float, default=1.0)
-    p.add_argument("--counts-per-setting", type=int, default=1_000_000)
-    p.add_argument("--resamples", type=int, default=1000)
-
-    p = sub.add_parser("visibility", help="interference visibility curve to CSV")
-    add_common(p)
-    p.add_argument("--mode", choices=["vs_T", "vs_dt"], required=True)
-    p.add_argument("--params", default=None, help="dephasing parameter JSON")
-    p.add_argument("--grid", required=True, help="start:stop:num")
-    p.add_argument("--log-grid", action="store_true")
-    p.add_argument("--delay-ns", type=float, default=2.0, dest="delay_ns", help="pulse delay for vs_T")
-    p.add_argument("--temperature", type=float, default=4.0, help="temperature for vs_dt")
-
-    p = sub.add_parser("fit", help="least-squares model fits")
-    add_common(p)
-    p.add_argument("--kind", choices=["trpl", "vis_T", "vis_dt"], required=True)
-    p.add_argument("--data", required=True, help="two-column CSV with header")
-    p.add_argument("--init", default=None, help="JSON with starting values")
-    p.add_argument("--params", default=None, help="fixed dephasing parameters JSON")
-    p.add_argument("--irf-width", type=float, default=75.0, help="IRF FWHM in ps (trpl)")
-    p.add_argument("--temperature", type=float, default=4.0, help="temperature for vis_dt")
-
-    p = sub.add_parser("analyze", help="histogram statistics: g2 or interference visibility")
-    add_common(p)
-    p.add_argument("--kind", choices=["g2", "hom"], required=True)
-    p.add_argument("--histogram", required=True, help="histogram CSV (tau_ps,counts)")
-    p.add_argument("--meta", required=True, help="metadata sidecar JSON")
-    p.add_argument("--window", type=float,
-                   help="integration half-window in ps (default: 2000 for g2, 600 for hom)")
-
-    p = sub.add_parser("reconstruct", help="tomography from a measurement record CSV")
-    add_common(p)
-    p.add_argument("--records", required=True)
-    p.add_argument("--resamples", type=int, default=0)
-    p.add_argument("--target", choices=["psi-minus", "maximally-mixed"], default="psi-minus")
-
+    for command, (text, _, flags) in _SUBCOMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        for flag, keywords, readers in _COMMON_FLAGS + flags:
+            only = "" if readers is None else f" ({' or '.join(readers)} only)"
+            p.add_argument(flag, **{**keywords, "default": argparse.SUPPRESS, "help": keywords.get("help", "") + only})
     return parser
 
 
-@cache
-def _parser():
-    return build_parser()
+def _set_flags(args):
+    """Refuse a flag given to a mode or kind that does not read it; set each flag not given to its default."""
+    _, run, flags = _SUBCOMMANDS[args.command]
+    for flag, keywords, readers in _COMMON_FLAGS + flags:
+        dest = flag[2:].replace("-", "_")
+        if not hasattr(args, dest):
+            setattr(args, dest, keywords.get("default"))
+        elif readers is not None and (mode := getattr(args, run[0])) not in readers:
+            raise ValueError(f"{flag} has no effect on a {mode} {run[1]}")
+
+
+_parser = cache(build_parser)
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        _set_flags(args)
         if args.seed is None:
             args.seed = _env_seed()
         # looked up at call time, so a wrapped or patched cmd_* is the one called
         return globals()["cmd_" + args.command.replace("-", "_")](args)
-    except tomo.NotConverged as e:
-        return _fail(e, EXIT_RECONSTRUCTION)
-    except emitter.FitDiverged as e:
-        return _fail(e, EXIT_FIT)
-    except (OSError, ValueError) as e:
-        return _fail(e, EXIT_BAD_INPUT)
-
-
-def _fail(error, code):
-    print(f"error: {error}", file=sys.stderr)
-    return code
+    except tuple(_EXIT_CODES) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(e, kind))
 
 
 if __name__ == "__main__":

@@ -618,24 +618,27 @@ def _shift_to_positive(hess: np.ndarray, damping: np.ndarray) -> None:
 
     v is the matrix's lowest eigenvalue, so its shifted lowest one is
     2 damping - v > 0.  One Cholesky factorization of the whole stack tests
-    every matrix; only when it fails does LAPACK's dpotrf, matrix by
-    matrix, find the ones to shift.  Its (m, 16, 16) factor is the one
-    stack-sized array a Newton step allocates.  NumPy and SciPy link
-    separate LAPACK builds, which can disagree on a matrix whose lowest
-    eigenvalue is within a few eps of zero relative to its largest (2 of
-    10,980 random such matrices passed NumPy's test and failed dpotrf); a
-    Newton Hessian's lowest eigenvalue, the damping along x, is about
-    1e-12 of its largest.
+    every matrix; only when it fails does the same factorization, matrix by
+    matrix, find the ones to shift, so that one LAPACK build decides both.
+    Its (m, 16, 16) factor is the one stack-sized array a Newton step
+    allocates.
     """
     try:
         np.linalg.cholesky(hess)
         return
     except np.linalg.LinAlgError:
-        from scipy.linalg import lapack
-
-        bad = [i for i, h in enumerate(hess) if lapack.dpotrf(h, lower=True, clean=False)[1] != 0]
+        bad = [i for i, h in enumerate(hess) if not _cholesky_passes(h)]
     lowest = np.linalg.eigvalsh(hess[bad])[:, 0]
     hess[bad] += (2.0 * (damping[bad] - lowest))[:, None, None] * np.eye(16)
+
+
+def _cholesky_passes(h: np.ndarray) -> bool:
+    """Whether np.linalg.cholesky factors h: the test that the stacked call makes of each matrix."""
+    try:
+        np.linalg.cholesky(h)
+        return True
+    except np.linalg.LinAlgError:
+        return False
 
 
 def _line_search(n, total, x, q, step, forms, work):

@@ -1,4 +1,6 @@
 import csv
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -558,6 +560,26 @@ def _out_is_a_directory(tmp_path):
 #: --grid values whose start, stop or span is not finite
 NON_FINITE_GRIDS = ("4:inf:5", "-inf:40:5", "nan:40:5", "-1e308:1e308:3")
 
+#: a flag that the run's mode or kind does not read, whatever its value, and the
+#: refusal that names the flag and the mode or kind
+UNREAD_FLAGS = {
+    "visibility-vs_T-temperature": (lambda tmp: ["visibility", "--mode", "vs_T", "--grid", "4:40:3", "--temperature=nan"],
+                                    "--temperature has no effect on a vs_T curve"),
+    "visibility-vs_dt-delay": (lambda tmp: ["visibility", "--mode", "vs_dt", "--grid", "1:10:3", "--delay-ns=-inf"],
+                               "--delay-ns has no effect on a vs_dt curve"),
+    "trpl-params": (lambda tmp: _fit_argv(tmp, "trpl", "--params", _json_file(tmp, '{"alpha_ps2": 0.0055}')),
+                    "--params has no effect on a trpl fit"),
+    "trpl-temperature": (lambda tmp: _fit_argv(tmp, "trpl", "--temperature=-inf"),
+                         "--temperature has no effect on a trpl fit"),
+    "vis_T-irf-width": (lambda tmp: _fit_argv(tmp, "vis_T", "--irf-width", "75"),
+                        "--irf-width has no effect on a vis_T fit"),
+    "vis_T-temperature": (lambda tmp: _fit_argv(tmp, "vis_T", "--temperature", "4.0"),
+                          "--temperature has no effect on a vis_T fit"),
+    "vis_dt-irf-width": (lambda tmp: _fit_argv(tmp, "vis_dt", "--irf-width=nan"),
+                         "--irf-width has no effect on a vis_dt fit"),
+}
+
+
 MALFORMED = {
     "reconstruct-nan-count": _records_with_nan_count,
     "fit-nan-visibility": _curve_with_nan_visibility,
@@ -607,6 +629,7 @@ MALFORMED = {
                                                       _json_file(tmp, '{"alpha_ps2": 0.5, "Gamma_sd_inv_ps": 6e-4}')),
     **{f"visibility-{mode}-grid-{grid}": lambda tmp, mode=mode, grid=grid: ["visibility", "--mode", mode, f"--grid={grid}"]
        for mode in ("vs_T", "vs_dt") for grid in NON_FINITE_GRIDS},
+    **{name: make_argv for name, (make_argv, _) in UNREAD_FLAGS.items()},
 }
 
 
@@ -641,6 +664,7 @@ def test_malformed_input_exit_2_without_output(tmp_path, make_argv):
     ("g2-flat-histogram", "side-peak area is zero; cannot form g2"),
     ("analyze-meta-rep-period-zero", "rep_period_ns must be positive, got 0"),
     ("analyze-meta-pulse-sep-negative", "pulse_pair_sep_ns must be positive, got -1.0"),
+    *[(name, expected) for name, (_, expected) in UNREAD_FLAGS.items()],
 ])
 def test_malformed_input_message_names_the_value(tmp_path, capsys, name, expected):
     argv = MALFORMED[name](tmp_path)
@@ -724,15 +748,29 @@ def test_vis_T_fit_makes_one_phonon_pass_per_evaluation(tmp_path, monkeypatch):
     assert all(passes) and 0 < len(passes) <= nfev <= 10
 
 
-def test_truth_table_loads_no_scipy(tmp_path):
+def _cold_argv(command, tmp):
+    """argv of a valid command run whose inputs are written to tmp."""
+    if command == "truth-table":
+        return ["truth-table"]
+    if command.startswith("visibility"):
+        mode = command.split("-")[1]
+        return ["visibility", "--mode", mode, "--grid", "4:40:3" if mode == "vs_T" else "1:2000:3"]
+    return _valid_inputs(command, tmp)[0]
+
+
+@pytest.mark.parametrize("command", ["truth-table", "visibility-vs_T", "visibility-vs_dt", "analyze-g2",
+                                     "analyze-hom"])
+def test_subcommand_loads_no_scipy(tmp_path, command):
+    """Subcommands that need no SciPy routine start without importing any scipy module."""
     # a fresh process, since this one has imported SciPy already
-    code = ("import sys\n"
+    code = ("import json, sys\n"
             "from lophoton import cli\n"
-            "assert cli.main(['truth-table', '--out', sys.argv[1]]) == 0\n"
-            "print(' '.join(m for m in ('scipy.optimize', 'scipy.special', 'scipy.linalg') if m in sys.modules))\n")
+            "assert cli.main([*json.loads(sys.argv[1]), '--out', sys.argv[2]]) == 0\n"
+            "print(' '.join(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n")
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "table.json")], env=env,
+    argv = json.dumps(_cold_argv(command, tmp_path))
+    done = subprocess.run([sys.executable, "-c", code, argv, str(tmp_path / "out")], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == []
@@ -765,17 +803,23 @@ def _flag_pairs(tmp):
     fit, _, _ = _valid_inputs("fit-trpl", tmp / "fit")
     assert fit[-2] == "--init"
     records = ["reconstruct", "--records", str(_records_file(tmp))]
+    curve = ["visibility", "--mode", "vs_dt", "--grid", "1:2000:5"]
     return {
         "analyze-window": ([*analyze, "--window", "1500"], analyze),
         "truth-table-measured": (["truth-table", "--measured-fzz", "0.9", "--measured-fxx", "0.8"], ["truth-table"]),
         "fit-init": (fit, fit[:-2]),
         "reconstruct-target": ([*records, "--target", "maximally-mixed"], records),
         "seed-flag-then-env": ([*records, "--resamples", "100", "--seed", "777"], [*records, "--resamples", "100"]),
+        "visibility-temperature": ([*curve, "--temperature", "6.0"], curve),
     }
 
 
+#: a call refused for a flag that its mode does not read
+REFUSED = ["visibility", "--mode", "vs_T", "--grid", "4:40:3", "--temperature", "6.0"]
+
+
 @pytest.mark.parametrize("case", ["analyze-window", "truth-table-measured", "fit-init", "reconstruct-target",
-                                  "seed-flag-then-env"])
+                                  "seed-flag-then-env", "visibility-temperature"])
 def test_a_flag_of_one_call_does_not_reach_the_next(tmp_path, monkeypatch, case):
     monkeypatch.setenv("LOPHOTON_SEED", "5")
     flagged, plain = _flag_pairs(tmp_path)[case]
@@ -791,6 +835,7 @@ def test_a_flag_of_one_call_does_not_reach_the_next(tmp_path, monkeypatch, case)
         first[tuple(argv)] = output(argv)
     assert first[tuple(flagged)] != first[tuple(plain)]
     for argv in (flagged, plain, flagged, plain):
+        assert main(REFUSED) == 2  # refused after its flags were parsed: none of them reaches the next call
         assert output(argv) == first[tuple(argv)]
 
 
@@ -800,6 +845,33 @@ def test_a_patched_subcommand_is_called_after_the_first_call(tmp_path, monkeypat
     monkeypatch.setattr(cli, "cmd_truth_table", lambda args: seen.append(args.overlap) or 0)
     assert main(["truth-table", "--overlap", "0.5"]) == 0
     assert seen == [0.5]
+
+
+def _passes_the_flag_table(argv):
+    """Whether argv parses and passes the refusal of flags that its mode or kind does not read; nothing runs."""
+    try:
+        cli._set_flags(cli._parser().parse_args(argv))
+    except ValueError:
+        return False
+    return True
+
+
+def test_every_recorded_call_passes_only_flags_its_mode_reads(tmp_path, monkeypatch):
+    """Of the seeded calls of tools/golden.py and one round of each benchmark workload, only the golden call
+    made for the refusal is refused."""
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("golden", root / "tools" / "golden.py")
+    golden = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(golden)
+    assert [name for name, argv in golden.calls() if not _passes_the_flag_table(argv)] == ["bad-unread-flag"]
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    rng = np.random.default_rng(1)
+    for name, workload in workloads.WORKLOADS.items():
+        work = tmp_path / name
+        work.mkdir()
+        ops = [*workload.warmup(work, rng), *workload.round(work, rng), *workload.malformed(work)]
+        assert ops and all(_passes_the_flag_table(op.argv) for op in ops)
 
 
 def test_an_unknown_flag_exits_2_through_argparse_every_time(capsys):
@@ -906,6 +978,7 @@ def _assert_an_exit_code_and_no_output_on_failure(argv, out):
     assert code in (0, 2, 3, 4)
     if code != 0:
         assert not out.exists()
+    return code
 
 
 @settings(max_examples=100, derandomize=True, database=None, deadline=None,
@@ -924,30 +997,49 @@ def test_fuzzed_bell_flags_give_an_exit_code(data):
 FUZZED_COMMANDS = ["truth-table", "visibility", "fit", "analyze", "reconstruct"]
 
 
-def _fuzzed_argv(data, tmp):
-    """argv of one subcommand of FUZZED_COMMANDS on valid inputs written to tmp,
-    each numeric flag either valid or an edge value, joined to its flag by =."""
-    def edge_or(valid, label):
-        return data.draw(st.just(valid) | st.sampled_from(EDGE_VALUES), label=label)
+def _edge_or(valid):
+    return st.just(valid) | st.sampled_from(EDGE_VALUES)
 
+
+def _fuzzed_argv(data, tmp):
+    """(argv, unread) of one subcommand of FUZZED_COMMANDS on valid inputs written to tmp.
+
+    Each numeric flag is either valid or an edge value, joined to its flag
+    by =.  Each flag that cli's flag table gives to some modes or kinds
+    only is drawn present or absent; unread lists those drawn that the
+    run's mode or kind does not read.
+    """
     def flags(**valid):
-        return [f"--{name.replace('_', '-')}={edge_or(value, name)}" for name, value in valid.items()]
+        return [f"--{name.replace('_', '-')}={data.draw(_edge_or(value), label=name)}" for name, value in valid.items()]
+
+    def mode_flags(command, mode, values):
+        drawn, unread = [], []
+        for flag, _, readers in cli._SUBCOMMANDS[command][2]:
+            if readers is not None and data.draw(st.booleans(), label=flag):
+                drawn.append(f"{flag}={data.draw(values[flag], label=flag)}")
+                unread += [] if mode in readers else [flag]
+        return drawn, unread
 
     command = data.draw(st.sampled_from(FUZZED_COMMANDS), label="command")
     if command == "truth-table":
-        return ["truth-table", *flags(overlap="0.9", measured_fzz="0.9", measured_fxx="0.8")]
+        return ["truth-table", *flags(overlap="0.9", measured_fzz="0.9", measured_fxx="0.8")], []
     if command == "visibility":
-        grid = f"{edge_or('4', 'start')}:{edge_or('40', 'stop')}:{data.draw(st.integers(1, 50), label='num')}"
-        argv = ["visibility", "--mode", data.draw(st.sampled_from(["vs_T", "vs_dt"])), f"--grid={grid}",
-                *flags(delay_ns="2.0", temperature="4.0")]
-        return argv + ["--log-grid"] * data.draw(st.booleans(), label="log")
+        start, stop = data.draw(_edge_or("4"), label="start"), data.draw(_edge_or("40"), label="stop")
+        mode = data.draw(st.sampled_from(["vs_T", "vs_dt"]), label="mode")
+        drawn, unread = mode_flags(command, mode, {"--delay-ns": _edge_or("2.0"), "--temperature": _edge_or("4.0")})
+        argv = ["visibility", "--mode", mode, f"--grid={start}:{stop}:{data.draw(st.integers(1, 50), label='num')}"]
+        return argv + drawn + ["--log-grid"] * data.draw(st.booleans(), label="log"), unread
     if command == "fit":
-        return _fit_argv(tmp, data.draw(st.sampled_from(["trpl", "vis_dt"])), *flags(irf_width="75", temperature="4.0"))
+        kind = data.draw(st.sampled_from(["trpl", "vis_T", "vis_dt"]), label="kind")
+        params = st.just(_json_file(tmp, '{"alpha_ps2": 0.0055}'))
+        drawn, unread = mode_flags(command, kind, {"--params": params, "--irf-width": _edge_or("75"),
+                                                   "--temperature": _edge_or("4.0")})
+        return _fit_argv(tmp, kind, *drawn), unread
     if command == "analyze":
         argv, _, _ = _valid_inputs(data.draw(st.sampled_from(["analyze-g2", "analyze-hom"])), tmp)
-        return [*argv, *flags(window="600")]
+        return [*argv, *flags(window="600")], []
     argv, _, _ = _valid_inputs("reconstruct", tmp)
-    return [*argv, *flags(seed="1"), f"--resamples={data.draw(st.sampled_from(['0', '100', str(10**15)]))}"]
+    return [*argv, *flags(seed="1"), f"--resamples={data.draw(st.sampled_from(['0', '100', str(10**15)]))}"], []
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None,
@@ -955,4 +1047,7 @@ def _fuzzed_argv(data, tmp):
 @given(data=st.data())
 def test_fuzzed_flags_of_the_other_subcommands_give_an_exit_code(data):
     with tempfile.TemporaryDirectory() as d:
-        _assert_an_exit_code_and_no_output_on_failure(_fuzzed_argv(data, Path(d)), Path(d) / "out.json")
+        argv, unread = _fuzzed_argv(data, Path(d))
+        code = _assert_an_exit_code_and_no_output_on_failure(argv, Path(d) / "out.json")
+    if unread:  # refused whatever the values: the refusal comes before any value is checked
+        assert code == 2

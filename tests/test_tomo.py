@@ -479,6 +479,35 @@ def test_the_stacked_cholesky_test_shifts_exactly_what_the_dpotrf_loop_shifts(mo
     assert shifted.count(0) >= 2 and any(0 < k < len(h) for k, (h, _) in zip(shifted, stacks))
 
 
+def _borderline_hessians(rng, n=80):
+    """(n, 16, 16) symmetric matrices with eigenvalues 1 to 1e6 and a lowest one within 30 eps of zero relative
+    to the largest, every tenth one -1e-1 instead."""
+    stack = []
+    for i in range(n):
+        q, _ = np.linalg.qr(rng.normal(size=(16, 16)))
+        top = rng.uniform(1.0, 1e6, 15)
+        lowest = -1e-1 if i % 10 == 0 else rng.uniform(-30.0, 30.0) * np.finfo(float).eps * top.max()
+        h = (q * np.concatenate([[lowest], top])) @ q.T
+        stack.append(0.5 * (h + h.T))
+    return np.array(stack)
+
+
+def test_the_matrices_shifted_are_those_that_numpys_own_cholesky_rejects_one_by_one(rng):
+    hess = _borderline_hessians(rng)
+    rejected = [i for i, h in enumerate(hess) if not tomo._cholesky_passes(h)]
+    borderline = [i for i in range(len(hess)) if i % 10]
+    # near singular, some pass and some fail
+    assert 0 < len(set(rejected) & set(borderline)) < len(borderline)
+    passing = [i for i in range(len(hess)) if i not in rejected]
+    for rows in (range(len(hess)), borderline, passing, rejected):
+        stack = hess[list(rows)]
+        shifted = stack.copy()
+        tomo._shift_to_positive(shifted, np.full(len(stack), 1e-6))
+        changed = [j for j in range(len(stack)) if not np.array_equal(shifted[j], stack[j])]
+        assert changed == [j for j, i in enumerate(rows) if i in rejected]
+        assert np.linalg.eigvalsh(shifted[changed])[:, 0].min(initial=1.0) > 0.0
+
+
 def _inversion_start_fits(counts):
     """_mle_fits of (R, 36) counts from their linear inversions, the start of mle_reconstruct."""
     return tomo._mle_fits(counts, *tomo._pivoted_starts(tomo._inversion(counts)))

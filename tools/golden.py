@@ -287,6 +287,8 @@ def calls():
         ("bad-grid", ["visibility", "--mode", "vs_dt", "--grid=4:inf:5"]),
         # far more resamples than memory holds: refused before anything is allocated
         ("bad-resamples", ["bell", "--counts-per-setting", "1000", "--resamples", str(10**15)]),
+        # a flag that the mode does not read: refused by name, not ignored
+        ("bad-unread-flag", ["visibility", "--mode", "vs_T", "--grid", "4:40:3", "--temperature", "4.0"]),
     ]
     return out
 
