@@ -2,9 +2,9 @@
 
 Subcommands: truth-table, bell, visibility, fit, analyze, reconstruct.
 Every run is deterministic for a fixed (arguments, seed) pair and the same
-library versions; the seed comes from --seed, else the LOPHOTON_SEED
-environment variable, else DEFAULT_SEED.  Results are written atomically
-(temp file + rename), so a failed run leaves no partial output.
+library versions.  Only bell and reconstruct read a seed: --seed, else
+DEFAULT_SEED.  Results are written atomically (temp file + rename), so a
+failed run leaves no partial output.
 
 Exit codes: 0 success, 2 invalid arguments or malformed input files (a
 ValueError or OSError), 3 state reconstruction failure (tomo.NotConverged),
@@ -160,12 +160,6 @@ def cmd_truth_table(args):
     return EXIT_OK
 
 
-def _seed(args):
-    if args.seed < 0:
-        raise ValueError(f"--seed (or LOPHOTON_SEED) must be non-negative, got {args.seed}")
-    return args.seed
-
-
 def _reconstruction_payload(records, target, args):
     """MLE state, its metrics and, for --resamples > 0, their Monte Carlo spreads."""
     result = tomo.mle_reconstruct(records)
@@ -186,7 +180,7 @@ def _reconstruction_payload(records, target, args):
         "diagnostics": diagnostics,
     }
     if args.resamples != 0:
-        mc = asdict(tomo.monte_carlo_metrics(records, result, target, args.resamples, _seed(args)))
+        mc = asdict(tomo.monte_carlo_metrics(records, result, target, args.resamples, args.seed))
         payload["n_resamples"] = mc.pop("n_resamples")
         payload["n_not_converged"] = mc.pop("n_not_converged")
         iterations = mc.pop("refit_iterations")
@@ -207,7 +201,7 @@ def cmd_bell(args):
         elements,
         circuit.TwoPhotonInput(jones.basis_state("A"), jones.basis_state("V"), args.overlap),
     )
-    records = tomo.simulate_counts(prepared.rho, args.counts_per_setting, _seed(args))
+    records = tomo.simulate_counts(prepared.rho, args.counts_per_setting, args.seed)
     reconstruction = _reconstruction_payload(records, tomo.psi_minus(), args)
     f_zz = circuit.basis_fidelity(circuit.truth_table(elements, args.overlap, "ZZ")[0], "ZZ")
     f_xx = circuit.basis_fidelity(circuit.truth_table(elements, args.overlap, "XX")[0], "XX")
@@ -306,21 +300,25 @@ def cmd_reconstruct(args):
 # parser
 # ---------------------------------------------------------------------------
 
-def _env_seed():
-    raw = os.environ.get("LOPHOTON_SEED")
-    if raw is None:
-        return DEFAULT_SEED
+def _seed(text):
+    """A --seed value: a non-negative integer, refused by the parser before any work."""
     try:
-        return int(raw)
+        if (seed := int(text)) >= 0:
+            return seed
     except ValueError:
-        raise ValueError(f"LOPHOTON_SEED must be an integer, got {raw!r}") from None
+        pass
+    raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
 
 
 #: the flags of every subcommand, as (flag, argparse keywords, readers) rows: the keywords hold the flag's
 #: default unless it is None, and readers the --mode or --kind values that read it, or None for all of them
-_COMMON_FLAGS = (
-    ("--seed", dict(type=int, help="RNG seed (default: LOPHOTON_SEED or builtin)"), None),
-    ("--out", dict(help="output path (default: stdout)"), None),
+_COMMON_FLAGS = (("--out", dict(help="output path (default: stdout)"), None),)
+#: the flags of the two subcommands that draw random numbers; --threads is read by none, and stays on
+#: these two because the benchmark and tools/golden.py pass it to them
+_SEEDED_FLAGS = (
+    ("--seed", dict(type=_seed, default=DEFAULT_SEED,
+                    help=f"seed of bell's simulated counts and of the Monte Carlo resamples (default: {DEFAULT_SEED})"),
+     None),
     ("--threads", dict(type=int, default=1, help="accepted, no effect: Monte Carlo is serial"), None))
 #: subcommand -> (help, None or (the dest of its --mode or --kind, what a run makes), its own flag rows)
 _SUBCOMMANDS = {
@@ -332,7 +330,7 @@ _SUBCOMMANDS = {
     "bell": ("prepare, measure and reconstruct the entangled pair", None, (
         ("--overlap", dict(type=float, default=1.0), None),
         ("--counts-per-setting", dict(type=int, default=1_000_000), None),
-        ("--resamples", dict(type=int, default=1000), None))),
+        ("--resamples", dict(type=int, default=1000), None), *_SEEDED_FLAGS)),
     "visibility": ("interference visibility curve to CSV", ("mode", "curve"), (
         ("--mode", dict(choices=["vs_T", "vs_dt"], required=True), None),
         ("--params", dict(help="dephasing parameter JSON"), None),
@@ -355,7 +353,7 @@ _SUBCOMMANDS = {
     "reconstruct": ("tomography from a measurement record CSV", None, (
         ("--records", dict(required=True), None),
         ("--resamples", dict(type=int, default=0), None),
-        ("--target", dict(choices=["psi-minus", "maximally-mixed"], default="psi-minus"), None))),
+        ("--target", dict(choices=["psi-minus", "maximally-mixed"], default="psi-minus"), None), *_SEEDED_FLAGS)),
 }
 
 
@@ -390,8 +388,6 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         _set_flags(args)
-        if args.seed is None:
-            args.seed = _env_seed()
         # looked up at call time, so a wrapped or patched cmd_* is the one called
         return globals()["cmd_" + args.command.replace("-", "_")](args)
     except tuple(_EXIT_CODES) as e:

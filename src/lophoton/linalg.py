@@ -50,20 +50,15 @@ def hermitian_eigen(m) -> tuple[np.ndarray, np.ndarray]:
     return w[..., ::-1].copy(), v[..., ::-1].copy()
 
 
-def partial_trace(rho, keep: str) -> np.ndarray:
-    """Trace out one qubit of a 4x4 two-qubit operator, or of each of a stack.
+def partial_trace(rho) -> np.ndarray:
+    """The first qubit's state of a 4x4 two-qubit operator, or of each of a stack: the second traced out.
 
-    keep is "first" or "second"; basis order is (00, 01, 10, 11).
+    Basis order is (00, 01, 10, 11).
     """
     a = _as_matrices(rho)
     if a.shape[-2:] != (4, 4):
         raise ValueError(f"expected 4x4, got {a.shape}")
-    r = a.reshape(a.shape[:-2] + (2, 2, 2, 2))
-    if keep == "first":
-        return np.trace(r, axis1=-3, axis2=-1)
-    if keep == "second":
-        return np.trace(r, axis1=-4, axis2=-2)
-    raise ValueError(f"keep must be 'first' or 'second', got {keep!r}")
+    return np.trace(a.reshape(a.shape[:-2] + (2, 2, 2, 2)), axis1=-3, axis2=-1)
 
 
 def psd_sqrt(m) -> np.ndarray:

@@ -191,6 +191,13 @@ class MeasurementRecord:
 
 @dataclass(frozen=True)
 class StateMetrics:
+    """Metrics of a state against a target, or arrays over a stack of states.
+
+    Both von Neumann entropies, in bits, are reported because a single
+    quoted entanglement entropy is ambiguous between them; for a pure
+    entangled state the pair is (0, positive).
+    """
+
     fidelity_to_target: float
     concurrence: float
     entropy_full_bits: float
@@ -728,22 +735,7 @@ def _entropy_bits(w: np.ndarray) -> float:
 
 
 def _reduced_entropy_bits(rho: np.ndarray) -> float:
-    return _entropy_bits(np.linalg.eigvalsh(partial_trace(rho, "first")))
-
-
-def entropies(rho: np.ndarray) -> tuple[float, float]:
-    """(full-state, reduced-state) von Neumann entropies in bits.
-
-    Both are reported because a single quoted entanglement entropy is
-    ambiguous between them; for a pure entangled state the pair is
-    (0, positive).
-    """
-    w_full, _ = hermitian_eigen(rho)
-    return _entropy_bits(w_full), _reduced_entropy_bits(rho)
-
-
-def purity(rho: np.ndarray) -> float:
-    return np.real(np.trace(rho @ rho, axis1=-2, axis2=-1))
+    return _entropy_bits(np.linalg.eigvalsh(partial_trace(rho)))
 
 
 def hofmann_bounds(f_zz: float, f_xx: float) -> tuple[float, float]:

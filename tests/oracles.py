@@ -29,15 +29,13 @@ def kron_oracle(a, b):
     return out
 
 
-def partial_trace_oracle(rho, keep):
+def partial_trace_oracle(rho):
+    """The first qubit's state of one 4x4 two-qubit state, the second traced out entry by entry."""
     out = np.zeros((2, 2), dtype=complex)
     for i in range(2):
         for j in range(2):
             for k in range(2):
-                if keep == "first":
-                    out[i, j] += rho[2 * i + k, 2 * j + k]
-                else:
-                    out[i, j] += rho[2 * k + i, 2 * k + j]
+                out[i, j] += rho[2 * i + k, 2 * j + k]
     return out
 
 
@@ -54,7 +52,7 @@ def von_neumann_entropies_oracle(rho):
     """(full-state, reduced-state) entropies in bits of one 4x4 state, each from its own eigvalsh."""
     def bits(matrix):
         return -sum(p * math.log2(p) for p in np.linalg.eigvalsh(matrix) if p > 0.0)
-    return bits(rho), bits(partial_trace_oracle(rho, "first"))
+    return bits(rho), bits(partial_trace_oracle(rho))
 
 
 def conditional_state_oracle(u4, alpha, beta, overlap):

@@ -630,13 +630,30 @@ MALFORMED = {
     **{f"visibility-{mode}-grid-{grid}": lambda tmp, mode=mode, grid=grid: ["visibility", "--mode", mode, f"--grid={grid}"]
        for mode in ("vs_T", "vs_dt") for grid in NON_FINITE_GRIDS},
     **{name: make_argv for name, (make_argv, _) in UNREAD_FLAGS.items()},
+    # only bell and reconstruct take --seed and --threads; argparse refuses them elsewhere
+    "truth-table-seed": lambda tmp: ["truth-table", "--seed", "5"],
+    "visibility-seed": lambda tmp: ["visibility", "--mode", "vs_T", "--grid", "4:40:3", "--seed", "5"],
+    "fit-seed": lambda tmp: _fit_argv(tmp, "trpl", "--seed", "5"),
+    "analyze-seed": lambda tmp: [*_g2_histogram(tmp), "--meta", str(tmp / "h.meta.json"), "--seed", "5"],
+    "visibility-threads": lambda tmp: ["visibility", "--mode", "vs_T", "--grid", "4:40:3", "--threads", "1"],
+    # the seed is checked when parsed, whether or not a resample is drawn
+    "reconstruct-negative-seed-no-resamples": lambda tmp: ["reconstruct", "--records", str(_records_file(tmp)),
+                                                           "--seed", "-1", "--resamples", "0"],
 }
+
+
+def _exit_code(argv):
+    """main's exit code, or argparse's where it refuses a flag or a value."""
+    try:
+        return main(argv)
+    except SystemExit as e:
+        return e.code
 
 
 @pytest.mark.parametrize("make_argv", MALFORMED.values(), ids=MALFORMED.keys())
 def test_malformed_input_exit_2_without_output(tmp_path, make_argv):
     out = tmp_path / "result.json"
-    assert main([*make_argv(tmp_path), "--out", str(out)]) == 2
+    assert _exit_code([*make_argv(tmp_path), "--out", str(out)]) == 2
     assert not out.is_file()
     assert not list(tmp_path.glob(".lophoton-*"))
 
@@ -776,15 +793,15 @@ def test_subcommand_loads_no_scipy(tmp_path, command):
     assert done.stdout.split() == []
 
 
-def test_env_seed_matches_flag(tmp_path, monkeypatch):
-    a = tmp_path / "a.json"
-    b = tmp_path / "b.json"
-    assert main(["bell", "--counts-per-setting", "5000", "--resamples", "100",
-                 "--seed", "777", "--out", str(a)]) == 0
-    monkeypatch.setenv("LOPHOTON_SEED", "777")
-    assert main(["bell", "--counts-per-setting", "5000", "--resamples", "100",
-                 "--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
+@pytest.mark.parametrize("value", ["abc", "777"])
+def test_the_environment_does_not_set_the_seed(tmp_path, monkeypatch, value):
+    """LOPHOTON_SEED, once read as the default seed, changes no output."""
+    calls = [["truth-table"], ["bell", "--counts-per-setting", "5000", "--resamples", "100"]]
+    monkeypatch.delenv("LOPHOTON_SEED", raising=False)
+    before = [run(tmp_path, *argv)[1].read_bytes() for argv in calls]
+    monkeypatch.setenv("LOPHOTON_SEED", value)
+    assert [run(tmp_path, *argv)[1].read_bytes() for argv in calls] == before
+    assert json.loads(before[1])["seed"] == cli.DEFAULT_SEED
 
 
 def test_default_seed_constant():
@@ -809,7 +826,7 @@ def _flag_pairs(tmp):
         "truth-table-measured": (["truth-table", "--measured-fzz", "0.9", "--measured-fxx", "0.8"], ["truth-table"]),
         "fit-init": (fit, fit[:-2]),
         "reconstruct-target": ([*records, "--target", "maximally-mixed"], records),
-        "seed-flag-then-env": ([*records, "--resamples", "100", "--seed", "777"], [*records, "--resamples", "100"]),
+        "seed-flag-then-default": ([*records, "--resamples", "100", "--seed", "777"], [*records, "--resamples", "100"]),
         "visibility-temperature": ([*curve, "--temperature", "6.0"], curve),
     }
 
@@ -819,9 +836,8 @@ REFUSED = ["visibility", "--mode", "vs_T", "--grid", "4:40:3", "--temperature", 
 
 
 @pytest.mark.parametrize("case", ["analyze-window", "truth-table-measured", "fit-init", "reconstruct-target",
-                                  "seed-flag-then-env", "visibility-temperature"])
-def test_a_flag_of_one_call_does_not_reach_the_next(tmp_path, monkeypatch, case):
-    monkeypatch.setenv("LOPHOTON_SEED", "5")
+                                  "seed-flag-then-default", "visibility-temperature"])
+def test_a_flag_of_one_call_does_not_reach_the_next(tmp_path, case):
     flagged, plain = _flag_pairs(tmp_path)[case]
 
     def output(argv):
@@ -851,19 +867,20 @@ def _passes_the_flag_table(argv):
     """Whether argv parses and passes the refusal of flags that its mode or kind does not read; nothing runs."""
     try:
         cli._set_flags(cli._parser().parse_args(argv))
-    except ValueError:
+    except (ValueError, SystemExit):  # argparse refuses a flag its subcommand does not take
         return False
     return True
 
 
 def test_every_recorded_call_passes_only_flags_its_mode_reads(tmp_path, monkeypatch):
-    """Of the seeded calls of tools/golden.py and one round of each benchmark workload, only the golden call
-    made for the refusal is refused."""
+    """Of the seeded calls of tools/golden.py and one round of each benchmark workload, only the golden calls
+    made for the refusal are refused."""
     root = Path(__file__).resolve().parents[1]
     spec = importlib.util.spec_from_file_location("golden", root / "tools" / "golden.py")
     golden = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(golden)
-    assert [name for name, argv in golden.calls() if not _passes_the_flag_table(argv)] == ["bad-unread-flag"]
+    refused = [name for name, argv in golden.calls() if not _passes_the_flag_table(argv)]
+    assert refused == ["bad-unread-flag", "bad-unread-seed"]
     monkeypatch.syspath_prepend(str(root / "perfbench"))
     workloads = importlib.import_module("workloads")
     rng = np.random.default_rng(1)
@@ -875,11 +892,20 @@ def test_every_recorded_call_passes_only_flags_its_mode_reads(tmp_path, monkeypa
 
 
 def test_an_unknown_flag_exits_2_through_argparse_every_time(capsys):
-    for _ in range(2):
-        with pytest.raises(SystemExit) as e:
-            main(["truth-table", "--no-such-flag"])
-        assert e.value.code == 2
-        assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
+    for flag in ("--no-such-flag", "--seed", "--threads"):  # truth-table reads no seed
+        for _ in range(2):
+            with pytest.raises(SystemExit) as e:
+                main(["truth-table", flag, "5"])
+            assert e.value.code == 2
+            assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("resamples", ["0", "100"])
+def test_a_negative_seed_is_refused_before_the_records_are_read(capsys, resamples):
+    with pytest.raises(SystemExit) as e:
+        main(["reconstruct", "--records", "missing.csv", "--seed", "-1", "--resamples", resamples])
+    assert e.value.code == 2
+    assert "argument --seed: must be a non-negative integer, got '-1'" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -971,10 +997,7 @@ BELL_FLAGS = {"--overlap": "0.9", "--counts-per-setting": "2000", "--resamples":
 
 
 def _assert_an_exit_code_and_no_output_on_failure(argv, out):
-    try:
-        code = main([*argv, "--out", str(out)])
-    except SystemExit as e:  # argparse refuses a value with exit 2
-        code = e.code
+    code = _exit_code([*argv, "--out", str(out)])
     assert code in (0, 2, 3, 4)
     if code != 0:
         assert not out.exists()
@@ -1006,8 +1029,9 @@ def _fuzzed_argv(data, tmp):
 
     Each numeric flag is either valid or an edge value, joined to its flag
     by =.  Each flag that cli's flag table gives to some modes or kinds
-    only is drawn present or absent; unread lists those drawn that the
-    run's mode or kind does not read.
+    only is drawn present or absent, and so is one of --seed and --threads,
+    which only reconstruct of these takes; unread lists those drawn that
+    the run does not take.
     """
     def flags(**valid):
         return [f"--{name.replace('_', '-')}={data.draw(_edge_or(value), label=name)}" for name, value in valid.items()]
@@ -1021,25 +1045,31 @@ def _fuzzed_argv(data, tmp):
         return drawn, unread
 
     command = data.draw(st.sampled_from(FUZZED_COMMANDS), label="command")
+    if command == "reconstruct":
+        argv, _, _ = _valid_inputs("reconstruct", tmp)
+        return [*argv, *flags(seed="1"), f"--resamples={data.draw(st.sampled_from(['0', '100', str(10**15)]))}"], []
+    unread = []
     if command == "truth-table":
-        return ["truth-table", *flags(overlap="0.9", measured_fzz="0.9", measured_fxx="0.8")], []
-    if command == "visibility":
+        argv = ["truth-table", *flags(overlap="0.9", measured_fzz="0.9", measured_fxx="0.8")]
+    elif command == "visibility":
         start, stop = data.draw(_edge_or("4"), label="start"), data.draw(_edge_or("40"), label="stop")
         mode = data.draw(st.sampled_from(["vs_T", "vs_dt"]), label="mode")
         drawn, unread = mode_flags(command, mode, {"--delay-ns": _edge_or("2.0"), "--temperature": _edge_or("4.0")})
         argv = ["visibility", "--mode", mode, f"--grid={start}:{stop}:{data.draw(st.integers(1, 50), label='num')}"]
-        return argv + drawn + ["--log-grid"] * data.draw(st.booleans(), label="log"), unread
-    if command == "fit":
+        argv += drawn + ["--log-grid"] * data.draw(st.booleans(), label="log")
+    elif command == "fit":
         kind = data.draw(st.sampled_from(["trpl", "vis_T", "vis_dt"]), label="kind")
         params = st.just(_json_file(tmp, '{"alpha_ps2": 0.0055}'))
         drawn, unread = mode_flags(command, kind, {"--params": params, "--irf-width": _edge_or("75"),
                                                    "--temperature": _edge_or("4.0")})
-        return _fit_argv(tmp, kind, *drawn), unread
-    if command == "analyze":
+        argv = _fit_argv(tmp, kind, *drawn)
+    else:
         argv, _, _ = _valid_inputs(data.draw(st.sampled_from(["analyze-g2", "analyze-hom"])), tmp)
-        return [*argv, *flags(window="600")], []
-    argv, _, _ = _valid_inputs("reconstruct", tmp)
-    return [*argv, *flags(seed="1"), f"--resamples={data.draw(st.sampled_from(['0', '100', str(10**15)]))}"], []
+        argv = [*argv, *flags(window="600")]
+    seeded = data.draw(st.sampled_from([None, *(flag for flag, _, _ in cli._SEEDED_FLAGS)]), label="seeded")
+    if seeded is not None:
+        argv, unread = [*argv, f"{seeded}={data.draw(_edge_or('1'), label=seeded)}"], [*unread, seeded]
+    return argv, unread
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None,

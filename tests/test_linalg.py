@@ -46,8 +46,7 @@ def test_stacks_match_one_matrix_at_a_time(rng):
     for i, rho in enumerate(stack):
         wi, vi = hermitian_eigen(rho)
         assert np.array_equal(w[i], wi) and np.array_equal(v[i], vi)
-        for keep in ("first", "second"):
-            assert np.allclose(partial_trace(stack, keep)[i], partial_trace_oracle(rho, keep), atol=1e-13)
+        assert np.allclose(partial_trace(stack)[i], partial_trace_oracle(rho), atol=1e-13)
         assert np.allclose(psd_sqrt(stack)[i], psd_sqrt(rho), atol=1e-14)
 
 
@@ -61,30 +60,27 @@ def test_eigen_rejects_stack_with_one_non_hermitian(rng):
 def test_partial_trace_singlet():
     v = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
     rho = np.outer(v, v.conj())
-    for keep in ("first", "second"):
-        assert np.allclose(partial_trace(rho, keep), np.eye(2) / 2, atol=1e-12)
+    assert np.allclose(partial_trace(rho), np.eye(2) / 2, atol=1e-12)
 
 
 def test_partial_trace_product(rng):
     ra = random_density_matrix(rng, 2)
     rb = random_density_matrix(rng, 2)
     rho = np.kron(ra, rb)
-    assert np.allclose(partial_trace(rho, "first"), ra, atol=1e-12)
-    assert np.allclose(partial_trace(rho, "second"), rb, atol=1e-12)
+    assert np.allclose(partial_trace(rho), ra, atol=1e-12)
 
 
 def test_partial_trace_oracle_and_trace_preserved(rng):
     for _ in range(10):
         rho = random_density_matrix(rng, 4)
-        for keep in ("first", "second"):
-            red = partial_trace(rho, keep)
-            assert np.allclose(red, partial_trace_oracle(rho, keep), atol=1e-13)
-            assert np.trace(red).real == pytest.approx(1.0, abs=1e-12)
+        red = partial_trace(rho)
+        assert np.allclose(red, partial_trace_oracle(rho), atol=1e-13)
+        assert np.trace(red).real == pytest.approx(1.0, abs=1e-12)
 
 
 def test_partial_trace_bad_dimension():
     with pytest.raises(ValueError, match=r"^expected 4x4, got \(2, 2\)$"):
-        partial_trace(np.eye(2), "first")
+        partial_trace(np.eye(2))
 
 
 def test_psd_sqrt_diagonal_and_identity():

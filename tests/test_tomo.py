@@ -575,11 +575,15 @@ def test_concurrence_values():
 
 
 def test_entropies_values():
-    assert tomo.entropies(tomo.psi_minus()) == pytest.approx((0.0, 1.0), abs=1e-10)
-    assert tomo.entropies(tomo.maximally_mixed()) == pytest.approx((2.0, 1.0), abs=1e-12)
+    def entropies(rho):
+        metrics = tomo.state_metrics(rho, tomo.psi_minus())
+        return metrics.entropy_full_bits, metrics.entropy_reduced_bits
+
+    assert entropies(tomo.psi_minus()) == pytest.approx((0.0, 1.0), abs=1e-10)
+    assert entropies(tomo.maximally_mixed()) == pytest.approx((2.0, 1.0), abs=1e-12)
     w = np.array([0.925, 0.025, 0.025, 0.025])
     expected = float(-np.sum(w * np.log2(w)))
-    full, _ = tomo.entropies(tomo.werner(0.9))
+    full, _ = entropies(tomo.werner(0.9))
     assert full == pytest.approx(expected, abs=1e-10)
 
 
@@ -739,7 +743,8 @@ def test_monte_carlo_leaves_out_and_counts_non_converged_fits(monkeypatch):
     kept = _flag_fits_not_converged(monkeypatch, {17})
     mc = tomo.monte_carlo_metrics(records, central, tomo.psi_minus(), 100, seed=3)
     assert mc.n_not_converged == 1 and len(kept) == 99
-    expected = tomo.purity(np.array(kept))
+    rho = np.array(kept)
+    expected = np.real(np.trace(rho @ rho, axis1=-2, axis2=-1))  # Tr(rho^2), not the eigenvalues state_metrics uses
     assert mc.purity.mean == pytest.approx(expected.mean(), abs=1e-15)
     assert mc.purity.std == pytest.approx(expected.std(ddof=1), abs=1e-15)
 

@@ -9,7 +9,8 @@ directory of a checkout.  The script writes fixed input files into
 cannot move them, then runs a fixed list of seeded lophoton.cli.main calls
 from inside <out-dir>.  Each call leaves <name>.out (its --out file),
 <name>.err (its stderr) and one line "<name> <exit code>" in exit_codes.txt;
-a call that raises is recorded as "<name> raised <exception type>".  The
+a call that raises is recorded as "<name> raised <exception type>", and one
+that argparse refuses with the code it exits with.  The
 calls on malformed inputs (names starting with "bad-") keep only the exit
 code and whether <name>.out exists, since error wording is not compared.
 Run it on two source trees; an empty ``diff -r`` of the two out-dirs means
@@ -289,6 +290,8 @@ def calls():
         ("bad-resamples", ["bell", "--counts-per-setting", "1000", "--resamples", str(10**15)]),
         # a flag that the mode does not read: refused by name, not ignored
         ("bad-unread-flag", ["visibility", "--mode", "vs_T", "--grid", "4:40:3", "--temperature", "4.0"]),
+        # only bell and reconstruct take a seed
+        ("bad-unread-seed", ["truth-table", "--seed", "5"]),
     ]
     return out
 
@@ -315,6 +318,8 @@ def main(argv):
         try:
             with contextlib.redirect_stderr(err):
                 code = cli.main([*args, "--out", f"{name}.out"])
+        except SystemExit as e:  # argparse's refusal of a flag
+            code = e.code
         except Exception as e:  # a leak out of cli.main is recorded, not fatal
             code = f"raised {type(e).__name__}"
         if not name.startswith("bad-"):
