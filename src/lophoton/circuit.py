@@ -228,7 +228,7 @@ def _basis(basis: str):
     try:
         return TRUTH_TABLE_BASES[basis]
     except KeyError:
-        raise ValueError(f"basis must be 'ZZ' or 'XX', got {basis!r}") from None
+        raise ValueError(f"basis must be {' or '.join(map(repr, TRUTH_TABLE_BASES))}, got {basis!r}") from None
 
 
 def truth_table(

@@ -9,8 +9,11 @@ failed run leaves no partial output.
 Exit codes: 0 success, 2 invalid arguments or malformed input files (a
 ValueError or OSError), 3 state reconstruction failure (tomo.NotConverged),
 4 model fit divergence (emitter.FitDiverged).  main is the one place where
-an exception becomes an exit code.  It builds the argument parser on its
-first call and reuses it on every later call in the process.
+an exception becomes an exit code, and it returns the code of every
+refusal: the parser reports an unknown, missing or malformed flag or a
+bad subcommand as a ValueError instead of exiting, so only -h/--help
+exits from inside main.  main builds the argument parser on its first
+call and reuses it on every later call in the process.
 """
 
 from __future__ import annotations
@@ -300,14 +303,23 @@ def cmd_reconstruct(args):
 # parser
 # ---------------------------------------------------------------------------
 
-def _seed(text):
-    """A --seed value: a non-negative integer, refused by the parser before any work."""
-    try:
-        if (seed := int(text)) >= 0:
-            return seed
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+def _integer_at_least(least):
+    """The argparse type of an integer of at least least (0 or 1), refused by the parser before any work."""
+    def parse(text):
+        try:
+            if (value := int(text)) >= least:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be a {'positive' if least else 'non-negative'} integer, got {text!r}")
+    return parse
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser that reports a refusal as a ValueError, which main turns into exit code 2, instead of exiting."""
+
+    def error(self, message):
+        raise ValueError(message)
 
 
 #: the flags of every subcommand, as (flag, argparse keywords, readers) rows: the keywords hold the flag's
@@ -316,10 +328,10 @@ _COMMON_FLAGS = (("--out", dict(help="output path (default: stdout)"), None),)
 #: the flags of the two subcommands that draw random numbers; --threads is read by none, and stays on
 #: these two because the benchmark and tools/golden.py pass it to them
 _SEEDED_FLAGS = (
-    ("--seed", dict(type=_seed, default=DEFAULT_SEED,
+    ("--seed", dict(type=_integer_at_least(0), default=DEFAULT_SEED,
                     help=f"seed of bell's simulated counts and of the Monte Carlo resamples (default: {DEFAULT_SEED})"),
      None),
-    ("--threads", dict(type=int, default=1, help="accepted, no effect: Monte Carlo is serial"), None))
+    ("--threads", dict(type=_integer_at_least(1), default=1, help="accepted, no effect: Monte Carlo is serial"), None))
 #: subcommand -> (help, None or (the dest of its --mode or --kind, what a run makes), its own flag rows)
 _SUBCOMMANDS = {
     "truth-table": ("conditional gate table and basis fidelity", None, (
@@ -349,7 +361,8 @@ _SUBCOMMANDS = {
         ("--kind", dict(choices=["g2", "hom"], required=True), None),
         ("--histogram", dict(required=True, help="histogram CSV (tau_ps,counts)"), None),
         ("--meta", dict(required=True, help="metadata sidecar JSON"), None),
-        ("--window", dict(type=float, help="integration half-window in ps (default: 2000 for g2, 600 for hom)"), None))),
+        ("--window", dict(type=float, help="integration half-window in ps (default: "
+                          + ", ".join(f"{ps:g} for {kind}" for kind, ps in _ANALYZE_WINDOW_PS.items()) + ")"), None))),
     "reconstruct": ("tomography from a measurement record CSV", None, (
         ("--records", dict(required=True), None),
         ("--resamples", dict(type=int, default=0), None),
@@ -359,9 +372,9 @@ _SUBCOMMANDS = {
 
 def build_parser():
     """The parser of _SUBCOMMANDS.  It sets only the flags given, so that _set_flags sees which were."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lophoton", description="Two-photon gate simulation, emitter models, and tomography, batch style.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True)  # each subparser is a _Parser too
     for command, (text, _, flags) in _SUBCOMMANDS.items():
         p = sub.add_parser(command, help=text)
         for flag, keywords, readers in _COMMON_FLAGS + flags:
@@ -385,8 +398,8 @@ _parser = cache(build_parser)
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         _set_flags(args)
         # looked up at call time, so a wrapped or patched cmd_* is the one called
         return globals()["cmd_" + args.command.replace("-", "_")](args)

@@ -630,7 +630,7 @@ MALFORMED = {
     **{f"visibility-{mode}-grid-{grid}": lambda tmp, mode=mode, grid=grid: ["visibility", "--mode", mode, f"--grid={grid}"]
        for mode in ("vs_T", "vs_dt") for grid in NON_FINITE_GRIDS},
     **{name: make_argv for name, (make_argv, _) in UNREAD_FLAGS.items()},
-    # only bell and reconstruct take --seed and --threads; argparse refuses them elsewhere
+    # only bell and reconstruct take --seed and --threads; the parser refuses them elsewhere
     "truth-table-seed": lambda tmp: ["truth-table", "--seed", "5"],
     "visibility-seed": lambda tmp: ["visibility", "--mode", "vs_T", "--grid", "4:40:3", "--seed", "5"],
     "fit-seed": lambda tmp: _fit_argv(tmp, "trpl", "--seed", "5"),
@@ -639,21 +639,14 @@ MALFORMED = {
     # the seed is checked when parsed, whether or not a resample is drawn
     "reconstruct-negative-seed-no-resamples": lambda tmp: ["reconstruct", "--records", str(_records_file(tmp)),
                                                            "--seed", "-1", "--resamples", "0"],
+    "bell-threads-zero": lambda tmp: ["bell", "--counts-per-setting", "1000", "--resamples", "0", "--threads", "0"],
 }
-
-
-def _exit_code(argv):
-    """main's exit code, or argparse's where it refuses a flag or a value."""
-    try:
-        return main(argv)
-    except SystemExit as e:
-        return e.code
 
 
 @pytest.mark.parametrize("make_argv", MALFORMED.values(), ids=MALFORMED.keys())
 def test_malformed_input_exit_2_without_output(tmp_path, make_argv):
     out = tmp_path / "result.json"
-    assert _exit_code([*make_argv(tmp_path), "--out", str(out)]) == 2
+    assert main([*make_argv(tmp_path), "--out", str(out)]) == 2
     assert not out.is_file()
     assert not list(tmp_path.glob(".lophoton-*"))
 
@@ -867,21 +860,29 @@ def _passes_the_flag_table(argv):
     """Whether argv parses and passes the refusal of flags that its mode or kind does not read; nothing runs."""
     try:
         cli._set_flags(cli._parser().parse_args(argv))
-    except (ValueError, SystemExit):  # argparse refuses a flag its subcommand does not take
+    except ValueError:  # the parser or the flag table refuses a flag or a value
         return False
     return True
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _golden():
+    """tools/golden.py, loaded as a module."""
+    spec = importlib.util.spec_from_file_location("golden", ROOT / "tools" / "golden.py")
+    golden = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(golden)
+    return golden
 
 
 def test_every_recorded_call_passes_only_flags_its_mode_reads(tmp_path, monkeypatch):
     """Of the seeded calls of tools/golden.py and one round of each benchmark workload, only the golden calls
     made for the refusal are refused."""
-    root = Path(__file__).resolve().parents[1]
-    spec = importlib.util.spec_from_file_location("golden", root / "tools" / "golden.py")
-    golden = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(golden)
-    refused = [name for name, argv in golden.calls() if not _passes_the_flag_table(argv)]
-    assert refused == ["bad-unread-flag", "bad-unread-seed"]
-    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    refused = [name for name, argv in _golden().calls() if not _passes_the_flag_table(argv)]
+    assert refused == ["bad-unread-flag", "bad-unread-seed", "bad-choice", "bad-missing-flag", "bad-float",
+                       "bad-threads"]
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     workloads = importlib.import_module("workloads")
     rng = np.random.default_rng(1)
     for name, workload in workloads.WORKLOADS.items():
@@ -894,18 +895,52 @@ def test_every_recorded_call_passes_only_flags_its_mode_reads(tmp_path, monkeypa
 def test_an_unknown_flag_exits_2_through_argparse_every_time(capsys):
     for flag in ("--no-such-flag", "--seed", "--threads"):  # truth-table reads no seed
         for _ in range(2):
-            with pytest.raises(SystemExit) as e:
-                main(["truth-table", flag, "5"])
-            assert e.value.code == 2
+            assert main(["truth-table", flag, "5"]) == 2
             assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("resamples", ["0", "100"])
 def test_a_negative_seed_is_refused_before_the_records_are_read(capsys, resamples):
-    with pytest.raises(SystemExit) as e:
-        main(["reconstruct", "--records", "missing.csv", "--seed", "-1", "--resamples", resamples])
-    assert e.value.code == 2
+    assert main(["reconstruct", "--records", "missing.csv", "--seed", "-1", "--resamples", resamples]) == 2
     assert "argument --seed: must be a non-negative integer, got '-1'" in capsys.readouterr().err
+
+
+#: argv that the parser refuses, each with a part of the one line that main prints
+PARSE_REFUSALS = {
+    "unknown-flag": (["truth-table", "--no-such-flag"], "unrecognized arguments: --no-such-flag"),
+    "unknown-subcommand": (["no-such-command"], "argument command: invalid choice: 'no-such-command'"),
+    "no-subcommand": ([], "argument command: invalid choice: "),  # --out is read as the subcommand
+    "invalid-choice": (["truth-table", "--basis", "QQ"], "argument --basis: invalid choice: 'QQ'"),
+    "missing-flag": (["visibility", "--mode", "vs_T"], "the following arguments are required: --grid"),
+    "non-numeric-float": (["bell", "--overlap", "abc"], "argument --overlap: invalid float value: 'abc'"),
+    "non-integer-int": (["bell", "--counts-per-setting", "1.5"],
+                        "argument --counts-per-setting: invalid int value: '1.5'"),
+    "negative-seed": (["bell", "--seed", "-1"], "argument --seed: must be a non-negative integer, got '-1'"),
+    "zero-threads": (["bell", "--threads", "0"], "argument --threads: must be a positive integer, got '0'"),
+}
+
+
+@pytest.mark.parametrize("argv, expected", PARSE_REFUSALS.values(), ids=PARSE_REFUSALS.keys())
+def test_a_parse_refusal_returns_2_with_one_error_line(tmp_path, capsys, argv, expected):
+    """main returns the exit code of a refusal by the parser, as it does for any other bad input."""
+    out = tmp_path / "result.json"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert expected in err
+    assert not out.exists()
+    assert not list(tmp_path.glob(".lophoton-*"))
+
+
+def test_every_golden_call_exits_0_and_every_bad_one_2_without_output(tmp_path, monkeypatch):
+    """The calls of tools/golden.py on its own inputs: the exit codes that its record holds, no output files."""
+    golden = _golden()
+    golden.write_inputs(tmp_path / "inputs")
+    monkeypatch.chdir(tmp_path)
+    calls = golden.calls()
+    codes = {name: main([*argv, "--out", f"{name}.out"]) for name, argv in calls}
+    assert codes == {name: 2 if name.startswith("bad-") else 0 for name, _ in calls}
+    assert [name for name, _ in calls if name.startswith("bad-") and Path(f"{name}.out").exists()] == []
 
 
 # ---------------------------------------------------------------------------
@@ -997,7 +1032,7 @@ BELL_FLAGS = {"--overlap": "0.9", "--counts-per-setting": "2000", "--resamples":
 
 
 def _assert_an_exit_code_and_no_output_on_failure(argv, out):
-    code = _exit_code([*argv, "--out", str(out)])
+    code = main([*argv, "--out", str(out)])
     assert code in (0, 2, 3, 4)
     if code != 0:
         assert not out.exists()
